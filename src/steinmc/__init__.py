@@ -12,7 +12,7 @@ from .samplers import (
     StepSchedule,
     run,
 )
-from .targets import MinibatchPotential, TargetModel, make_target, minibatch_grad
+from .targets import TargetModel, make_target
 
 __all__ = [
     "autodiff",
@@ -42,10 +42,8 @@ __all__ = [
     "ParticleEnsemble",
     "StepSchedule",
     "run",
-    "MinibatchPotential",
     "TargetModel",
     "make_target",
-    "minibatch_grad",
 ]
 
 __version__ = "0.1.0"

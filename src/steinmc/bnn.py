@@ -259,7 +259,6 @@ class BnnTarget(TargetModel):
         obj._batch = np.arange(batch_size)
         obj.log_density = obj._log_density
         obj.grad_log_density = obj._score
-        obj.grad_log_density_batch = obj._score
         return obj
 
     def resample_batch(self, rng: np.random.Generator):

@@ -152,7 +152,7 @@ def flow_step(
     """
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    scores = np.stack([target.grad_log_density(z) for z in positions])
+    scores = target.grad_log_density(positions)
     return positions + eta * (scores + kde_entropy_grad(positions, cfg))
 
 
@@ -167,13 +167,12 @@ def _numeric_refine(
     trajectory = [z.copy()]
     for t in range(steps):
         if rg.inner_sampler in ("sgd", "sgld"):
-            scores = np.stack([target.grad_log_density(p) for p in z])
-            z = z + eta * scores
+            z = z + eta * target.grad_log_density(z)
             if rg.inner_sampler == "sgld":
                 z = z + np.sqrt(2.0 * eta) * rng.standard_normal(z.shape)
         elif rg.inner_sampler == "svgd":
             km = kernels.kernel_matrix(z, rg.kernel_cfg)
-            scores = np.stack([target.grad_log_density(p) for p in z])
+            scores = target.grad_log_density(z)
             z = z + eta * (km.entries @ scores + km.grad_terms) / z.shape[0]
         else:  # flow
             z = flow_step(z, target, rg.kernel_cfg, eta)

@@ -114,17 +114,21 @@ class CollectionPolicy:
         return t > self.burn_in and (t - self.burn_in) % self.thin == 0
 
 
-def _scores(target: TargetModel, positions: np.ndarray) -> np.ndarray:
-    batch = getattr(target, "grad_log_density_batch", None)
-    if batch is not None:
-        out = np.asarray(batch(positions), dtype=float)
-    else:
-        out = np.empty_like(positions)
-        for i, z in enumerate(positions):
-            out[i] = np.asarray(target.grad_log_density(z), dtype=float)
-    finite = np.all(np.isfinite(out), axis=1)
-    if not np.all(finite):
-        raise DivergenceError(iteration=-1, particle=int(np.argmax(~finite)))
+def _scores(target: TargetModel, ensemble: ParticleEnsemble) -> np.ndarray:
+    """All L scores in one call; a non-finite row diverges the coming step.
+
+    The DivergenceError names the iteration being computed and carries the
+    ensemble as its last all-finite snapshot.
+    """
+    positions = ensemble.positions
+    out = np.asarray(target.grad_log_density(positions), dtype=float)
+    if out.shape != positions.shape:
+        raise ConfigError(
+            f"target {target.name!r} returned scores of shape {out.shape} for "
+            f"positions of shape {positions.shape}; expected (L, d) -> (L, d)",
+            field="target",
+        )
+    _check_finite(out, ensemble.step_index + 1, snapshot=positions)
     return out
 
 
@@ -169,7 +173,7 @@ def sgld_step(
     if not eps > 0:
         raise ValueError("eps must be > 0")
     z = ensemble.positions
-    scores = _scores(target, z)
+    scores = _scores(target, ensemble)
     noise = np.sqrt(2.0 * eps) * rng.standard_normal(z.shape)
     new = z + eps * scores + noise
     _check_finite(new, ensemble.step_index + 1, snapshot=z)
@@ -184,7 +188,7 @@ def svgd_direction(
     Updating z <- z - eps * direction performs kernel-smoothed ascent on the
     log density plus repulsion between particles.
     """
-    scores = _scores(target, ensemble.positions)
+    scores = _scores(target, ensemble)
     return -_interaction_drift(scores, km)
 
 
@@ -222,7 +226,7 @@ def repulsive_sgld_step(
     z = ensemble.positions
     if km is None:
         km = kernels.kernel_matrix(z, kernel_cfg)
-    scores = _scores(target, z)
+    scores = _scores(target, ensemble)
     drift = _interaction_drift(scores, km)
     noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
     new = z + eps * drift + noise
@@ -264,7 +268,7 @@ def repulsive_sgdm_step(
     if km is None:
         km = kernels.kernel_matrix(z, kernel_cfg)
     n = ensemble.n_particles
-    scores = _scores(target, z)
+    scores = _scores(target, ensemble)
 
     new_z = z - (eps / n) * (km.entries @ m - km.grad_terms)
     new_m = m - (eps / n) * (km.entries @ scores - km.grad_terms)
@@ -317,7 +321,7 @@ def repulsive_adam_step(
         km = kernels.kernel_matrix(z, kernel_cfg)
     n = ensemble.n_particles
 
-    grad_h = -_scores(target, z)
+    grad_h = -_scores(target, ensemble)
     new_m = momentum.beta1 * m + (1.0 - momentum.beta1) * grad_h
     new_v = momentum.beta2 * v + (1.0 - momentum.beta2) * grad_h**2
     scaled = new_m / np.sqrt(new_v + momentum.stabilizer)
@@ -420,54 +424,45 @@ def run(
 
     collected: list[np.ndarray] = []
     start = time.perf_counter()
-    try:
-        for t in range(iterations):
-            eps = schedule.eps(t)
-            refresh = getattr(target, "resample_batch", None)
-            if refresh is not None:
-                refresh(rng)
-            km = None
-            if kind in INTERACTING_KINDS:
-                if repulsion_cutoff is not None and t >= repulsion_cutoff:
-                    km = kernels.identity_kernel(n_particles, dim)
-                else:
-                    km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
+    for t in range(iterations):
+        eps = schedule.eps(t)
+        refresh = getattr(target, "resample_batch", None)
+        if refresh is not None:
+            refresh(rng)
+        km = None
+        if kind in INTERACTING_KINDS:
+            if repulsion_cutoff is not None and t >= repulsion_cutoff:
+                km = kernels.identity_kernel(n_particles, dim)
+            else:
+                km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
 
-            if kind == "sgld":
-                ensemble = sgld_step(ensemble, target, eps, rng)
-            elif kind == "svgd":
-                direction = svgd_direction(ensemble, target, km)
-                new = ensemble.positions - eps * direction
-                _check_finite(new, t + 1, snapshot=ensemble.positions)
-                ensemble = ParticleEnsemble(new, t + 1)
-            elif kind == "repulsive_sgld":
-                ensemble = repulsive_sgld_step(
-                    ensemble, target, kernel_cfg, eps, rng, km=km
-                )
-            elif kind == "repulsive_sgdm":
-                ensemble, momentum = repulsive_sgdm_step(
-                    ensemble,
-                    momentum,
-                    target,
-                    kernel_cfg,
-                    eps,
-                    rng=rng,
-                    position_noise=position_noise,
-                    km=km,
-                )
-            else:  # repulsive_adam
-                ensemble, momentum = repulsive_adam_step(
-                    ensemble, momentum, target, kernel_cfg, eps, rng, km=km
-                )
+        if kind == "sgld":
+            ensemble = sgld_step(ensemble, target, eps, rng)
+        elif kind == "svgd":
+            direction = svgd_direction(ensemble, target, km)
+            new = ensemble.positions - eps * direction
+            _check_finite(new, t + 1, snapshot=ensemble.positions)
+            ensemble = ParticleEnsemble(new, t + 1)
+        elif kind == "repulsive_sgld":
+            ensemble = repulsive_sgld_step(ensemble, target, kernel_cfg, eps, rng, km=km)
+        elif kind == "repulsive_sgdm":
+            ensemble, momentum = repulsive_sgdm_step(
+                ensemble,
+                momentum,
+                target,
+                kernel_cfg,
+                eps,
+                rng=rng,
+                position_noise=position_noise,
+                km=km,
+            )
+        else:  # repulsive_adam
+            ensemble, momentum = repulsive_adam_step(
+                ensemble, momentum, target, kernel_cfg, eps, rng, km=km
+            )
 
-            if policy.collect_at(t + 1):
-                collected.append(ensemble.positions.copy())
-    except DivergenceError as err:
-        if err.snapshot is None:
-            err.snapshot = ensemble.positions
-        if err.iteration < 0:
-            err.iteration = ensemble.step_index + 1
-        raise
+        if policy.collect_at(t + 1):
+            collected.append(ensemble.positions.copy())
     wall = time.perf_counter() - start
 
     stacked = np.stack(collected)  # (n_events, L, d)

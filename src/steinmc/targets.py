@@ -1,8 +1,11 @@
 """Differentiable target log-densities with exact reference moments.
 
-Every constructor runs a finite-difference audit of the analytic gradient
-before handing the target out.  Targets used by the refined variational
-sampler additionally expose tape builders (``ad_log_density`` /
+The log-density takes one point of shape (d,) and returns a float.  The
+gradient (the score) is batched: it maps an (L, d) array of particles to the
+(L, d) array of their scores in one call, so samplers never loop over
+particles.  Every constructor runs a finite-difference audit of the analytic
+gradient before handing the target out.  Targets used by the refined
+variational sampler additionally expose tape builders (``ad_log_density`` /
 ``ad_grad_log_density``) so that unrolled sampler steps stay differentiable
 without a second-order tape.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,9 +39,11 @@ class MomentSpec:
 class TargetModel:
     """Unnormalized log-density with analytic gradient.
 
-    ``moment_transform`` maps sampling-space draws into the space where the
-    reference moments live (identity for most targets; exp for the
-    log-reparameterized ones).
+    ``log_density`` maps one point of shape (d,) to a float;
+    ``grad_log_density`` maps an (L, d) batch of points to the (L, d) batch
+    of their gradients, row for row.  ``moment_transform`` maps sampling-space
+    draws into the space where the reference moments live (identity for most
+    targets; exp for the log-reparameterized ones).
     """
 
     name: str
@@ -49,6 +54,8 @@ class TargetModel:
     moment_transform: Callable[[np.ndarray], np.ndarray] = lambda z: z
     ad_log_density: Callable | None = None
     ad_grad_log_density: Callable | None = None
+    # Vestigial: only the benchmark tracer (perfbench/tracer.py) reads it;
+    # nothing in the library sets or reads it.
     grad_log_density_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -65,9 +72,19 @@ def finite_difference_grad(f, z, step: float = 1e-5) -> np.ndarray:
 
 
 def audit_gradient(target: TargetModel, points: np.ndarray, rel_tol: float = 1e-5):
-    """Check grad_log_density against central differences at the given points."""
-    for z in points:
-        analytic = np.asarray(target.grad_log_density(z), dtype=float)
+    """Check grad_log_density against central differences at the given points.
+
+    The gradient is called once on the whole (n, d) batch; each row is
+    compared with the finite differences of the log-density at that point.
+    """
+    points = np.asarray(points, dtype=float)
+    grads = np.asarray(target.grad_log_density(points), dtype=float)
+    if grads.shape != points.shape:
+        raise AssertionError(
+            f"gradient audit failed for {target.name}: shape {grads.shape} "
+            f"for points of shape {points.shape}"
+        )
+    for z, analytic in zip(points, grads):
         numeric = finite_difference_grad(target.log_density, z)
         scale = max(1.0, float(np.max(np.abs(numeric))))
         err = float(np.max(np.abs(analytic - numeric))) / scale
@@ -112,7 +129,6 @@ def std_gaussian(dim: int) -> TargetModel:
         ],
         ad_log_density=ad_log_density,
         ad_grad_log_density=ad_grad,
-        grad_log_density_batch=lambda positions: -np.asarray(positions, dtype=float),
     )
     rng = np.random.default_rng(0)
     return _registered(target, rng.normal(size=(5, dim)))
@@ -140,22 +156,23 @@ def mixture_of_exponentials() -> TargetModel:
     rates = np.asarray(MOE_RATES)
     log_rates = np.log(rates)
 
+    def _terms(z):
+        # log(w_i rate_i exp(-rate_i z)) per component, along the last axis
+        return log_w + log_rates - rates * z
+
     def log_density(y):
         y = float(np.asarray(y, dtype=float).reshape(()))
-        z = np.exp(y)
         # log sum_i w_i rate_i exp(-rate_i z), stabilized, plus the Jacobian y
-        terms = log_w + log_rates - rates * z
+        terms = _terms(np.exp(y))
         m = np.max(terms)
         return float(m + np.log(np.sum(np.exp(terms - m))) + y)
 
     def grad(y):
-        y = float(np.asarray(y, dtype=float).reshape(()))
-        z = np.exp(y)
-        terms = log_w + log_rates - rates * z
-        m = np.max(terms)
-        w = np.exp(terms - m)
-        w /= w.sum()
-        return np.array([1.0 - z * float(np.dot(w, rates))])
+        z = np.exp(np.asarray(y, dtype=float))  # (L, 1)
+        terms = _terms(z)  # (L, 2)
+        w = np.exp(terms - np.max(terms, axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        return 1.0 - z * (w @ rates)[:, None]
 
     target = TargetModel(
         name="moe",
@@ -183,21 +200,20 @@ def mog_grid() -> TargetModel:
     k = len(centers)
 
     def _component_logs(z):
-        diff = z[None, :] - centers
-        return -0.5 * np.sum(diff * diff, axis=1) / var - _LOG_2PI - np.log(var)
+        # (L, d) points -> (L, k) component log-densities
+        diff = z[:, None, :] - centers
+        return -0.5 * np.sum(diff * diff, axis=2) / var - _LOG_2PI - np.log(var)
 
     def log_density(z):
-        z = np.asarray(z, dtype=float)
-        logs = _component_logs(z)
+        logs = _component_logs(np.asarray(z, dtype=float)[None, :])[0]
         m = np.max(logs)
         return float(m + np.log(np.sum(np.exp(logs - m))) - np.log(k))
 
     def grad(z):
         z = np.asarray(z, dtype=float)
         logs = _component_logs(z)
-        m = np.max(logs)
-        w = np.exp(logs - m)
-        w /= w.sum()
+        w = np.exp(logs - np.max(logs, axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
         return -(z - w @ centers) / var
 
     second = var + float(np.mean(centers[:, 0] ** 2))
@@ -234,11 +250,12 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
         return float(lp1 + lp2)
 
     def grad(z):
-        z1, z2 = float(z[0]), float(z[1])
+        z = np.asarray(z, dtype=float)
+        z1, z2 = z[:, 0], z[:, 1]
         e = np.exp(-2.0 * a * z1)
         g1 = -z1 / (s1 * s1) + a * z2 * z2 * e - a
         g2 = -z2 * e
-        return np.array([g1, g2])
+        return np.stack([g1, g2], axis=1)
 
     def _split(z_node):
         e1 = ad.constant(np.array([1.0, 0.0]))
@@ -295,38 +312,3 @@ def make_target(name: str, **params) -> TargetModel:
     if name not in BUILTIN_TARGETS:
         raise ValueError(f"unknown target {name!r}; choose from {sorted(BUILTIN_TARGETS)}")
     return BUILTIN_TARGETS[name](**params)
-
-
-@dataclass
-class MinibatchPotential:
-    """Data-driven potential with an unbiased minibatch gradient estimator.
-
-    The full gradient of -log posterior splits into a prior part and a sum of
-    per-datapoint parts; a batch estimate rescales the batch sum by
-    N / |batch|.
-    """
-
-    dataset: Sequence
-    prior_grad: Callable[[np.ndarray], np.ndarray]
-    per_point_grad: Callable[[np.ndarray, object], np.ndarray]
-
-    @property
-    def dataset_size(self) -> int:
-        return len(self.dataset)
-
-
-def minibatch_grad(
-    potential: MinibatchPotential, params: np.ndarray, batch_indices: Sequence[int]
-) -> np.ndarray:
-    """prior_grad + (N/|batch|) * sum of per-point gradients over the batch."""
-    params = np.asarray(params, dtype=float)
-    n = potential.dataset_size
-    if n == 0:
-        return np.asarray(potential.prior_grad(params), dtype=float)
-    if len(batch_indices) == 0:
-        raise ValueError("batch must be non-empty")
-    total = np.zeros_like(params)
-    for i in batch_indices:
-        total += potential.per_point_grad(params, potential.dataset[i])
-    scale = n / len(batch_indices)
-    return np.asarray(potential.prior_grad(params), dtype=float) + scale * total

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from steinmc import cli
 from steinmc.bnn import BnnPotential, BnnTarget, load_arrays, load_csv, predict
+from steinmc.errors import DivergenceError
 
 
 def linear_data(n=500, p=4, noise=0.1, seed=0):
@@ -189,7 +191,7 @@ class TestBnnTarget:
         ds = load_arrays(x, y, seed=0)
         pot = BnnPotential(input_dim=3, hidden_dim=4)
         target = BnnTarget.create(pot, ds, batch_size=50)
-        theta = np.random.default_rng(9).normal(size=pot.n_params) * 0.3
+        theta = np.random.default_rng(9).normal(size=(3, pot.n_params)) * 0.3
         xs, ys = ds.features_train[target._batch], ds.targets_train[target._batch]
         np.testing.assert_allclose(
             target.grad_log_density(theta),
@@ -218,3 +220,19 @@ class TestEvaluate:
         report = bnn_report(ds, "sgld", seed=0, protocol={"iterations": 800, "burn_in": 400})
         assert report["rmse"] < 2 * 0.1
         assert np.isfinite(report["test_ll"])
+
+
+class TestBnnReport:
+    @pytest.mark.parametrize("sampler", ["sgld", "repulsive_sgld"])
+    def test_divergence_names_iteration_and_snapshot(self, sampler):
+        # a step far above the protocol's 1e-4 blows the network weights up
+        # within a few iterations; the first non-finite value is a score
+        x, y = linear_data()
+        ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
+        protocol = {"step_size": 0.1, "iterations": 50, "burn_in": 10}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                cli.bnn_report(ds, sampler, seed=0, protocol=protocol)
+        assert exc.value.iteration >= 1
+        assert exc.value.snapshot is not None
+        assert np.all(np.isfinite(exc.value.snapshot))

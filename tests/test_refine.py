@@ -284,7 +284,6 @@ class TestOptimize:
             GAUSS2,
             log_density=lambda z: float(-0.5 * np.sum((z - center) ** 2)),
             grad_log_density=lambda z: -(z - center),
-            grad_log_density_batch=None,
             ad_grad_log_density=None,
             ad_log_density=lambda zn: ad.mul(
                 -0.5, ad.reduce_sum(ad.mul(zn - ad.constant(center), zn - ad.constant(center)))

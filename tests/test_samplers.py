@@ -28,7 +28,7 @@ def linear_potential(dim, slope=1.0):
         name="linear",
         dim=dim,
         log_density=lambda z: float(-slope * np.sum(z)),
-        grad_log_density=lambda z: np.full(dim, -slope),
+        grad_log_density=lambda z: np.full(np.shape(z), -slope),
     )
 
 
@@ -84,12 +84,27 @@ class TestSgldStep:
         bad = TargetModel(
             name="bad", dim=1,
             log_density=lambda z: 0.0,
-            grad_log_density=lambda z: np.array([np.nan]),
+            grad_log_density=lambda z: np.full(np.shape(z), np.nan),
         )
         with pytest.raises(DivergenceError) as exc:
-            sgld_step(ParticleEnsemble(np.zeros((3, 1))), bad, 0.1,
+            sgld_step(ParticleEnsemble(np.zeros((3, 1)), step_index=4), bad, 0.1,
                       np.random.default_rng(0))
         assert exc.value.particle == 0
+        # the score is part of step 5; the ensemble it was taken at is the snapshot
+        assert exc.value.iteration == 5
+        np.testing.assert_array_equal(exc.value.snapshot, np.zeros((3, 1)))
+
+    def test_score_shape_mismatch_names_target(self):
+        flat = TargetModel(
+            name="flat", dim=2,
+            log_density=lambda z: 0.0,
+            grad_log_density=lambda z: np.zeros(2),  # (d,) instead of (L, d)
+        )
+        with pytest.raises(ConfigError) as exc:
+            sgld_step(ParticleEnsemble(np.zeros((3, 2))), flat, 0.1,
+                      np.random.default_rng(0))
+        assert exc.value.field == "target"
+        assert "'flat'" in str(exc.value)
 
 
 class TestSvgd:

@@ -3,30 +3,50 @@ import pytest
 from scipy import integrate
 
 from steinmc.targets import (
-    MinibatchPotential,
     TargetModel,
     audit_gradient,
     finite_difference_grad,
     funnel,
     make_target,
-    minibatch_grad,
     mixture_of_exponentials,
     moe_exact_moment,
     mog_grid,
     std_gaussian,
 )
 
+# L = 20 is the benchmark's mog ensemble; together at least as many points as
+# the one-point-at-a-time checks these replace
+BATCH_SIZES = (1, 7, 20)
+
+
+def batched_rows_and_differences(t, points):
+    """One batched gradient call on (L, d) points, and per-row central differences."""
+    grads = t.grad_log_density(points)
+    assert grads.shape == points.shape
+    fd = np.stack([finite_difference_grad(t.log_density, z) for z in points])
+    return grads, fd
+
 
 class TestStdGaussian:
     def test_gradient_at_mode(self):
         t = std_gaussian(3)
-        np.testing.assert_array_equal(t.grad_log_density(np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(
+            t.grad_log_density(np.zeros((1, 3))), np.zeros((1, 3))
+        )
 
     def test_gradient_is_linear(self):
         t = std_gaussian(2)
         np.testing.assert_array_equal(
-            t.grad_log_density(np.array([3.0, 3.0])), np.array([-3.0, -3.0])
+            t.grad_log_density(np.array([[3.0, 3.0], [1.0, -2.0]])),
+            np.array([[-3.0, -3.0], [-1.0, 2.0]]),
         )
+
+    def test_gradient_matches_finite_differences(self):
+        t = std_gaussian(3)
+        rng = np.random.default_rng(0)
+        for n in BATCH_SIZES:
+            grads, fd = batched_rows_and_differences(t, rng.normal(size=(n, 3)))
+            np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-8)
 
     def test_mean_of_exact_draws(self):
         # direct sampling oracle
@@ -64,10 +84,10 @@ class TestMixtureOfExponentials:
     def test_gradient_matches_finite_differences(self):
         t = mixture_of_exponentials()
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            y = rng.normal(scale=1.5, size=1)
-            fd = finite_difference_grad(t.log_density, y)
-            np.testing.assert_allclose(t.grad_log_density(y), fd, rtol=1e-5, atol=1e-8)
+        for n in BATCH_SIZES:
+            y = rng.normal(scale=1.5, size=(n, 1))
+            grads, fd = batched_rows_and_differences(t, y)
+            np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-8)
 
 
 class TestMogGrid:
@@ -77,7 +97,9 @@ class TestMogGrid:
 
     def test_gradient_vanishes_at_center_by_symmetry(self):
         t = mog_grid()
-        np.testing.assert_allclose(t.grad_log_density(np.zeros(2)), np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(
+            t.grad_log_density(np.zeros((1, 2))), np.zeros((1, 2)), atol=1e-12
+        )
 
     def test_second_moment_closed_form(self):
         # mixture moment oracle: component variance + mean of squared centers
@@ -98,26 +120,26 @@ class TestMogGrid:
     def test_gradient_matches_finite_differences(self):
         t = mog_grid()
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            z = rng.normal(scale=2.0, size=2)
-            fd = finite_difference_grad(t.log_density, z)
-            np.testing.assert_allclose(t.grad_log_density(z), fd, rtol=1e-4, atol=1e-6)
+        for n in BATCH_SIZES:
+            z = rng.normal(scale=2.0, size=(n, 2))
+            grads, fd = batched_rows_and_differences(t, z)
+            np.testing.assert_allclose(grads, fd, rtol=1e-4, atol=1e-6)
 
 
 class TestFunnel:
     def test_second_coordinate_gradient_zero_on_axis(self):
         t = funnel()
-        g = t.grad_log_density(np.array([0.0, 0.0]))
-        assert g[1] == 0.0
+        g = t.grad_log_density(np.array([[0.0, 0.0], [-1.0, 0.0]]))
+        np.testing.assert_array_equal(g[:, 1], [0.0, 0.0])
 
     def test_gradient_matches_finite_differences(self):
         t = funnel()
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            z = rng.normal(size=2)
-            fd = finite_difference_grad(t.log_density, z)
-            scale = max(1.0, np.max(np.abs(fd)))
-            assert np.max(np.abs(t.grad_log_density(z) - fd)) / scale < 1e-5
+        for n in BATCH_SIZES:
+            grads, fd = batched_rows_and_differences(t, rng.normal(size=(n, 2)))
+            for row, fd_row in zip(grads, fd):
+                scale = max(1.0, np.max(np.abs(fd_row)))
+                assert np.max(np.abs(row - fd_row)) / scale < 1e-5
 
     def test_variance_convention_switch(self):
         t_std = funnel(scale_convention="std")
@@ -127,7 +149,9 @@ class TestFunnel:
         # both remain valid densities with matching gradients
         for t in (t_std, t_var):
             fd = finite_difference_grad(t.log_density, z)
-            np.testing.assert_allclose(t.grad_log_density(z), fd, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(
+                t.grad_log_density(z[None, :])[0], fd, rtol=1e-5, atol=1e-8
+            )
 
     def test_log_density_decomposes_into_two_gaussians(self):
         # independent densities from scipy; conditional scale is exp(z1)
@@ -158,47 +182,8 @@ class TestRegistry:
             name="broken",
             dim=1,
             log_density=lambda z: float(-0.5 * z[0] ** 2),
-            grad_log_density=lambda z: np.array([z[0]]),  # sign flipped
+            grad_log_density=lambda z: np.asarray(z),  # sign flipped
         )
         with pytest.raises(AssertionError):
             audit_gradient(bad, np.array([[1.0]]))
 
-
-class TestMinibatchGrad:
-    def _potential(self, n=12):
-        rng = np.random.default_rng(4)
-        data = rng.normal(size=n)
-        return MinibatchPotential(
-            dataset=data,
-            prior_grad=lambda p: -p,
-            per_point_grad=lambda p, x: np.atleast_1d(x - p),
-        )
-
-    def test_full_batch_equals_full_gradient(self):
-        pot = self._potential()
-        params = np.array([0.3])
-        full = minibatch_grad(pot, params, range(12))
-        direct = -params + sum(np.atleast_1d(x - params) for x in pot.dataset)
-        np.testing.assert_allclose(full, direct, rtol=1e-14)
-
-    def test_exhaustive_partition_reproduces_full_gradient(self):
-        # exhaustive-partition oracle: average over disjoint batches
-        pot = self._potential(n=12)
-        params = np.array([-0.7])
-        batches = [range(0, 4), range(4, 8), range(8, 12)]
-        avg = np.mean([minibatch_grad(pot, params, b) for b in batches], axis=0)
-        full = minibatch_grad(pot, params, range(12))
-        np.testing.assert_allclose(avg, full, rtol=1e-12)
-
-    def test_pure_prior_when_no_data(self):
-        pot = MinibatchPotential(
-            dataset=[], prior_grad=lambda p: -2 * p, per_point_grad=lambda p, x: p
-        )
-        np.testing.assert_array_equal(
-            minibatch_grad(pot, np.array([1.5]), []), np.array([-3.0])
-        )
-
-    def test_empty_batch_rejected(self):
-        pot = self._potential()
-        with pytest.raises(ValueError):
-            minibatch_grad(pot, np.array([0.0]), [])
