@@ -3,7 +3,7 @@ samplers and sampler-refined variational approximations."""
 
 from . import autodiff, bnn, diagnostics, kernels, refine, samplers, targets
 from .diagnostics import RunReport, ess, fp_residual, gelman_rubin, moment_error
-from .kernels import KernelConfig, KernelMatrix, kernel_matrix, rbf, sample_repulsive_noise
+from .kernels import KernelConfig, KernelMatrix, kernel_matrix, sample_repulsive_noise
 from .refine import DiagonalGaussianGuide, RefinedGuide, elbo, elbo_grad, optimize
 from .samplers import (
     CollectionPolicy,
@@ -30,7 +30,6 @@ __all__ = [
     "KernelConfig",
     "KernelMatrix",
     "kernel_matrix",
-    "rbf",
     "sample_repulsive_noise",
     "DiagonalGaussianGuide",
     "RefinedGuide",

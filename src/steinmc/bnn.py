@@ -168,14 +168,12 @@ class BnnPotential:
         b2 = theta[..., i]
         return w1, b1, w2, b2
 
-    def init_particles(self, n_particles: int, rng: np.random.Generator) -> np.ndarray:
-        """Initial draws: fan-in-scaled first layer, prior-scale elsewhere."""
+    def init_std(self) -> np.ndarray:
+        """Per-coordinate std of the initial draws: fan-in-scaled first layer,
+        prior scale elsewhere."""
         h, p = self.hidden_dim, self.input_dim
-        w1 = rng.standard_normal((n_particles, h * p)) / np.sqrt(p)
-        b1 = rng.standard_normal((n_particles, h)) / np.sqrt(p)
-        w2 = rng.standard_normal((n_particles, h)) / np.sqrt(h)
-        b2 = rng.standard_normal((n_particles, 1))
-        return np.concatenate([w1, b1, w2, b2], axis=1)
+        fan_in = np.full(h * p + h, 1.0 / np.sqrt(p))
+        return np.concatenate([fan_in, np.full(h, 1.0 / np.sqrt(h)), [1.0]])
 
     def forward(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Network outputs; theta (K, P) or (P,), x (B, p).  Returns (K, B) or (B,)."""

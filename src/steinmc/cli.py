@@ -253,11 +253,16 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _step_size(kind: str, per_particle_step: float, particles: int) -> float:
+    """The repulsive sampler's step is the per-particle step scaled by L, so
+    its per-particle drift and noise match the plain sampler's when the
+    particles do not interact."""
+    return per_particle_step * particles if kind == "repulsive_sgld" else per_particle_step
+
+
 # built-in synthetic comparison protocol: 500 burn-in + 500 sampling
 # iterations, thinned by 10; 10 particles on the exponential mixture and 20 on
-# the Gaussian grid.  The repulsive sampler's step is scaled by L so its
-# per-particle drift and noise match the plain sampler's when the particles do
-# not interact.
+# the Gaussian grid.
 BENCH_PROTOCOL = {
     "moe": {"particles": 10, "per_particle_step": 0.1, "init_std": 1.0},
     "mog": {"particles": 20, "per_particle_step": 0.005, "init_std": 0.5},
@@ -276,9 +281,7 @@ def bench_rows(seeds, timing: str = "off", threads: int = 1):
     def job(item):
         dist, kind, seed, proto = item
         target = targets.make_target(dist)
-        eps = proto["per_particle_step"]
-        if kind == "repulsive_sgld":
-            eps = eps * proto["particles"]
+        eps = _step_size(kind, proto["per_particle_step"], proto["particles"])
         result = samplers.run(
             kind,
             target,
@@ -397,32 +400,22 @@ BNN_PROTOCOL = {
 def bnn_report(
     dataset: bnn_mod.RegressionDataset, sampler: str, seed: int, protocol=None
 ) -> dict:
-    proto = dict(BNN_PROTOCOL)
-    if protocol:
-        proto.update(protocol)
+    proto = {**BNN_PROTOCOL, **(protocol or {})}
     potential = bnn_mod.BnnPotential(input_dim=dataset.n_features)
     target = bnn_mod.BnnTarget.create(potential, dataset, proto["batch_size"])
-
-    rng = np.random.default_rng(seed)
-    ensemble = samplers.ParticleEnsemble(potential.init_particles(proto["particles"], rng))
-    kcfg = KernelConfig()
-    eps = proto["step_size"]
-    if sampler == "repulsive_sgld":
-        eps = eps * proto["particles"]
-
-    kept = []
-    for t in range(proto["iterations"]):
-        target.resample_batch(rng)
-        if sampler == "sgld":
-            ensemble = samplers.sgld_step(ensemble, target, eps, rng)
-        elif sampler == "repulsive_sgld":
-            ensemble = samplers.repulsive_sgld_step(ensemble, target, kcfg, eps, rng)
-        else:
-            raise ConfigError(f"unsupported sampler {sampler!r}", field="sampler")
-        if t + 1 > proto["burn_in"] and (t + 1 - proto["burn_in"]) % proto["thin"] == 0:
-            kept.append(ensemble.positions.copy())
-
-    particles = np.concatenate(kept, axis=0) if kept else ensemble.positions
+    eps = _step_size(sampler, proto["step_size"], proto["particles"])
+    result = samplers.run(
+        sampler,
+        target,
+        n_particles=proto["particles"],
+        iterations=proto["iterations"],
+        schedule=samplers.StepSchedule(eps0=eps),
+        policy=samplers.CollectionPolicy(burn_in=proto["burn_in"], thin=proto["thin"]),
+        seed=seed,
+        init_std=potential.init_std(),
+    )
+    # event-major, in the order the draws were collected
+    particles = result.per_particle.transpose(1, 0, 2).reshape(-1, target.dim)
     metrics = bnn_mod.evaluate(potential, particles, dataset)
     payload = {
         "schema_version": SCHEMA_VERSION,

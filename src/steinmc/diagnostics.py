@@ -144,23 +144,3 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    CSV_HEADER = "schema_version,ess,ess_per_s,rhat_max,err_mean,err_second_moment,wall_clock,collected"
-
-    def to_csv_row(self) -> str:
-        errs = dict(self.moment_errors)
-        fields = [
-            str(self.schema_version),
-            _fmt(self.ess),
-            _fmt(self.ess_per_second),
-            _fmt(float(np.max(np.atleast_1d(self.rhat)))),
-            _fmt(errs.get("mean", float("nan"))),
-            _fmt(errs.get("second_moment", float("nan"))),
-            _fmt(self.wall_clock),
-            str(self.collected_count),
-        ]
-        return ",".join(fields)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")

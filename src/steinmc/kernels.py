@@ -74,18 +74,6 @@ class KernelMatrix:
         return self._chol
 
 
-def rbf(z_a, z_b, h: float) -> float:
-    """RBF kernel exp(-||z_a - z_b||^2 / h) between two points."""
-    z_a = np.asarray(z_a, dtype=float)
-    z_b = np.asarray(z_b, dtype=float)
-    if not (np.all(np.isfinite(z_a)) and np.all(np.isfinite(z_b))):
-        raise ValueError("rbf requires finite inputs")
-    if not h > 0:
-        raise ValueError("rbf bandwidth must be > 0")
-    diff = z_a - z_b
-    return float(np.exp(-np.dot(diff, diff) / h))
-
-
 def squared_distances(positions: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, computed from explicit differences.
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
+from . import kernels, samplers
 from .errors import ConfigError, DivergenceError
 from .kernels import KernelConfig
 from .targets import TargetModel
@@ -166,14 +166,13 @@ def _numeric_refine(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     trajectory = [z.copy()]
     for t in range(steps):
-        if rg.inner_sampler in ("sgd", "sgld"):
-            z = z + eta * target.grad_log_density(z)
-            if rg.inner_sampler == "sgld":
-                z = z + np.sqrt(2.0 * eta) * rng.standard_normal(z.shape)
+        ensemble = samplers.ParticleEnsemble(z, t)
+        if rg.inner_sampler == "sgld":
+            z = samplers.sgld_step(ensemble, target, eta, rng).positions
         elif rg.inner_sampler == "svgd":
-            km = kernels.kernel_matrix(z, rg.kernel_cfg)
-            scores = target.grad_log_density(z)
-            z = z + eta * (km.entries @ scores + km.grad_terms) / z.shape[0]
+            z = samplers.svgd_step(ensemble, target, rg.kernel_cfg, eta).positions
+        elif rg.inner_sampler == "sgd":
+            z = z + eta * target.grad_log_density(z)
         else:  # flow
             z = flow_step(z, target, rg.kernel_cfg, eta)
         if not np.all(np.isfinite(z)):
@@ -375,13 +374,6 @@ def elbo(
     objective = ad.add(avg_logp, entropy)
     samples = np.stack([z.value for z in z_nodes])
     return ElboTape(objective, mean, log_scale, log_eta, samples)
-
-
-def elbo_value(
-    rg: RefinedGuide, target: TargetModel, n_samples: int, seed: int
-) -> float:
-    """Numeric refined bound with a fresh seeded stream (no gradients kept)."""
-    return elbo(rg, target, n_samples, np.random.default_rng(seed)).value
 
 
 def elbo_grad(

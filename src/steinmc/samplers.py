@@ -15,8 +15,9 @@ configurations.
 
 from __future__ import annotations
 
+import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +26,6 @@ from .diagnostics import RunReport, ess_multivariate, gelman_rubin, moment_error
 from .errors import ConfigError, DegenerateChainError, DivergenceError
 from .kernels import KernelConfig, KernelMatrix
 from .targets import TargetModel
-
-SAMPLER_KINDS = ("sgld", "svgd", "repulsive_sgld", "repulsive_sgdm", "repulsive_adam")
-INTERACTING_KINDS = ("svgd", "repulsive_sgld", "repulsive_sgdm", "repulsive_adam")
-
 
 @dataclass
 class ParticleEnsemble:
@@ -197,11 +194,13 @@ def svgd_step(
     target: TargetModel,
     kernel_cfg: KernelConfig,
     eps: float,
+    km: KernelMatrix | None = None,
 ) -> ParticleEnsemble:
     """Deterministic interacting step (no noise)."""
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
+    if km is None:
+        km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
     direction = svgd_direction(ensemble, target, km)
     new = ensemble.positions - eps * direction
     _check_finite(new, ensemble.step_index + 1, snapshot=ensemble.positions)
@@ -359,6 +358,36 @@ class RunResult:
     final: ParticleEnsemble
 
 
+# The step table: kind -> (interacting, initial momenta or None, one step).
+# A step maps (ensemble, momentum, target, kernel_cfg, eps, rng, km) to
+# (ensemble, momentum) and looks its update rule up in this module's globals
+# at call time, so a wrapper installed on, say, ``samplers.sgld_step`` sees
+# every runner step.
+_KINDS = {
+    "sgld": (False, None, lambda e, m, t, c, eps, rng, km: (sgld_step(e, t, eps, rng), m)),
+    "svgd": (True, None, lambda e, m, t, c, eps, rng, km: (svgd_step(e, t, c, eps, km), m)),
+    "repulsive_sgld": (
+        True,
+        None,
+        lambda e, m, t, c, eps, rng, km: (repulsive_sgld_step(e, t, c, eps, rng, km), m),
+    ),
+    "repulsive_sgdm": (
+        True,
+        # momenta start from their standard-Gaussian stationary law
+        lambda rng, shape, **betas: MomentumState(rng.standard_normal(shape), **betas),
+        lambda e, m, t, c, eps, rng, km: repulsive_sgdm_step(e, m, t, c, eps, rng, km=km),
+    ),
+    "repulsive_adam": (
+        True,
+        lambda rng, shape, **betas: MomentumState(
+            np.zeros(shape), second_moments=np.zeros(shape), **betas
+        ),
+        lambda e, m, t, c, eps, rng, km: repulsive_adam_step(e, m, t, c, eps, rng, km),
+    ),
+}
+SAMPLER_KINDS = tuple(_KINDS)
+
+
 def run(
     kind: str,
     target: TargetModel,
@@ -375,17 +404,18 @@ def run(
     beta2: float = 0.999,
     stabilizer: float = 1e-8,
     repulsion_cutoff: int | None = None,
-    position_noise: bool = False,
 ) -> RunResult:
     """Evolve an ensemble and collect draws under the thinning policy.
 
-    Deterministic given the seed.  `repulsion_cutoff` switches the
+    The one sampling loop of the package: every kind advances through its
+    row of the step table.  Deterministic given the seed.  `init_std` may be
+    a scalar or one std per coordinate.  `repulsion_cutoff` switches the
     interacting samplers to the identity kernel (no interaction) from that
     iteration on.  Collected draws are mapped through the target's moment
     transform and pooled over particles; the reported ESS discounts the
     pooled draw count by the autocorrelation of the per-event ensemble mean.
     """
-    if kind not in SAMPLER_KINDS:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown sampler kind {kind!r}", field="sampler")
     if iterations <= policy.burn_in:
         raise ConfigError(
@@ -404,22 +434,11 @@ def run(
             "collection window shorter than the thinning interval", field="iterations"
         )
 
+    interacting, init_momentum, step = _KINDS[kind]
     momentum = None
-    if kind == "repulsive_sgdm":
-        # momenta start from their standard-Gaussian stationary law
-        momentum = MomentumState(
-            rng.standard_normal((n_particles, dim)),
-            beta1=beta1,
-            beta2=beta2,
-            stabilizer=stabilizer,
-        )
-    elif kind == "repulsive_adam":
-        momentum = MomentumState(
-            np.zeros((n_particles, dim)),
-            second_moments=np.zeros((n_particles, dim)),
-            beta1=beta1,
-            beta2=beta2,
-            stabilizer=stabilizer,
+    if init_momentum is not None:
+        momentum = init_momentum(
+            rng, (n_particles, dim), beta1=beta1, beta2=beta2, stabilizer=stabilizer
         )
 
     collected: list[np.ndarray] = []
@@ -430,36 +449,12 @@ def run(
         if refresh is not None:
             refresh(rng)
         km = None
-        if kind in INTERACTING_KINDS:
+        if interacting:
             if repulsion_cutoff is not None and t >= repulsion_cutoff:
                 km = kernels.identity_kernel(n_particles, dim)
             else:
                 km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
-
-        if kind == "sgld":
-            ensemble = sgld_step(ensemble, target, eps, rng)
-        elif kind == "svgd":
-            direction = svgd_direction(ensemble, target, km)
-            new = ensemble.positions - eps * direction
-            _check_finite(new, t + 1, snapshot=ensemble.positions)
-            ensemble = ParticleEnsemble(new, t + 1)
-        elif kind == "repulsive_sgld":
-            ensemble = repulsive_sgld_step(ensemble, target, kernel_cfg, eps, rng, km=km)
-        elif kind == "repulsive_sgdm":
-            ensemble, momentum = repulsive_sgdm_step(
-                ensemble,
-                momentum,
-                target,
-                kernel_cfg,
-                eps,
-                rng=rng,
-                position_noise=position_noise,
-                km=km,
-            )
-        else:  # repulsive_adam
-            ensemble, momentum = repulsive_adam_step(
-                ensemble, momentum, target, kernel_cfg, eps, rng, km=km
-            )
+        ensemble, momentum = step(ensemble, momentum, target, kernel_cfg, eps, rng, km)
 
         if policy.collect_at(t + 1):
             collected.append(ensemble.positions.copy())
@@ -475,11 +470,11 @@ def run(
         for spec in target.reference_moments
     ]
     pooled_ess = _pooled_ess(transformed)
-    n_events = stacked.shape[0]
-    if n_particles >= 2 and n_events >= 10:
-        rhat = gelman_rubin(per_particle)
-    else:
-        rhat = np.full(dim, np.nan)
+    # R-hat needs two chains of ten events; a chain with zero variance has none
+    rhat = np.full(dim, np.nan)
+    if n_particles >= 2 and stacked.shape[0] >= 10:
+        with contextlib.suppress(DegenerateChainError):
+            rhat = gelman_rubin(per_particle)
 
     report = RunReport(
         ess=pooled_ess,

@@ -31,9 +31,6 @@ class MomentSpec:
     exact: np.ndarray
     label: str
 
-    def estimate(self, samples: np.ndarray) -> np.ndarray:
-        return np.mean(samples**self.order, axis=0)
-
 
 @dataclass
 class TargetModel:

@@ -99,6 +99,26 @@ class TestRunCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", cfg_path]) == EXIT_DIVERGENCE
 
+    def test_zero_within_chain_variance_reports_null_rhat(self, tmp_path):
+        # two coincident particles at the mode of N(0, 1) never move under
+        # the noiseless interacting flow, so every chain is constant
+        cfg = {
+            "schema_version": 1,
+            "target": {"name": "gaussian", "params": {"dim": 1}},
+            "samplers": [{"name": "svgd", "particles": 2, "step_size": 0.1}],
+            "iterations": 20,
+            "collection": {"burn_in": 0, "thin": 1},
+            "init": {"mean": 0.0, "std": 0.0},
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        payload = json.loads(
+            (tmp_path / "out" / "gaussian_svgd_seed0.report.json").read_text()
+        )
+        assert payload["rhat"] == [None]
+        assert payload["ess"] is None
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, moe_config(tmp_path / "a"))
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "a")])

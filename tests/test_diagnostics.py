@@ -148,7 +148,3 @@ class TestRunReport:
         assert payload["ess"] == 120.5
         assert payload["err_mean"] == 0.1
         assert payload["rhat"] == [1.01, 1.02]
-
-    def test_csv_row_matches_header(self):
-        row = self._report().to_csv_row()
-        assert len(row.split(",")) == len(RunReport.CSV_HEADER.split(","))

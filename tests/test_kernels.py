@@ -8,48 +8,11 @@ from steinmc.kernels import (
     KernelConfig,
     kernel_matrix,
     median_bandwidth,
-    rbf,
     sample_repulsive_noise,
     squared_distances,
 )
 
 FIXED = KernelConfig(bandwidth=1.0, bandwidth_mode="fixed")
-
-
-class TestRbf:
-    def test_zero_distance_is_one(self):
-        z = np.array([0.3, -1.2, 4.0])
-        for h in (0.1, 1.0, 17.0):
-            assert rbf(z, z, h) == 1.0
-
-    def test_hand_evaluated_1d(self):
-        assert rbf(np.array([0.0]), np.array([1.0]), 1.0) == pytest.approx(
-            np.exp(-1.0), rel=1e-15
-        )
-
-    def test_symmetry_on_random_pairs(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            a, b = rng.normal(size=(2, 4))
-            h = float(rng.uniform(0.1, 5.0))
-            assert rbf(a, b, h) == rbf(b, a, h)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            rbf(np.array([0.0]), np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            rbf(np.array([0.0]), np.array([1.0]), -1.0)
-        with pytest.raises(ValueError):
-            rbf(np.array([np.nan]), np.array([1.0]), 1.0)
-        with pytest.raises(ValueError):
-            rbf(np.array([np.inf]), np.array([1.0]), 1.0)
-
-    def test_range(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            a, b = rng.normal(size=(2, 3))
-            v = rbf(a, b, 0.7)
-            assert 0.0 < v <= 1.0
 
 
 class TestKernelMatrix:
@@ -105,7 +68,7 @@ class TestKernelMatrix:
         h = 0.8
         for _ in range(25):
             a, b = rng.normal(size=(2, 4))
-            k = rbf(a, b, h)
+            k = np.exp(-np.dot(a - b, a - b) / h)
             grad_a = -(2.0 / h) * (a - b) * k
             grad_b = -(2.0 / h) * (b - a) * k
             np.testing.assert_allclose(grad_a, -grad_b, rtol=1e-14)

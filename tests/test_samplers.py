@@ -447,3 +447,56 @@ class TestRunner:
             policy=CollectionPolicy(burn_in=500, thin=5), seed=1,
         )
         assert svgd.samples.std(axis=0).mean() < langevin.samples.std(axis=0).mean()
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
+    def test_run_equals_hand_loop_of_public_step(self, kind):
+        t, n, iterations, eps, seed = std_gaussian(2), 4, 30, 0.05, 9
+        cfg = KernelConfig()
+        res = samplers.run(
+            kind, t, n_particles=n, iterations=iterations,
+            schedule=StepSchedule(eps0=eps), policy=CollectionPolicy(), seed=seed,
+        )
+
+        # same seed, same draw order: initial positions, then initial momenta
+        rng = np.random.default_rng(seed)
+        ens = ParticleEnsemble(rng.standard_normal((n, 2)))
+        if kind == "repulsive_sgdm":
+            mom = MomentumState(rng.standard_normal((n, 2)))
+        elif kind == "repulsive_adam":
+            mom = MomentumState(np.zeros((n, 2)), second_moments=np.zeros((n, 2)))
+        kept = []
+        for _ in range(iterations):
+            if kind == "sgld":
+                ens = sgld_step(ens, t, eps, rng)
+            elif kind == "svgd":
+                ens = svgd_step(ens, t, cfg, eps)
+            elif kind == "repulsive_sgld":
+                ens = repulsive_sgld_step(ens, t, cfg, eps, rng)
+            elif kind == "repulsive_sgdm":
+                ens, mom = repulsive_sgdm_step(ens, mom, t, cfg, eps, rng=rng)
+            else:
+                ens, mom = repulsive_adam_step(ens, mom, t, cfg, eps, rng)
+            kept.append(ens.positions)
+
+        assert np.array_equal(res.per_particle, np.stack(kept).transpose(1, 0, 2))
+        assert np.array_equal(res.final.positions, ens.positions)
+
+    @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
+    def test_steps_resolve_through_module_globals(self, kind, monkeypatch):
+        # a wrapper installed on the module attribute sees every runner step
+        name = f"{kind}_step"
+        original = getattr(samplers, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, name, counting)
+        samplers.run(
+            kind, std_gaussian(1), n_particles=3, iterations=12,
+            schedule=StepSchedule(eps0=0.01), policy=CollectionPolicy(), seed=0,
+        )
+        assert len(calls) == 12
