@@ -1,14 +1,16 @@
-"""Minimal reverse-mode differentiation tape over scalars and small vectors.
+"""Minimal reverse-mode differentiation tape over numpy arrays.
 
-Nodes hold a numpy value (0-d or 1-d) and closures that push adjoints to
+Nodes hold a numpy value of any rank and closures that push adjoints to
 their parents.  The graph is built eagerly by the arithmetic helpers below;
 calling :func:`backward` on a scalar output accumulates gradients into the
 ``grad`` attribute of every ``requires_grad`` leaf.
 
-Broadcasting is limited to scalar-vector pairs, which is all the embedded
-sampler refinements need.  Noise drawn inside a differentiated update is
-recorded as a constant, so step-size gradients flow only through the explicit
-step-size factors.
+Elementwise operations broadcast like numpy; the reverse pass sums each
+adjoint back to its operand's shape.  With ``reduce_sum`` along an axis,
+``matmul`` and ``reshape``, a whole (n, d) particle batch is a single node,
+so an unrolled sampler step costs a fixed number of nodes whatever n is.
+Noise drawn inside a differentiated update is recorded as a constant, so
+step-size gradients flow only through the explicit step-size factors.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ class Node:
 
     def __init__(self, value, parents=(), requires_grad=False):
         self.value = np.asarray(value, dtype=float)
-        if self.value.ndim > 1:
-            raise ValueError("tape values must be scalars or 1-d vectors")
         self.parents = parents  # tuple of (node, pull) pairs
         self.grad = None
         self.requires_grad = requires_grad
@@ -71,15 +71,24 @@ def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(x)
 
 
+class NonFiniteError(ValueError):
+    """A tape operation produced inf or nan."""
+
+
 def _check_finite(value, op):
     if not np.all(np.isfinite(value)):
-        raise ValueError(f"{op}: non-finite result")
+        raise NonFiniteError(f"{op}: non-finite result")
 
 
 def _reduce_to(adjoint, shape):
-    # undo scalar -> vector broadcasting during the reverse pass
-    if shape == () and np.ndim(adjoint) > 0:
-        return np.sum(adjoint)
+    # undo numpy broadcasting during the reverse pass: sum away the leading
+    # axes the operand lacked and the axes where it had size 1
+    lead = np.ndim(adjoint) - len(shape)
+    if lead > 0:
+        adjoint = np.sum(adjoint, axis=tuple(range(lead)))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and adjoint.shape[i] != 1)
+    if stretched:
+        adjoint = np.sum(adjoint, axis=stretched, keepdims=True)
     return adjoint
 
 
@@ -154,10 +163,33 @@ def relu(a) -> Node:
     return Node(a.value * mask, parents=((a, lambda g: g * mask),))
 
 
-def reduce_sum(a) -> Node:
+def reduce_sum(a, axis=None) -> Node:
+    """Sum over all entries, or along ``axis`` (an int or a tuple of ints)."""
     a = as_node(a)
     shape = a.value.shape
-    return Node(np.sum(a.value), parents=((a, lambda g: g * np.ones(shape)),))
+
+    def pull(g):
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
+
+    return Node(np.sum(a.value, axis=axis), parents=((a, pull),))
+
+
+def matmul(a, b) -> Node:
+    """Product of two matrices."""
+    a, b = as_node(a), as_node(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ValueError("matmul expects two matrices")
+    return Node(
+        a.value @ b.value,
+        parents=((a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)),
+    )
+
+
+def reshape(a, shape) -> Node:
+    a = as_node(a)
+    return Node(
+        a.value.reshape(shape), parents=((a, lambda g: g.reshape(a.value.shape)),)
+    )
 
 
 def dot(a, b) -> Node:

@@ -14,7 +14,7 @@ given (config, seed); wall-clock timing is therefore written as zero unless
 ``--timing wall`` is requested, in which case reports carry real
 (non-reproducible) measurements.
 
-Exit codes: 0 ok, 2 config error, 3 divergence.
+Exit codes: 0 ok, 2 config error, 3 divergence, 4 kernel factorization failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bnn as bnn_mod
 from . import refine, samplers, targets
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, FactorizationError
 from .kernels import KernelConfig
 
 SCHEMA_VERSION = 1
@@ -42,6 +42,7 @@ BENCH_HEADER = "distribution,sampler,seed,ess,ess_per_s,err_ex,err_ex2"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
+EXIT_FACTORIZATION = 4
 
 
 def _fmt(x) -> str:
@@ -538,6 +539,9 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except FactorizationError as err:
+        print(f"factorization error: {err}", file=sys.stderr)
+        return EXIT_FACTORIZATION
 
 
 if __name__ == "__main__":

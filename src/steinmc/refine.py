@@ -175,10 +175,7 @@ def _numeric_refine(
             z = z + eta * target.grad_log_density(z)
         else:  # flow
             z = flow_step(z, target, rg.kernel_cfg, eta)
-        if not np.all(np.isfinite(z)):
-            raise DivergenceError(iteration=t + 1, particle=int(
-                np.argmax(~np.all(np.isfinite(z), axis=1))
-            ))
+        samplers._check_finite(z, t + 1)
         trajectory.append(z.copy())
     return z, trajectory
 
@@ -202,110 +199,60 @@ def sample_refined(
 # tape-side construction
 
 
-def _tape_scores(target: TargetModel, z_nodes: list[ad.Node]) -> list[ad.Node]:
-    if target.ad_grad_log_density is None:
+def _kernel_drift(k: ad.Node, z: ad.Node) -> ad.Node:
+    """Row i: sum_l k_il (z_i - z_l), for an m x m weight node k."""
+    return ad.mul(z, ad.reshape(ad.reduce_sum(k, axis=1), (-1, 1))) - ad.matmul(k, z)
+
+
+def _tape_refine(rg, target, z, eta_node, n_steps, rng):
+    """Unroll the inner sampler on the tape over the whole (m, d) batch.
+
+    Each step is a fixed number of array nodes whatever m is; noise enters
+    as constants.  The kernel bandwidth is treated as a constant of the
+    current positions (a median statistic, not differentiated).
+    """
+    if n_steps and target.ad_grad_log_density is None:
         raise ConfigError(
             f"target {target.name!r} exposes no differentiable gradient",
             field="target",
         )
-    return [target.ad_grad_log_density(z) for z in z_nodes]
-
-
-def _tape_kernel_rows(z_nodes: list[ad.Node], h: float):
-    """Pairwise kernel weights as tape expressions.
-
-    The bandwidth is treated as a constant of the current positions (it is a
-    median statistic, not differentiated).
-    """
-    m = len(z_nodes)
-    k_nodes = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                k_nodes[i][j] = ad.constant(1.0)
-            elif j < i:
-                k_nodes[i][j] = k_nodes[j][i]
-            else:
-                diff = z_nodes[i] - z_nodes[j]
-                k_nodes[i][j] = ad.exp(ad.mul(-1.0 / h, ad.reduce_sum(ad.mul(diff, diff))))
-    return k_nodes
-
-
-def _tape_refine(rg, target, z_nodes, eta_node, n_steps, rng):
-    """Unroll the inner sampler on the tape; noise enters as constants."""
     wrap = ad.stop_gradient if rg.ad_mode == "fast" else (lambda x: x)
-    m = len(z_nodes)
+    m, d = z.value.shape
+    if rg.inner_sampler == "sgld":
+        root = ad.exp(ad.mul(0.5, ad.log(ad.mul(2.0, eta_node))))  # sqrt(2 eta)
     for step in range(n_steps):
+        scores = target.ad_grad_log_density(z)
+        if scores.value.shape != (m, d):
+            raise ConfigError(
+                f"target {target.name!r} returned tape scores of shape "
+                f"{scores.value.shape}; expected {(m, d)}",
+                field="target",
+            )
         if rg.inner_sampler in ("sgd", "sgld"):
-            scores = _tape_scores(target, z_nodes)
-            new = []
-            for z, s in zip(z_nodes, scores):
-                delta = ad.mul(eta_node, s)
-                if rg.inner_sampler == "sgld":
-                    xi = rng.standard_normal(z.value.shape)
-                    root = ad.exp(ad.mul(0.5, ad.log(ad.mul(2.0, eta_node))))
-                    delta = ad.add(delta, ad.mul(root, ad.constant(xi)))
-                new.append(ad.add(z, wrap(delta)))
-            z_nodes = new
-        elif rg.inner_sampler in ("svgd", "flow"):
-            values = np.stack([z.value for z in z_nodes])
-            h, _ = kernels.median_bandwidth(kernels.squared_distances(values))
+            delta = ad.mul(eta_node, scores)
+            if rg.inner_sampler == "sgld":
+                xi = ad.constant(rng.standard_normal((m, d)))
+                delta = ad.add(delta, ad.mul(root, xi))
+        else:
+            h, _ = kernels.median_bandwidth(kernels.squared_distances(z.value))
             if rg.kernel_cfg.bandwidth_mode == "fixed":
                 h = rg.kernel_cfg.bandwidth
-            k_nodes = _tape_kernel_rows(z_nodes, h)
-            scores = _tape_scores(target, z_nodes)
-            new = []
-            for i in range(m):
-                if rg.inner_sampler == "svgd":
-                    # (1/m) sum_l [ K_li score_l + (2/h)(z_i - z_l) K_li ]
-                    acc = None
-                    for l in range(m):
-                        term = ad.mul(k_nodes[l][i], scores[l])
-                        if l != i:
-                            rep = ad.mul(
-                                ad.mul(2.0 / h, k_nodes[l][i]), z_nodes[i] - z_nodes[l]
-                            )
-                            term = ad.add(term, rep)
-                        acc = term if acc is None else ad.add(acc, term)
-                    delta = ad.mul(eta_node, ad.mul(1.0 / m, acc))
-                else:  # flow: score + kernel-smoothed entropy gradient
-                    ent = _tape_entropy_grad_row(z_nodes, k_nodes, h, i, m)
-                    delta = ad.mul(eta_node, ad.add(scores[i], ent))
-                new.append(ad.add(z_nodes[i], wrap(delta)))
-            z_nodes = new
-        for idx, z in enumerate(z_nodes):
-            if not np.all(np.isfinite(z.value)):
-                raise DivergenceError(iteration=step + 1, particle=idx)
-    return z_nodes
-
-
-def _tape_entropy_grad_row(z_nodes, k_nodes, h, i, m):
-    """Tape expression of the kernel-smoothed -grad log q for particle i."""
-    sums = []
-    for j in range(m):
-        s = None
-        for n in range(m):
-            s = k_nodes[n][j] if s is None else ad.add(s, k_nodes[n][j])
-        sums.append(s)
-    # grad_i K(z_i, z_n) = -(2/h)(z_i - z_n) K_in
-    num = None
-    for n in range(m):
-        if n == i:
-            continue
-        g = ad.mul(ad.mul(-2.0 / h, k_nodes[i][n]), z_nodes[i] - z_nodes[n])
-        num = g if num is None else ad.add(num, g)
-    zero = ad.constant(np.zeros(z_nodes[i].value.shape))
-    term1 = ad.div(num, sums[i]) if num is not None else zero
-    term2 = None
-    for l in range(m):
-        if l == i:
-            continue
-        g = ad.mul(ad.mul(-2.0 / h, k_nodes[i][l]), z_nodes[i] - z_nodes[l])
-        g = ad.div(g, sums[l])
-        term2 = g if term2 is None else ad.add(term2, g)
-    if term2 is None:
-        term2 = zero
-    return ad.neg(ad.add(term1, term2))
+            diff = ad.reshape(z, (m, 1, d)) - ad.reshape(z, (1, m, d))
+            k = ad.exp(ad.mul(-1.0 / h, ad.reduce_sum(ad.mul(diff, diff), axis=-1)))
+            if rg.inner_sampler == "svgd":
+                # (1/m) [K @ scores + (2/h) sum_l K_il (z_i - z_l)]
+                phi = ad.add(ad.matmul(k, scores), ad.mul(2.0 / h, _kernel_drift(k, z)))
+                delta = ad.mul(eta_node, ad.div(phi, float(m)))
+            else:
+                # flow: score + kernel-smoothed -grad log q, whose row i is
+                # (2/h) sum_l K_il (1/S_i + 1/S_l) (z_i - z_l) with S = K's row sums
+                sums = ad.reduce_sum(k, axis=1)
+                weights = ad.add(ad.div(k, ad.reshape(sums, (-1, 1))), ad.div(k, sums))
+                ent = ad.mul(2.0 / h, _kernel_drift(weights, z))
+                delta = ad.mul(eta_node, ad.add(scores, ent))
+        z = ad.add(z, wrap(delta))
+        samplers._check_finite(z.value, step + 1)
+    return z
 
 
 @dataclass
@@ -346,18 +293,9 @@ def elbo(
     eta_node = ad.exp(log_eta) if full else ad.constant(rg.eta)
     scale = ad.exp(log_scale)
 
-    z_nodes = []
-    for _ in range(n_samples):
-        xi = rng.standard_normal(d)
-        z_nodes.append(ad.add(mean, ad.mul(scale, ad.constant(xi))))
-
-    z_nodes = _tape_refine(rg, target, z_nodes, eta_node, rg.steps_refine, rng)
-
-    total = None
-    for z in z_nodes:
-        lp = target.ad_log_density(z)
-        total = lp if total is None else ad.add(total, lp)
-    avg_logp = ad.mul(1.0 / n_samples, total)
+    xi = ad.constant(rng.standard_normal((n_samples, d)))
+    z = _tape_refine(rg, target, mean + scale * xi, eta_node, rg.steps_refine, rng)
+    avg_logp = ad.div(ad.reduce_sum(target.ad_log_density(z)), float(n_samples))
 
     # closed-form guide entropy; differentiable in log_scale
     guide_entropy = ad.add(ad.reduce_sum(log_scale), 0.5 * d * (1.0 + _LOG_2PI))
@@ -372,8 +310,7 @@ def elbo(
             entropy = ad.add(entropy, per_step)
 
     objective = ad.add(avg_logp, entropy)
-    samples = np.stack([z.value for z in z_nodes])
-    return ElboTape(objective, mean, log_scale, log_eta, samples)
+    return ElboTape(objective, mean, log_scale, log_eta, z.value)
 
 
 def elbo_grad(
@@ -423,8 +360,9 @@ def optimize(
 
     Updates the guide parameters (and the inner step size in full mode) for
     ``outer_iterations`` steps, then optionally runs the tuned sampler for
-    ``steps_infer`` refinement steps from the learned guide.  Aborts on a
-    non-finite objective, attaching the loss trace so far.
+    ``steps_infer`` refinement steps from the learned guide.  Aborts with a
+    DivergenceError on a non-finite objective, gradient or refinement step,
+    naming the outer iteration and attaching the loss trace so far.
     """
     if outer_iterations < 1:
         raise ValueError("outer_iterations must be >= 1")
@@ -445,8 +383,12 @@ def optimize(
             guide=DiagonalGaussianGuide(params["mean"], params["log_scale"]),
             log_eta=float(params["log_eta"]),
         )
-        value, grads = elbo_grad(current, target, n_samples, rng)
-        if not np.isfinite(value):
+        try:
+            value, grads = elbo_grad(current, target, n_samples, rng)
+        except (ad.NonFiniteError, DivergenceError) as err:
+            particle = getattr(err, "particle", -1)
+            raise DivergenceError(it, particle, snapshot=np.array(trace)) from err
+        if not all(np.all(np.isfinite(x)) for x in (value, *grads.values())):
             raise DivergenceError(iteration=it, particle=-1, snapshot=np.array(trace))
         trace.append(-value)
         for key in params:

@@ -5,9 +5,11 @@ gradient (the score) is batched: it maps an (L, d) array of particles to the
 (L, d) array of their scores in one call, so samplers never loop over
 particles.  Every constructor runs a finite-difference audit of the analytic
 gradient before handing the target out.  Targets used by the refined
-variational sampler additionally expose tape builders (``ad_log_density`` /
-``ad_grad_log_density``) so that unrolled sampler steps stay differentiable
-without a second-order tape.
+variational sampler additionally expose tape builders with the same batched
+contract: ``ad_log_density`` maps an (n, d) node to the (n,) node of per-row
+log densities and ``ad_grad_log_density`` maps it to the (n, d) node of
+scores, so unrolled sampler steps stay differentiable without a second-order
+tape.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ class TargetModel:
 
     ``log_density`` maps one point of shape (d,) to a float;
     ``grad_log_density`` maps an (L, d) batch of points to the (L, d) batch
-    of their gradients, row for row.  ``moment_transform`` maps sampling-space
+    of their gradients, row for row.  The optional tape builders follow the
+    same contract on :mod:`autodiff` nodes: ``ad_log_density`` maps an (n, d)
+    node to an (n,) node, ``ad_grad_log_density`` an (n, d) node to an (n, d)
+    node.  ``moment_transform`` maps sampling-space
     draws into the space where the reference moments live (identity for most
     targets; exp for the log-reparameterized ones).
     """
@@ -109,7 +114,7 @@ def std_gaussian(dim: int) -> TargetModel:
         return -np.asarray(z, dtype=float)
 
     def ad_log_density(z_node):
-        quad = ad.mul(-0.5, ad.reduce_sum(ad.mul(z_node, z_node)))
+        quad = ad.mul(-0.5, ad.reduce_sum(ad.mul(z_node, z_node), axis=-1))
         return ad.add(quad, -0.5 * dim * _LOG_2PI)
 
     def ad_grad(z_node):
@@ -254,10 +259,11 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
         g2 = -z2 * e
         return np.stack([g1, g2], axis=1)
 
+    basis = np.eye(2)
+
     def _split(z_node):
-        e1 = ad.constant(np.array([1.0, 0.0]))
-        e2 = ad.constant(np.array([0.0, 1.0]))
-        return ad.dot(z_node, e1), ad.dot(z_node, e2)
+        # the two columns of an (n, 2) node, each (n, 1)
+        return ad.matmul(z_node, basis[:, :1]), ad.matmul(z_node, basis[:, 1:])
 
     def ad_log_density(z_node):
         z1, z2 = _split(z_node)
@@ -270,7 +276,7 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
             ad.add(ad.mul(-0.5, ad.mul(ad.mul(z2, z2), e)), ad.mul(-a, z1)),
             -0.5 * _LOG_2PI,
         )
-        return ad.add(lp1, lp2)
+        return ad.reshape(ad.add(lp1, lp2), (-1,))
 
     def ad_grad(z_node):
         z1, z2 = _split(z_node)
@@ -280,9 +286,8 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
             -a,
         )
         g2 = ad.neg(ad.mul(z2, e))
-        e1 = ad.constant(np.array([1.0, 0.0]))
-        e2 = ad.constant(np.array([0.0, 1.0]))
-        return ad.add(ad.mul(g1, e1), ad.mul(g2, e2))
+        # stack the (n, 1) columns back into (n, 2)
+        return ad.add(ad.mul(g1, basis[:1]), ad.mul(g2, basis[1:]))
 
     target = TargetModel(
         name="funnel",

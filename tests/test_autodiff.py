@@ -101,6 +101,87 @@ class TestPrimitives:
         np.testing.assert_array_equal(x.grad, np.full(3, 4.0))
 
 
+def check_batched(build, shapes, seed=0):
+    """Gradcheck of sum(w * build(*leaves)) with a random weight w, per leaf.
+
+    The random weight makes the adjoint reaching ``build`` non-uniform, so a
+    transposed or misplaced reverse rule shows up.
+    """
+    rng = np.random.default_rng(seed)
+    values = [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]
+    weight = rng.normal(size=np.shape(build(*map(ad.constant, values)).value))
+    leaves = [ad.leaf(v) for v in values]
+    ad.backward(ad.reduce_sum(ad.mul(weight, build(*leaves))))
+
+    for k, (leaf, v) in enumerate(zip(leaves, values)):
+        assert leaf.grad.shape == v.shape
+
+        def f(flat, k=k):
+            args = [ad.constant(x) for x in values]
+            args[k] = ad.constant(flat.reshape(np.shape(values[k])))
+            return float(np.sum(weight * build(*args).value))
+
+        fd = numeric_grad(f, np.ravel(v)).reshape(np.shape(v))
+        np.testing.assert_allclose(leaf.grad, fd, rtol=1e-6, atol=1e-8)
+
+
+class TestBatchedPrimitives:
+    @pytest.mark.parametrize(
+        "build,shapes",
+        [
+            (lambda a, b: ad.add(a, b), [(4, 3), (3,)]),
+            (lambda a, b: a - b, [(4, 3), (1, 3)]),
+            (lambda a, b: ad.mul(a, b), [(4, 3), (4, 1)]),
+            (lambda a, b: ad.div(a, b), [(4, 3), (4, 1)]),
+            (lambda a, b: ad.mul(a, b), [(), (4, 3)]),
+            (lambda a, b: ad.mul(a, b), [(4, 1), (1, 3)]),
+            (lambda a: ad.reduce_sum(a, axis=0), [(4, 3)]),
+            (lambda a: ad.reduce_sum(a, axis=1), [(4, 3)]),
+            (lambda a: ad.reduce_sum(a, axis=-1), [(2, 3, 4)]),
+            (lambda a: ad.reduce_sum(a, axis=(0, 2)), [(2, 3, 4)]),
+            (lambda a: ad.reduce_sum(a), [(4, 3)]),
+            (lambda a, b: ad.matmul(a, b), [(4, 3), (3, 2)]),
+            (lambda a: ad.matmul(a, a), [(3, 3)]),
+            (lambda a: ad.reshape(a, (3, 4)), [(4, 3)]),
+            (lambda a: ad.reshape(a, (-1,)), [(4, 3)]),
+            (lambda a: ad.reshape(a, (4, 1, 3)) - ad.reshape(a, (1, 4, 3)), [(4, 3)]),
+        ],
+        ids=[
+            "matrix_plus_row",
+            "matrix_minus_row",
+            "matrix_times_column",
+            "matrix_over_column",
+            "scalar_times_matrix",
+            "column_times_row",
+            "reduce_sum_axis0",
+            "reduce_sum_axis1",
+            "reduce_sum_last_axis",
+            "reduce_sum_axis_tuple",
+            "reduce_sum_all",
+            "matmul",
+            "matmul_shared_operand",
+            "reshape",
+            "reshape_flatten",
+            "pairwise_differences",
+        ],
+    )
+    def test_batched_gradcheck(self, build, shapes):
+        check_batched(build, shapes)
+
+    def test_matmul_rejects_vectors(self):
+        with pytest.raises(ValueError):
+            ad.matmul(ad.constant(np.ones(3)), ad.constant(np.ones((3, 2))))
+
+    def test_rbf_kernel_block_gradcheck(self):
+        # the refined bound's kernel block: exp(-|z_i - z_j|^2 / h) as one node
+        def build(z):
+            diff = ad.reshape(z, (5, 1, 2)) - ad.reshape(z, (1, 5, 2))
+            k = ad.exp(ad.mul(-0.7, ad.reduce_sum(ad.mul(diff, diff), axis=-1)))
+            return ad.matmul(k, z)
+
+        check_batched(build, [(5, 2)])
+
+
 class TestStopGradient:
     def test_forward_identity(self):
         x = ad.leaf(np.array([1.0, -2.0]))

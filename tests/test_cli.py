@@ -7,12 +7,14 @@ from steinmc.cli import (
     BENCH_HEADER,
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
+    EXIT_FACTORIZATION,
     EXIT_OK,
     OUTPUT_DIR_ENV,
     main,
     validate_config,
 )
-from steinmc.errors import ConfigError
+from steinmc import kernels
+from steinmc.errors import ConfigError, FactorizationError
 
 
 def moe_config(out_dir, samplers=None, step=0.1, iterations=200):
@@ -98,6 +100,18 @@ class TestRunCommand:
         cfg_path = write_config(tmp_path, cfg)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", cfg_path]) == EXIT_DIVERGENCE
+
+    def test_factorization_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        def fail(matrix, base_jitter):
+            raise FactorizationError([base_jitter, 1e-4])
+
+        monkeypatch.setattr(kernels, "_jittered_cholesky", fail)
+        cfg = moe_config(
+            tmp_path / "out",
+            samplers=[{"name": "repulsive_sgld", "particles": 3, "step_size": 0.1}],
+        )
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_FACTORIZATION
+        assert "Cholesky factorization failed" in capsys.readouterr().err
 
     def test_zero_within_chain_variance_reports_null_rhat(self, tmp_path):
         # two coincident particles at the mode of N(0, 1) never move under

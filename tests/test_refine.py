@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from steinmc import autodiff as ad
 from steinmc import targets
-from steinmc.errors import ConfigError
+from steinmc.errors import ConfigError, DivergenceError
 from steinmc.kernels import KernelConfig
 from steinmc.refine import (
+    INNER_SAMPLERS,
     DiagonalGaussianGuide,
     RefinedGuide,
     elbo,
@@ -138,6 +140,40 @@ class TestElbo:
         assert v1 == pytest.approx(v2, rel=1e-14)
 
 
+def off_centre_guide():
+    return DiagonalGaussianGuide(np.array([0.3, -0.2]), np.log(np.array([0.8, 1.2])))
+
+
+class TestBatchedTape:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("target", [FUNNEL, GAUSS2], ids=["funnel", "gaussian2d"])
+    @pytest.mark.parametrize("sampler", INNER_SAMPLERS)
+    def test_tape_samples_equal_numeric_refinement(self, sampler, target, n):
+        rg = RefinedGuide(
+            guide=off_centre_guide(), inner_sampler=sampler, steps_refine=2,
+            log_eta=np.log(0.05),
+        )
+        tape = elbo(rg, target, n, np.random.default_rng(11))
+        numeric, _ = sample_refined(rg, target, n, np.random.default_rng(11))
+        assert tape.samples.shape == (n, 2)
+        np.testing.assert_allclose(tape.samples, numeric, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sampler", INNER_SAMPLERS)
+    def test_node_count_independent_of_sample_count(self, sampler):
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler=sampler, steps_refine=2)
+        tapes = [elbo(rg, FUNNEL, n, np.random.default_rng(0)) for n in (4, 64)]
+        counts = [len(ad._topological_order(tape.objective)) for tape in tapes]
+        assert counts[0] == counts[1]
+
+    def test_tape_score_shape_mismatch_names_target(self):
+        summed = dataclasses.replace(
+            GAUSS2, ad_grad_log_density=lambda zn: ad.reduce_sum(zn, axis=-1)
+        )
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd", steps_refine=1)
+        with pytest.raises(ConfigError, match="target"):
+            elbo(rg, summed, 4, np.random.default_rng(0))
+
+
 class TestElboGrad:
     def test_fast_mode_step_size_gradient_exactly_zero(self):
         for mode in ("dirac", "markov"):
@@ -169,6 +205,39 @@ class TestElboGrad:
         d = 1e-6
         fd = (value_at(rg.log_eta + d) - value_at(rg.log_eta - d)) / (2 * d)
         assert abs(float(grads["log_eta"]) - fd) / abs(fd) < 1e-4
+
+    @pytest.mark.parametrize("sampler", ["svgd", "flow"])
+    def test_full_mode_interacting_gradients_match_finite_differences(self, sampler):
+        # a fixed bandwidth keeps the value a smooth function of the
+        # parameters (the tape holds the median bandwidth constant)
+        rg = RefinedGuide(
+            guide=off_centre_guide(),
+            inner_sampler=sampler,
+            steps_refine=2,
+            entropy_mode="flow" if sampler == "flow" else "dirac",
+            log_eta=np.log(0.05),
+            kernel_cfg=KernelConfig(bandwidth=1.5, bandwidth_mode="fixed"),
+        )
+        _, grads = elbo_grad(rg, FUNNEL, 4, np.random.default_rng(8), mode="full")
+
+        def value_at(mean, log_scale, log_eta):
+            rg2 = dataclasses.replace(
+                rg, guide=DiagonalGaussianGuide(mean, log_scale), log_eta=float(log_eta)
+            )
+            return elbo(rg2, FUNNEL, 4, np.random.default_rng(8)).value
+
+        base = {"mean": rg.guide.mean, "log_scale": rg.guide.log_scale,
+                "log_eta": np.array(rg.log_eta)}
+        step = 1e-6
+        for key, x0 in base.items():
+            fd = np.zeros(x0.shape)
+            for i in np.ndindex(x0.shape):
+                args = {k: v.copy() for k, v in base.items()}
+                args[key][i] += step
+                up = value_at(**args)
+                args[key][i] -= 2 * step
+                fd[i] = (up - value_at(**args)) / (2 * step)
+            np.testing.assert_allclose(grads[key], fd, rtol=1e-5, atol=1e-8, err_msg=key)
 
     def test_full_and_fast_guide_gradients_agree_without_displacement(self):
         rg = RefinedGuide(
@@ -277,8 +346,6 @@ class TestOptimize:
         assert res.guide.eta > 0
 
     def test_zero_step_training_recovers_gaussian_mean(self):
-        from steinmc import autodiff as ad
-
         center = np.array([1.2, -0.7])
         shifted = dataclasses.replace(
             GAUSS2,
@@ -286,7 +353,10 @@ class TestOptimize:
             grad_log_density=lambda z: -(z - center),
             ad_grad_log_density=None,
             ad_log_density=lambda zn: ad.mul(
-                -0.5, ad.reduce_sum(ad.mul(zn - ad.constant(center), zn - ad.constant(center)))
+                -0.5,
+                ad.reduce_sum(
+                    ad.mul(zn - ad.constant(center), zn - ad.constant(center)), axis=-1
+                ),
             ),
         )
         rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd", steps_refine=0)
@@ -305,6 +375,32 @@ class TestOptimize:
         r0 = optimize(plain, FUNNEL, 50, np.random.default_rng(0), **kwargs)
         r1 = optimize(refined, FUNNEL, 50, np.random.default_rng(0), **kwargs)
         assert r1.loss_trace[-1] < r0.loss_trace[-1]
+
+    def test_tape_overflow_raises_divergence_at_first_iteration(self):
+        # a wide guide and a large step overflow exp inside the funnel's
+        # tape gradient on the first bound
+        rg = RefinedGuide(
+            guide=DiagonalGaussianGuide(np.zeros(2), np.full(2, 2.0)),
+            inner_sampler="sgld", steps_refine=2, log_eta=np.log(3.0),
+        )
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+            optimize(rg, FUNNEL, 10, np.random.default_rng(0), n_samples=64)
+        assert info.value.iteration == 0
+        assert info.value.snapshot.shape == (0,)
+
+    def test_tape_overflow_carries_loss_trace_so_far(self):
+        rg = RefinedGuide(
+            guide=unit_guide(), inner_sampler="sgld", steps_refine=2, log_eta=np.log(3.0)
+        )
+        kwargs = dict(n_samples=64, learning_rate=0.08)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                optimize(rg, FUNNEL, 20, np.random.default_rng(0), **kwargs)
+            it = info.value.iteration
+            assert it >= 1
+            # the snapshot is the trace of the iterations that completed
+            done = optimize(rg, FUNNEL, it, np.random.default_rng(0), **kwargs)
+        np.testing.assert_array_equal(info.value.snapshot, done.loss_trace)
 
     def test_inference_phase_runs_tuned_sampler(self):
         rg = RefinedGuide(
