@@ -76,7 +76,7 @@ class NonFiniteError(ValueError):
 
 
 def _check_finite(value, op):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteError(f"{op}: non-finite result")
 
 
@@ -138,7 +138,8 @@ def div(a, b) -> Node:
 
 def exp(a) -> Node:
     a = as_node(a)
-    val = np.exp(a.value)
+    with np.errstate(over="ignore"):  # overflow is reported by the check below
+        val = np.exp(a.value)
     _check_finite(val, "exp")
     return Node(val, parents=((a, lambda g: g * val),))
 

@@ -2,7 +2,8 @@
 
 Parameters are a single flat vector (first-layer weights and biases, output
 weights, output bias) so the ensemble samplers can treat a network as one
-particle.  Gradients are manual backprop through the ReLU layer; minibatch
+particle.  Gradients are batched-matmul backprop in a (K, h, B) layout
+(particles x hidden units x batch rows) through the ReLU layer; minibatch
 gradients rescale the batch term by N / |batch|.  Targets are standardized
 for sampling and predictions are mapped back to original units.
 """
@@ -175,15 +176,18 @@ class BnnPotential:
         fan_in = np.full(h * p + h, 1.0 / np.sqrt(p))
         return np.concatenate([fan_in, np.full(h, 1.0 / np.sqrt(h)), [1.0]])
 
+    @np.errstate(over="ignore", invalid="ignore")  # callers check finiteness
+    def _layers(self, theta: np.ndarray, x: np.ndarray):
+        """Hidden pre-activations and activations (K, h, B), outputs (K, B)."""
+        w1, b1, w2, b2 = self.unpack(theta)
+        pre = w1 @ x.T + b1[:, :, None]
+        act = np.maximum(pre, 0.0)
+        return pre, act, (w2[:, None, :] @ act)[:, 0] + b2[:, None]
+
     def forward(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Network outputs; theta (K, P) or (P,), x (B, p).  Returns (K, B) or (B,)."""
-        single = np.ndim(theta) == 1
-        theta = np.atleast_2d(theta)
-        w1, b1, w2, b2 = self.unpack(theta)
-        pre = np.einsum("khp,bp->kbh", w1, x) + b1[:, None, :]
-        act = np.maximum(pre, 0.0)
-        out = np.einsum("kbh,kh->kb", act, w2) + b2[:, None]
-        return out[0] if single else out
+        out = self._layers(np.atleast_2d(theta), x)[2]
+        return out[0] if np.ndim(theta) == 1 else out
 
     def potential(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_total: int) -> float:
         """Scalar potential (negative log posterior up to constants) for one particle."""
@@ -194,6 +198,7 @@ class BnnPotential:
         prior = 0.5 * float(np.dot(theta, theta)) / self.prior_std**2
         return prior + data
 
+    @np.errstate(over="ignore", invalid="ignore")  # callers check finiteness
     def potential_grad(
         self, theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_total: int
     ) -> np.ndarray:
@@ -205,21 +210,17 @@ class BnnPotential:
         """
         single = np.ndim(theta) == 1
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        w1, b1, w2, b2 = self.unpack(theta)
-
-        pre = np.einsum("khp,bp->kbh", w1, x) + b1[:, None, :]
-        mask = pre > 0
-        act = np.where(mask, pre, 0.0)
-        out = np.einsum("kbh,kh->kb", act, w2) + b2[:, None]
+        w2 = self.unpack(theta)[2]
+        pre, act, out = self._layers(theta, x)
 
         scale = n_total / x.shape[0] / self.noise_std**2
         resid = scale * (out - y[None, :])  # (K, B)
 
-        g_w2 = np.einsum("kb,kbh->kh", resid, act)
+        g_w2 = (act @ resid[:, :, None])[..., 0]
         g_b2 = resid.sum(axis=1)
-        g_act = resid[:, :, None] * w2[:, None, :] * mask
-        g_w1 = np.einsum("kbh,bp->khp", g_act, x)
-        g_b1 = g_act.sum(axis=1)
+        g_act = (w2[:, :, None] * resid[:, None, :]) * (pre > 0)  # (K, h, B)
+        g_w1 = g_act @ x
+        g_b1 = g_act.sum(axis=2)
 
         k = theta.shape[0]
         data_grad = np.concatenate(

@@ -54,23 +54,23 @@ def gelman_rubin(chains: np.ndarray) -> np.ndarray:
         chains = chains[:, :, None]
     if chains.ndim != 3:
         raise ValueError("chains must have shape (M, N) or (M, N, d)")
-    m, n, d = chains.shape
+    m, n, _ = chains.shape
     if m < 2:
         raise ValueError("need at least 2 chains")
     if n < 10:
         raise ValueError("chains must have length >= 10")
 
-    out = np.empty(d)
-    for j in range(d):
-        x = chains[:, :, j]
-        chain_means = x.mean(axis=1)
-        b_over_n = float(np.var(chain_means, ddof=1))
-        w = float(np.mean(np.var(x, axis=1, ddof=1)))
-        if w == 0.0:
-            raise DegenerateChainError("zero within-chain variance")
-        v_hat = (n - 1) / n * w + b_over_n
-        out[j] = float(np.sqrt(v_hat / w))
-    return out
+    # (d, M, N) copy in the input's M/N memory order, so numpy sums as a loop over d
+    if abs(chains.strides[1]) <= abs(chains.strides[0]):
+        x = np.ascontiguousarray(chains.transpose(2, 0, 1))
+    else:
+        x = np.ascontiguousarray(chains.transpose(2, 1, 0)).transpose(0, 2, 1)
+    b_over_n = np.var(np.ascontiguousarray(x.mean(axis=2)), axis=1, ddof=1)
+    w = np.mean(np.var(x, axis=2, ddof=1), axis=1)
+    if np.any(w == 0.0):
+        raise DegenerateChainError("zero within-chain variance")
+    v_hat = (n - 1) / n * w + b_over_n
+    return np.sqrt(v_hat / w)
 
 
 def moment_error(samples: np.ndarray, order: int, exact) -> float:

@@ -94,7 +94,8 @@ def median_bandwidth(sq_dists: np.ndarray) -> tuple[float, bool]:
     if n < 2:
         return 1.0, True
     off = sq_dists[~np.eye(n, dtype=bool)]
-    med = float(np.median(off))
+    mid = off.size // 2  # n (n - 1) is even: the median averages the two middle values
+    med = float(np.partition(off, (mid - 1, mid))[mid - 1 : mid + 1].mean())
     if med <= 0.0:
         return 1.0, True
     return med / np.log(n + 1.0), False
@@ -120,9 +121,8 @@ def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
     else:
         h = cfg.bandwidth
 
+    # sq is exactly symmetric with a zero diagonal, so entries are too
     entries = np.exp(-sq / h)
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 1.0)
 
     # row i: (2/h) * (z_i * sum_l K_il - sum_l K_il z_l)
     col_sums = entries.sum(axis=1)

@@ -131,15 +131,10 @@ def kde_entropy_grad(positions: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     km = kernels.kernel_matrix(positions, cfg)
     k = km.entries
     h = km.bandwidth
-    sums = k.sum(axis=1)  # sums[j] = sum_n K(z_n, z_j)
-
-    # grad_m K(z_m, z_n) = -(2/h) (z_m - z_n) K_mn
-    diff = positions[:, None, :] - positions[None, :, :]
-    grad_k = -(2.0 / h) * diff * k[:, :, None]
-
-    term1 = grad_k.sum(axis=1) / sums[:, None]
-    term2 = (grad_k / sums[None, :, None]).sum(axis=1)
-    return -(term1 + term2)
+    # row m: (2/h) sum_l W_ml (z_m - z_l) with W_ml = K_ml (1/S_m + 1/S_l)
+    sums = k.sum(axis=1)
+    weights = k / sums[:, None] + k / sums
+    return (2.0 / h) * (positions * weights.sum(axis=1)[:, None] - weights @ positions)
 
 
 def flow_step(
@@ -156,6 +151,7 @@ def flow_step(
     return positions + eta * (scores + kde_entropy_grad(positions, cfg))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each step is checked for finiteness
 def _numeric_refine(
     rg: RefinedGuide,
     target: TargetModel,
@@ -388,13 +384,14 @@ def optimize(
         except (ad.NonFiniteError, DivergenceError) as err:
             particle = getattr(err, "particle", -1)
             raise DivergenceError(it, particle, snapshot=np.array(trace)) from err
-        if not all(np.all(np.isfinite(x)) for x in (value, *grads.values())):
+        with np.errstate(over="ignore"):  # an inf second moment would zero its step
+            for key, g in grads.items():
+                m[key] = b1 * m[key] + (1 - b1) * g
+                v[key] = b2 * v[key] + (1 - b2) * g * g
+        if not all(np.isfinite(x).all() for x in (value, *grads.values(), *v.values())):
             raise DivergenceError(iteration=it, particle=-1, snapshot=np.array(trace))
         trace.append(-value)
         for key in params:
-            g = grads[key]
-            m[key] = b1 * m[key] + (1 - b1) * g
-            v[key] = b2 * v[key] + (1 - b2) * g * g
             mhat = m[key] / (1 - b1 ** (it + 1))
             vhat = v[key] / (1 - b2 ** (it + 1))
             params[key] = params[key] + learning_rate * mhat / (np.sqrt(vhat) + stab)

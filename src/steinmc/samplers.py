@@ -443,21 +443,22 @@ def run(
 
     collected: list[np.ndarray] = []
     start = time.perf_counter()
-    for t in range(iterations):
-        eps = schedule.eps(t)
-        refresh = getattr(target, "resample_batch", None)
-        if refresh is not None:
-            refresh(rng)
-        km = None
-        if interacting:
-            if repulsion_cutoff is not None and t >= repulsion_cutoff:
-                km = kernels.identity_kernel(n_particles, dim)
-            else:
-                km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
-        ensemble, momentum = step(ensemble, momentum, target, kernel_cfg, eps, rng, km)
+    with np.errstate(over="ignore", invalid="ignore"):  # each step checks finiteness
+        for t in range(iterations):
+            eps = schedule.eps(t)
+            refresh = getattr(target, "resample_batch", None)
+            if refresh is not None:
+                refresh(rng)
+            km = None
+            if interacting:
+                if repulsion_cutoff is not None and t >= repulsion_cutoff:
+                    km = kernels.identity_kernel(n_particles, dim)
+                else:
+                    km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
+            ensemble, momentum = step(ensemble, momentum, target, kernel_cfg, eps, rng, km)
 
-        if policy.collect_at(t + 1):
-            collected.append(ensemble.positions.copy())
+            if policy.collect_at(t + 1):
+                collected.append(ensemble.positions.copy())
     wall = time.perf_counter() - start
 
     stacked = np.stack(collected)  # (n_events, L, d)

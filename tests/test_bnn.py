@@ -142,6 +142,67 @@ class TestPotential:
         np.testing.assert_allclose(grad, theta / 0.25, rtol=1e-14)
 
 
+def einsum_forward_and_grad(pot, theta, x, y, n_total):
+    """Reference: the (K, B, h) einsum layout, for (K, P) theta."""
+    w1, b1, w2, b2 = pot.unpack(theta)
+    pre = np.einsum("khp,bp->kbh", w1, x) + b1[:, None, :]
+    mask = pre > 0
+    act = np.where(mask, pre, 0.0)
+    out = np.einsum("kbh,kh->kb", act, w2) + b2[:, None]
+    resid = n_total / x.shape[0] / pot.noise_std**2 * (out - y[None, :])
+    g_act = resid[:, :, None] * w2[:, None, :] * mask
+    grad = np.concatenate(
+        [
+            np.einsum("kbh,bp->khp", g_act, x).reshape(theta.shape[0], -1),
+            g_act.sum(axis=1),
+            np.einsum("kb,kbh->kh", resid, act),
+            resid.sum(axis=1)[:, None],
+        ],
+        axis=1,
+    )
+    return out, grad + theta / pot.prior_std**2
+
+
+class TestMatmulLayout:
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("b", [1, 7, 100])
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("h", [1, 50])
+    def test_matches_einsum_reference(self, k, b, p, h):
+        rng = np.random.default_rng([k, b, p, h])
+        pot = BnnPotential(input_dim=p, hidden_dim=h, prior_std=0.8, noise_std=0.3)
+        theta = rng.normal(size=(k, pot.n_params))
+        x, y = rng.normal(size=(b, p)), rng.normal(size=b)
+        out, grad = einsum_forward_and_grad(pot, theta, x, y, n_total=450)
+        # rounding differs only in summation order: tolerance relative to
+        # each array's scale, so near-cancelled entries do not dominate
+        for new, ref in (
+            (pot.forward(theta, x), out),
+            (pot.potential_grad(theta, x, y, 450), grad),
+        ):
+            assert new.shape == ref.shape
+            np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_overflow_is_left_to_the_finiteness_checks(self):
+        # no numpy RuntimeWarning; the non-finite result reaches the callers
+        pot = BnnPotential(input_dim=2, hidden_dim=3)
+        theta = np.full((2, pot.n_params), 1e200)
+        x, y = np.ones((4, 2)), np.zeros(4)
+        assert not np.all(np.isfinite(pot.forward(theta, x)))
+        assert not np.all(np.isfinite(pot.potential_grad(theta, x, y, 4)))
+
+    def test_single_theta_path(self):
+        rng = np.random.default_rng(4)
+        pot = BnnPotential(input_dim=4, hidden_dim=50)
+        theta = rng.normal(size=pot.n_params)
+        x, y = rng.normal(size=(7, 4)), rng.normal(size=7)
+        out, grad = einsum_forward_and_grad(pot, theta[None, :], x, y, n_total=450)
+        new_out, new_grad = pot.forward(theta, x), pot.potential_grad(theta, x, y, 450)
+        assert new_out.shape == (7,) and new_grad.shape == (pot.n_params,)
+        np.testing.assert_allclose(new_out, out[0], rtol=1e-12, atol=1e-12 * np.abs(out).max())
+        np.testing.assert_allclose(new_grad, grad[0], rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+
+
 class TestPredict:
     def _setup(self):
         x, y = linear_data(n=60, p=2, seed=4)
@@ -230,9 +291,8 @@ class TestBnnReport:
         x, y = linear_data()
         ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
         protocol = {"step_size": 0.1, "iterations": 50, "burn_in": 10}
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as exc:
-                cli.bnn_report(ds, sampler, seed=0, protocol=protocol)
+        with pytest.raises(DivergenceError) as exc:
+            cli.bnn_report(ds, sampler, seed=0, protocol=protocol)
         assert exc.value.iteration >= 1
         assert exc.value.snapshot is not None
         assert np.all(np.isfinite(exc.value.snapshot))

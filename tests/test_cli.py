@@ -98,8 +98,7 @@ class TestRunCommand:
             iterations=150,
         )
         cfg_path = write_config(tmp_path, cfg)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", cfg_path]) == EXIT_DIVERGENCE
+        assert main(["run", "--config", cfg_path]) == EXIT_DIVERGENCE
 
     def test_factorization_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         def fail(matrix, base_jitter):

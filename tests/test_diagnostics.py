@@ -78,6 +78,37 @@ class TestGelmanRubin:
         out = gelman_rubin(chains)
         assert out.shape == (2,)
 
+    def test_bitwise_equal_to_per_dimension_loop(self):
+        def reference(chains):
+            m, n, d = chains.shape
+            out = np.empty(d)
+            for j in range(d):
+                x = chains[:, :, j]
+                b_over_n = float(np.var(x.mean(axis=1), ddof=1))
+                w = float(np.mean(np.var(x, axis=1, ddof=1)))
+                out[j] = float(np.sqrt(((n - 1) / n * w + b_over_n) / w))
+            return out
+
+        # the loop's summation order follows the memory layout: contiguous
+        # chains, the runner's (N, M, d) array viewed as (M, N, d), Fortran order
+        rng = np.random.default_rng(6)
+        for trial in range(300):
+            m, n, d = (int(rng.integers(lo, hi)) for lo, hi in ((2, 60), (10, 200), (1, 12)))
+            chains = rng.standard_normal((m, n, d)) * 10 * rng.random(d)
+            chains += 100 * rng.standard_normal(d)
+            if trial % 3 == 1:
+                chains = np.ascontiguousarray(chains.transpose(1, 0, 2)).transpose(1, 0, 2)
+            elif trial % 3 == 2:
+                chains = np.asfortranarray(chains)
+            assert gelman_rubin(chains).tobytes() == reference(chains).tobytes()
+
+    def test_zero_within_chain_variance_in_one_dimension_raises(self):
+        rng = np.random.default_rng(7)
+        chains = rng.standard_normal((3, 50, 4))
+        chains[:, :, 2] = np.arange(3.0)[:, None]
+        with pytest.raises(DegenerateChainError):
+            gelman_rubin(chains)
+
 
 class TestMomentError:
     def test_exact_samples_give_zero(self):

@@ -89,6 +89,45 @@ class TestKernelMatrix:
         h1, _ = median_bandwidth(squared_distances(z[perm]))
         assert h0 == h1
 
+    def test_bitwise_equal_to_median_and_symmetrized_form(self):
+        # reference: np.median of the off-diagonal distances, and entries
+        # symmetrized with a unit diagonal written back, on ensembles with
+        # ties (rounded coordinates) and duplicated rows
+        def reference(z, cfg):
+            sq = squared_distances(z)
+            n, degenerate, h = z.shape[0], False, cfg.bandwidth
+            if cfg.bandwidth_mode == "median":
+                med = float(np.median(sq[~np.eye(n, dtype=bool)])) if n > 1 else 0.0
+                degenerate = med <= 0.0
+                h = 1.0 if degenerate else med / np.log(n + 1.0)
+            entries = np.exp(-sq / h)
+            entries = 0.5 * (entries + entries.T)
+            np.fill_diagonal(entries, 1.0)
+            grad = (2.0 / h) * (z * entries.sum(axis=1)[:, None] - entries @ z)
+            return entries, grad, h, degenerate
+
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n, d = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+            z = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 3)
+            if trial % 3 == 0:
+                z = np.round(z, 1)
+            if trial % 4 == 0:
+                z[rng.integers(0, n, n // 2)] = z[0]
+            if trial % 25 == 0:
+                z[:] = z[0]
+            for cfg in (KernelConfig(), FIXED):
+                km = kernel_matrix(z, cfg)
+                entries, grad, h, degenerate = reference(z, cfg)
+                assert km.entries.tobytes() == entries.tobytes()
+                assert km.grad_terms.tobytes() == grad.tobytes()
+                assert (km.bandwidth, km.degenerate_bandwidth) == (h, degenerate)
+            # any (n, n) matrix, not only a distance matrix, with tied entries
+            sq = np.abs(np.round(rng.normal(size=(n, n)), int(rng.integers(0, 3))))
+            med = float(np.median(sq[~np.eye(n, dtype=bool)])) if n > 1 else 0.0
+            expected = (1.0, True) if med <= 0.0 else (med / np.log(n + 1.0), False)
+            assert median_bandwidth(sq) == expected
+
     @given(
         st.integers(min_value=1, max_value=7),
         st.integers(min_value=0, max_value=10_000),

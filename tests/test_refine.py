@@ -70,6 +70,16 @@ class TestSampleRefined:
         np.testing.assert_array_equal(draws["dirac"], draws["markov"])
         np.testing.assert_array_equal(draws["dirac"], draws["gaussian"])
 
+    @pytest.mark.parametrize("sampler", INNER_SAMPLERS)
+    def test_overflowing_step_raises_divergence(self, sampler):
+        # a wide guide and a large step overflow exp in the funnel's score
+        rg = RefinedGuide(
+            guide=DiagonalGaussianGuide(np.zeros(2), np.full(2, 2.0)),
+            inner_sampler=sampler, steps_refine=20, log_eta=np.log(10.0),
+        )
+        with pytest.raises(DivergenceError):
+            sample_refined(rg, FUNNEL, 8, np.random.default_rng(0))
+
     def test_sample_count_validated(self):
         rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd")
         with pytest.raises(ValueError):
@@ -309,6 +319,23 @@ class TestKdeEntropyGrad:
         rel = np.max(np.abs(grad + oracle)) / np.max(np.abs(oracle))
         assert rel < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_matches_difference_tensor_form(self, n):
+        # reference: the (L, L, d) pairwise-gradient tensor, summed with row
+        # and column weights; the matrix form differs only in float rounding
+        from steinmc.kernels import kernel_matrix
+
+        rng = np.random.default_rng(n)
+        for cfg in (self.CFG, KernelConfig(bandwidth=0.5, bandwidth_mode="fixed")):
+            for _ in range(25):
+                z = rng.normal(size=(n, int(rng.integers(1, 5))))
+                km = kernel_matrix(z, cfg)
+                k, h, sums = km.entries, km.bandwidth, km.entries.sum(axis=1)
+                grad_k = -(2.0 / h) * (z[:, None, :] - z[None, :, :]) * k[:, :, None]
+                term1 = grad_k.sum(axis=1) / sums[:, None]
+                ref = -(term1 + (grad_k / sums[None, :, None]).sum(axis=1))
+                np.testing.assert_allclose(kde_entropy_grad(z, cfg), ref, rtol=1e-13, atol=1e-12)
+
 
 class TestFlowStep:
     def test_single_particle_is_pure_ascent(self):
@@ -383,7 +410,7 @@ class TestOptimize:
             guide=DiagonalGaussianGuide(np.zeros(2), np.full(2, 2.0)),
             inner_sampler="sgld", steps_refine=2, log_eta=np.log(3.0),
         )
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        with pytest.raises(DivergenceError) as info:
             optimize(rg, FUNNEL, 10, np.random.default_rng(0), n_samples=64)
         assert info.value.iteration == 0
         assert info.value.snapshot.shape == (0,)
@@ -393,14 +420,31 @@ class TestOptimize:
             guide=unit_guide(), inner_sampler="sgld", steps_refine=2, log_eta=np.log(3.0)
         )
         kwargs = dict(n_samples=64, learning_rate=0.08)
-        with np.errstate(over="ignore"):
-            with pytest.raises(DivergenceError) as info:
-                optimize(rg, FUNNEL, 20, np.random.default_rng(0), **kwargs)
-            it = info.value.iteration
-            assert it >= 1
-            # the snapshot is the trace of the iterations that completed
-            done = optimize(rg, FUNNEL, it, np.random.default_rng(0), **kwargs)
+        with pytest.raises(DivergenceError) as info:
+            optimize(rg, FUNNEL, 20, np.random.default_rng(0), **kwargs)
+        it = info.value.iteration
+        assert it >= 1
+        # the snapshot is the trace of the iterations that completed
+        done = optimize(rg, FUNNEL, it, np.random.default_rng(0), **kwargs)
         np.testing.assert_array_equal(info.value.snapshot, done.loss_trace)
+
+    def test_second_moment_overflow_raises_divergence(self, monkeypatch):
+        # a finite gradient whose square overflows would leave an infinite
+        # second moment and a silently zero step for that parameter
+        from steinmc import refine
+
+        mean_grads = iter([1.0, 1e200])
+
+        def huge_gradient(rg, target, n_samples, rng):
+            g = np.full(2, next(mean_grads))
+            return -1.0, {"mean": g, "log_scale": np.ones(2), "log_eta": np.zeros(())}
+
+        monkeypatch.setattr(refine, "elbo_grad", huge_gradient)
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgld", steps_refine=1)
+        with pytest.raises(DivergenceError) as info:
+            optimize(rg, FUNNEL, 5, np.random.default_rng(0))
+        assert info.value.iteration == 1
+        np.testing.assert_array_equal(info.value.snapshot, [1.0])
 
     def test_inference_phase_runs_tuned_sampler(self):
         rg = RefinedGuide(

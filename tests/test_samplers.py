@@ -398,13 +398,12 @@ class TestRunner:
 
     def test_divergence_carries_snapshot(self):
         t = std_gaussian(1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as exc:
-                samplers.run(
-                    "sgld", t, n_particles=2, iterations=500,
-                    schedule=StepSchedule(eps0=1e8),
-                    policy=CollectionPolicy(burn_in=10, thin=1), seed=0,
-                )
+        with pytest.raises(DivergenceError) as exc:
+            samplers.run(
+                "sgld", t, n_particles=2, iterations=500,
+                schedule=StepSchedule(eps0=1e8),
+                policy=CollectionPolicy(burn_in=10, thin=1), seed=0,
+            )
         assert exc.value.snapshot is not None
 
     def test_repulsion_cutoff_switches_to_identity_kernel(self):
