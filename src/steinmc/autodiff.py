@@ -11,9 +11,18 @@ adjoint back to its operand's shape.  With ``reduce_sum`` along an axis,
 so an unrolled sampler step costs a fixed number of nodes whatever n is.
 Noise drawn inside a differentiated update is recorded as a constant, so
 step-size gradients flow only through the explicit step-size factors.
+
+Code that must run both taped and untaped (target densities and scores, the
+refinement loop) is written against an ``ops`` namespace: this module is the
+taped one, and :data:`numpy_ops` binds the same names to plain numpy.  The
+arithmetic operators work on both, because ``Node`` overloads them and numpy
+arrays defer to those overloads.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,6 +33,9 @@ class Node:
     """One recorded value in the computation graph."""
 
     __slots__ = ("value", "parents", "grad", "requires_grad", "_backward_done")
+    # an ndarray operand defers to the reflected operators below instead of
+    # broadcasting over the node as an object
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), requires_grad=False):
         self.value = np.asarray(value, dtype=float)
@@ -47,13 +59,16 @@ class Node:
         return neg(self)
 
     def __sub__(self, other):
-        return add(self, neg(as_node(other)))
+        return add(self, neg(other) if isinstance(other, Node) else -np.asarray(other))
 
     def __rsub__(self, other):
-        return add(as_node(other), neg(self))
+        return add(other, neg(self))
 
     def __truediv__(self, other):
         return div(self, other)
+
+    def __rtruediv__(self, other):
+        return div(other, self)
 
     def __repr__(self):
         return f"Node(value={self.value!r}, requires_grad={self.requires_grad})"
@@ -229,6 +244,16 @@ def stop_gradient(a) -> Node:
     return Node(a.value.copy())
 
 
+def row_max(a) -> Node:
+    """Max over the last axis (kept as a size-1 axis), held constant."""
+    return Node(np.max(as_node(a).value, axis=-1, keepdims=True))
+
+
+def value(a) -> np.ndarray:
+    """The numpy value behind a node."""
+    return as_node(a).value
+
+
 def backward(output: Node) -> None:
     """Reverse-mode sweep from a scalar output.
 
@@ -270,3 +295,19 @@ def _topological_order(output: Node) -> list[Node]:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
+
+
+# The names above that targets and the refinement loop use, bound to numpy
+# callables that skip numpy's Python-level dispatch (scores are called once
+# per sampler step on small batches).
+numpy_ops = SimpleNamespace(
+    exp=np.exp,
+    log=np.log,
+    reduce_sum=partial(np.add.reduce, axis=None),
+    matmul=np.matmul,
+    reshape=np.ndarray.reshape,
+    row_max=partial(np.maximum.reduce, axis=-1, keepdims=True),
+    constant=np.asarray,
+    stop_gradient=np.asarray,
+    value=np.asarray,
+)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
+from .errors import ConfigError
 from .targets import TargetModel
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -269,11 +271,21 @@ class BnnTarget(TargetModel):
             self.dataset.targets_train[self._batch],
         )
 
-    def _log_density(self, theta):
-        x, y = self._batch_xy()
-        return -self.potential.potential(theta, x, y, self.dataset.n_train)
+    def _numpy_only(self, ops):
+        if ops is not ad.numpy_ops:
+            raise ConfigError(
+                f"target {self.name!r} has a hand-written gradient and no tape form",
+                field="target",
+            )
 
-    def _score(self, theta):
+    def _log_density(self, theta, ops=ad.numpy_ops):
+        self._numpy_only(ops)
+        x, y = self._batch_xy()
+        n = self.dataset.n_train
+        return np.array([-self.potential.potential(t, x, y, n) for t in theta])
+
+    def _score(self, theta, ops=ad.numpy_ops):
+        self._numpy_only(ops)
         x, y = self._batch_xy()
         return -self.potential.potential_grad(theta, x, y, self.dataset.n_train)
 

@@ -98,7 +98,7 @@ def fp_residual(target, drift, diffusion: float, lo: float, hi: float, n: int) -
     grid = np.linspace(lo, hi, n)
     dz = grid[1] - grid[0]
 
-    log_pi = np.array([target.log_density(np.atleast_1d(z)) for z in grid])
+    log_pi = np.asarray(target.log_density(grid[:, None]), dtype=float)
     pi = np.exp(log_pi - np.max(log_pi))
     pi /= np.trapezoid(pi, grid)
 

@@ -2,18 +2,21 @@
 
 A diagonal Gaussian guide is pushed through T steps of an inner sampler with
 learnable step size; the resulting implicit density is trained by ascending a
-refined evidence lower bound.  Four entropy treatments are available:
+refined evidence lower bound.  The inner samplers are ``sgd`` (score ascent),
+``sgld`` (Langevin), ``svgd`` (Stein variational gradient) and ``flow``
+(score plus a kernel-smoothed estimate of -grad log q, a deterministic
+density flow).  Two entropy treatments are available:
 
-* ``dirac``    - endpoint particles as a Dirac mixture; the guide's
-                 closed-form entropy is kept as a regularizer.
-* ``markov``   - joint factorization over the refinement path; each
-                 stochastic transition contributes its closed-form Gaussian
-                 entropy (d/2) log(4 pi e eta).
-* ``gaussian`` - Gaussian of guide scale placed at the endpoint; for an
-                 unconditional diagonal guide its entropy equals the guide's.
-* ``flow``     - deterministic density flow whose entropy-gradient term is
-                 estimated by kernel smoothing; requires a deterministic
-                 inner sampler.
+* ``dirac``  - endpoint particles as a Dirac mixture; the guide's
+               closed-form entropy is kept as a regularizer.
+* ``markov`` - joint factorization over the refinement path; each
+               stochastic transition contributes its closed-form Gaussian
+               entropy (d/2) log(4 pi e eta).  Only ``sgld`` has stochastic
+               transitions, so the other inner samplers reject it.
+
+One refinement loop serves both uses: written over an ``ops`` namespace
+like the targets, it runs on :data:`autodiff.numpy_ops` to draw refined
+samples and on the :mod:`autodiff` tape to build the differentiable bound.
 
 Two differentiation modes: ``full`` differentiates through the refinement
 displacement (the step size receives a gradient); ``fast`` wraps the
@@ -34,7 +37,7 @@ from .errors import ConfigError, DivergenceError
 from .kernels import KernelConfig
 from .targets import TargetModel
 
-ENTROPY_MODES = ("dirac", "markov", "gaussian", "flow")
+ENTROPY_MODES = ("dirac", "markov")
 INNER_SAMPLERS = ("sgd", "sgld", "svgd", "flow")
 AD_MODES = ("full", "fast")
 
@@ -105,15 +108,48 @@ class RefinedGuide:
             raise ConfigError(f"unknown ad mode {self.ad_mode!r}", field="ad_mode")
         if self.steps_refine < 0 or self.steps_infer < 0:
             raise ConfigError("step counts must be >= 0", field="steps_refine")
-        if self.entropy_mode == "flow" and self.inner_sampler == "sgld":
+        if self.entropy_mode == "markov" and self.inner_sampler != "sgld":
             raise ConfigError(
-                "flow entropy requires a deterministic inner sampler",
+                f"markov entropy needs stochastic transitions; inner sampler "
+                f"{self.inner_sampler!r} is deterministic",
                 field="entropy_mode",
             )
 
     @property
     def eta(self) -> float:
         return math.exp(self.log_eta)
+
+
+def _rbf(z, cfg: KernelConfig, ops):
+    """RBF kernel matrix of an (m, d) batch, and the bandwidth it used.
+
+    A median bandwidth is a statistic of the current positions, held
+    constant rather than differentiated.
+    """
+    m, d = ops.value(z).shape
+    diff = ops.reshape(z, (m, 1, d)) - ops.reshape(z, (1, m, d))
+    sq = ops.reduce_sum(diff * diff, axis=-1)
+    if cfg.bandwidth_mode == "median":
+        h, _ = kernels.median_bandwidth(ops.value(sq))
+    else:
+        h = cfg.bandwidth
+    return ops.exp(-1.0 / h * sq), h
+
+
+def _kernel_drift(k, z, ops):
+    """Row i: sum_l k_il (z_i - z_l), for an m x m weight matrix k."""
+    return z * ops.reshape(ops.reduce_sum(k, axis=1), (-1, 1)) - ops.matmul(k, z)
+
+
+def _entropy_grad(k, z, h, ops):
+    """Kernel-smoothed -grad log q of the batch z with kernel matrix k.
+
+    Row i is (2/h) sum_l W_il (z_i - z_l) with W_il = K_il (1/S_i + 1/S_l)
+    and S the row sums of K.
+    """
+    sums = ops.reduce_sum(k, axis=1)
+    weights = k / ops.reshape(sums, (-1, 1)) + k / sums
+    return 2.0 / h * _kernel_drift(weights, z, ops)
 
 
 def kde_entropy_grad(positions: np.ndarray, cfg: KernelConfig) -> np.ndarray:
@@ -125,55 +161,52 @@ def kde_entropy_grad(positions: np.ndarray, cfg: KernelConfig) -> np.ndarray:
         row_m = - sum_n grad_m K(z_m, z_n) / sum_n K(z_m, z_n)
                 - sum_l grad_m K(z_m, z_l) / sum_n K(z_n, z_l)
 
-    A single particle yields exactly zero.
+    A single particle yields exactly zero.  This is the entropy term of the
+    ``flow`` inner sampler.
     """
-    positions = np.asarray(positions, dtype=float)
-    km = kernels.kernel_matrix(positions, cfg)
-    k = km.entries
-    h = km.bandwidth
-    # row m: (2/h) sum_l W_ml (z_m - z_l) with W_ml = K_ml (1/S_m + 1/S_l)
-    sums = k.sum(axis=1)
-    weights = k / sums[:, None] + k / sums
-    return (2.0 / h) * (positions * weights.sum(axis=1)[:, None] - weights @ positions)
+    z = np.asarray(positions, dtype=float)
+    k, h = _rbf(z, cfg, ad.numpy_ops)
+    return _entropy_grad(k, z, h, ad.numpy_ops)
 
 
-def flow_step(
-    positions: np.ndarray, target: TargetModel, cfg: KernelConfig, eta: float
-) -> np.ndarray:
-    """Deterministic density-flow update z + eta (score + entropy gradient).
+def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
+    """Push the (m, d) batch z through ``rg.steps_refine`` inner steps.
 
-    The entropy-gradient term estimates -grad log q via kernel smoothing, so
-    the flow transports the particle density toward the target.
+    Returns the batch before and after every step.  On the tape, each step
+    is a fixed number of array nodes whatever m is; noise enters as
+    constants, drawn in the same order on both backends.
     """
-    if not eta > 0:
+    if not ops.value(eta) > 0:
         raise ValueError("eta must be > 0")
-    scores = target.grad_log_density(positions)
-    return positions + eta * (scores + kde_entropy_grad(positions, cfg))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # each step is checked for finiteness
-def _numeric_refine(
-    rg: RefinedGuide,
-    target: TargetModel,
-    z: np.ndarray,
-    steps: int,
-    eta: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    trajectory = [z.copy()]
-    for t in range(steps):
-        ensemble = samplers.ParticleEnsemble(z, t)
-        if rg.inner_sampler == "sgld":
-            z = samplers.sgld_step(ensemble, target, eta, rng).positions
-        elif rg.inner_sampler == "svgd":
-            z = samplers.svgd_step(ensemble, target, rg.kernel_cfg, eta).positions
-        elif rg.inner_sampler == "sgd":
-            z = z + eta * target.grad_log_density(z)
-        else:  # flow
-            z = flow_step(z, target, rg.kernel_cfg, eta)
-        samplers._check_finite(z, t + 1)
-        trajectory.append(z.copy())
-    return z, trajectory
+    wrap = ops.stop_gradient if rg.ad_mode == "fast" else (lambda x: x)
+    m, d = ops.value(z).shape
+    if rg.inner_sampler == "sgld":
+        root = ops.exp(0.5 * ops.log(2.0 * eta))  # sqrt(2 eta)
+    path = [z]
+    for step in range(rg.steps_refine):
+        scores = target.grad_log_density(z, ops)
+        if ops.value(scores).shape != (m, d):
+            raise ConfigError(
+                f"target {target.name!r} returned scores of shape "
+                f"{ops.value(scores).shape}; expected {(m, d)}",
+                field="target",
+            )
+        if rg.inner_sampler in ("sgd", "sgld"):
+            delta = eta * scores
+            if rg.inner_sampler == "sgld":
+                delta = delta + root * ops.constant(rng.standard_normal((m, d)))
+        else:
+            k, h = _rbf(z, rg.kernel_cfg, ops)
+            if rg.inner_sampler == "svgd":
+                # (1/m) [K @ scores + (2/h) sum_l K_il (z_i - z_l)]
+                phi = ops.matmul(k, scores) + 2.0 / h * _kernel_drift(k, z, ops)
+                delta = eta * (phi / float(m))
+            else:
+                delta = eta * (scores + _entropy_grad(k, z, h, ops))
+        z = z + wrap(delta)
+        samplers._check_finite(ops.value(z), step + 1)
+        path.append(z)
+    return path
 
 
 def sample_refined(
@@ -183,72 +216,15 @@ def sample_refined(
 
     Returns the refined draws and the full trajectory (one array per step,
     starting with the guide draws).  The draw is unaffected by the entropy
-    mode; given the same rng state the samples are identical across modes.
+    mode; given the same rng state the samples are identical across modes,
+    and equal to the samples of :func:`elbo`.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     z0 = rg.guide.sample(n_samples, rng)
-    return _numeric_refine(rg, target, z0, rg.steps_refine, rg.eta, rng)
-
-
-# ---------------------------------------------------------------------------
-# tape-side construction
-
-
-def _kernel_drift(k: ad.Node, z: ad.Node) -> ad.Node:
-    """Row i: sum_l k_il (z_i - z_l), for an m x m weight node k."""
-    return ad.mul(z, ad.reshape(ad.reduce_sum(k, axis=1), (-1, 1))) - ad.matmul(k, z)
-
-
-def _tape_refine(rg, target, z, eta_node, n_steps, rng):
-    """Unroll the inner sampler on the tape over the whole (m, d) batch.
-
-    Each step is a fixed number of array nodes whatever m is; noise enters
-    as constants.  The kernel bandwidth is treated as a constant of the
-    current positions (a median statistic, not differentiated).
-    """
-    if n_steps and target.ad_grad_log_density is None:
-        raise ConfigError(
-            f"target {target.name!r} exposes no differentiable gradient",
-            field="target",
-        )
-    wrap = ad.stop_gradient if rg.ad_mode == "fast" else (lambda x: x)
-    m, d = z.value.shape
-    if rg.inner_sampler == "sgld":
-        root = ad.exp(ad.mul(0.5, ad.log(ad.mul(2.0, eta_node))))  # sqrt(2 eta)
-    for step in range(n_steps):
-        scores = target.ad_grad_log_density(z)
-        if scores.value.shape != (m, d):
-            raise ConfigError(
-                f"target {target.name!r} returned tape scores of shape "
-                f"{scores.value.shape}; expected {(m, d)}",
-                field="target",
-            )
-        if rg.inner_sampler in ("sgd", "sgld"):
-            delta = ad.mul(eta_node, scores)
-            if rg.inner_sampler == "sgld":
-                xi = ad.constant(rng.standard_normal((m, d)))
-                delta = ad.add(delta, ad.mul(root, xi))
-        else:
-            h, _ = kernels.median_bandwidth(kernels.squared_distances(z.value))
-            if rg.kernel_cfg.bandwidth_mode == "fixed":
-                h = rg.kernel_cfg.bandwidth
-            diff = ad.reshape(z, (m, 1, d)) - ad.reshape(z, (1, m, d))
-            k = ad.exp(ad.mul(-1.0 / h, ad.reduce_sum(ad.mul(diff, diff), axis=-1)))
-            if rg.inner_sampler == "svgd":
-                # (1/m) [K @ scores + (2/h) sum_l K_il (z_i - z_l)]
-                phi = ad.add(ad.matmul(k, scores), ad.mul(2.0 / h, _kernel_drift(k, z)))
-                delta = ad.mul(eta_node, ad.div(phi, float(m)))
-            else:
-                # flow: score + kernel-smoothed -grad log q, whose row i is
-                # (2/h) sum_l K_il (1/S_i + 1/S_l) (z_i - z_l) with S = K's row sums
-                sums = ad.reduce_sum(k, axis=1)
-                weights = ad.add(ad.div(k, ad.reshape(sums, (-1, 1))), ad.div(k, sums))
-                ent = ad.mul(2.0 / h, _kernel_drift(weights, z))
-                delta = ad.mul(eta_node, ad.add(scores, ent))
-        z = ad.add(z, wrap(delta))
-        samplers._check_finite(z.value, step + 1)
-    return z
+    with np.errstate(over="ignore", invalid="ignore"):  # each step is checked
+        path = _refine(rg, target, z0, rg.eta, rng, ad.numpy_ops)
+    return path[-1], path
 
 
 @dataclass
@@ -276,10 +252,6 @@ def elbo(
     refinement steps every mode reduces to the plain bound
     E[log p(z0)] + H(guide).
     """
-    if target.ad_log_density is None:
-        raise ConfigError(
-            f"target {target.name!r} has no tape log-density", field="target"
-        )
     guide = rg.guide
     d = guide.dim
     full = rg.ad_mode == "full"
@@ -290,13 +262,13 @@ def elbo(
     scale = ad.exp(log_scale)
 
     xi = ad.constant(rng.standard_normal((n_samples, d)))
-    z = _tape_refine(rg, target, mean + scale * xi, eta_node, rg.steps_refine, rng)
-    avg_logp = ad.div(ad.reduce_sum(target.ad_log_density(z)), float(n_samples))
+    z = _refine(rg, target, mean + scale * xi, eta_node, rng, ad)[-1]
+    avg_logp = ad.div(ad.reduce_sum(target.log_density(z, ad)), float(n_samples))
 
     # closed-form guide entropy; differentiable in log_scale
     guide_entropy = ad.add(ad.reduce_sum(log_scale), 0.5 * d * (1.0 + _LOG_2PI))
     entropy = guide_entropy
-    if rg.entropy_mode == "markov" and rg.inner_sampler == "sgld":
+    if rg.entropy_mode == "markov":
         # each transition is Gaussian with covariance 2 eta I
         per_step = ad.add(
             ad.mul(0.5 * d, ad.log(ad.mul(2.0, eta_node))),

@@ -1,15 +1,14 @@
 """Differentiable target log-densities with exact reference moments.
 
-The log-density takes one point of shape (d,) and returns a float.  The
-gradient (the score) is batched: it maps an (L, d) array of particles to the
-(L, d) array of their scores in one call, so samplers never loop over
-particles.  Every constructor runs a finite-difference audit of the analytic
-gradient before handing the target out.  Targets used by the refined
-variational sampler additionally expose tape builders with the same batched
-contract: ``ad_log_density`` maps an (n, d) node to the (n,) node of per-row
-log densities and ``ad_grad_log_density`` maps it to the (n, d) node of
-scores, so unrolled sampler steps stay differentiable without a second-order
-tape.
+Each target is written once, as two batched functions over an ``ops``
+namespace: ``log_density(z, ops)`` maps an (n, d) batch of points to their
+(n,) log densities, and ``grad_log_density(z, ops)`` (the score) maps it to
+the (n, d) batch of their gradients, so samplers never loop over particles.
+``ops`` defaults to :data:`autodiff.numpy_ops`; passing the :mod:`autodiff`
+module instead builds the same expressions on the tape, which is how the
+refined variational sampler differentiates through unrolled steps without a
+second-order tape.  Every constructor runs a finite-difference audit of the
+score before handing the target out.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_NP = ad.numpy_ops
 
 
 @dataclass
@@ -38,46 +38,46 @@ class MomentSpec:
 class TargetModel:
     """Unnormalized log-density with analytic gradient.
 
-    ``log_density`` maps one point of shape (d,) to a float;
-    ``grad_log_density`` maps an (L, d) batch of points to the (L, d) batch
-    of their gradients, row for row.  The optional tape builders follow the
-    same contract on :mod:`autodiff` nodes: ``ad_log_density`` maps an (n, d)
-    node to an (n,) node, ``ad_grad_log_density`` an (n, d) node to an (n, d)
-    node.  ``moment_transform`` maps sampling-space
+    ``log_density(z, ops)`` maps an (n, d) batch of points to the (n,) array
+    of their log densities; ``grad_log_density(z, ops)`` maps it to the
+    (n, d) batch of their gradients, row for row.  ``ops`` is
+    :data:`autodiff.numpy_ops` when omitted, or the :mod:`autodiff` module
+    for tape nodes.  ``moment_transform`` maps sampling-space
     draws into the space where the reference moments live (identity for most
     targets; exp for the log-reparameterized ones).
     """
 
     name: str
     dim: int
-    log_density: Callable[[np.ndarray], float]
-    grad_log_density: Callable[[np.ndarray], np.ndarray]
+    log_density: Callable[..., np.ndarray]
+    grad_log_density: Callable[..., np.ndarray]
     reference_moments: list[MomentSpec] = field(default_factory=list)
     moment_transform: Callable[[np.ndarray], np.ndarray] = lambda z: z
-    ad_log_density: Callable | None = None
-    ad_grad_log_density: Callable | None = None
     # Vestigial: only the benchmark tracer (perfbench/tracer.py) reads it;
     # nothing in the library sets or reads it.
     grad_log_density_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def finite_difference_grad(f, z, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function of a vector."""
-    z = np.asarray(z, dtype=float)
-    g = np.zeros_like(z)
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += step
-        zm[i] -= step
-        g[i] = (f(zp) - f(zm)) / (2.0 * step)
+def finite_difference_grad(f, points, step: float = 1e-5) -> np.ndarray:
+    """Central finite differences of a batched log-density, (n, d) -> (n, d).
+
+    ``f`` maps (n, d) points to (n,) values; it is called twice per
+    coordinate on the whole batch.
+    """
+    points = np.asarray(points, dtype=float)
+    g = np.empty_like(points)
+    for i in range(points.shape[1]):
+        shift = np.zeros(points.shape[1])
+        shift[i] = step
+        g[:, i] = (f(points + shift) - f(points - shift)) / (2.0 * step)
     return g
 
 
 def audit_gradient(target: TargetModel, points: np.ndarray, rel_tol: float = 1e-5):
     """Check grad_log_density against central differences at the given points.
 
-    The gradient is called once on the whole (n, d) batch; each row is
-    compared with the finite differences of the log-density at that point.
+    The gradient is called once on the whole (n, d) batch and compared row
+    by row with the finite differences of the log-density.
     """
     points = np.asarray(points, dtype=float)
     grads = np.asarray(target.grad_log_density(points), dtype=float)
@@ -86,14 +86,15 @@ def audit_gradient(target: TargetModel, points: np.ndarray, rel_tol: float = 1e-
             f"gradient audit failed for {target.name}: shape {grads.shape} "
             f"for points of shape {points.shape}"
         )
-    for z, analytic in zip(points, grads):
-        numeric = finite_difference_grad(target.log_density, z)
-        scale = max(1.0, float(np.max(np.abs(numeric))))
-        err = float(np.max(np.abs(analytic - numeric))) / scale
-        if err > rel_tol:
-            raise AssertionError(
-                f"gradient audit failed for {target.name} at z={z}: rel err {err:.2e}"
-            )
+    numeric = finite_difference_grad(target.log_density, points)
+    scale = np.maximum(1.0, np.max(np.abs(numeric), axis=1))
+    err = np.max(np.abs(grads - numeric), axis=1) / scale
+    if np.any(err > rel_tol):
+        i = int(np.argmax(err > rel_tol))
+        raise AssertionError(
+            f"gradient audit failed for {target.name} at z={points[i]}: "
+            f"rel err {err[i]:.2e}"
+        )
 
 
 def _registered(target: TargetModel, audit_points: np.ndarray) -> TargetModel:
@@ -101,24 +102,28 @@ def _registered(target: TargetModel, audit_points: np.ndarray) -> TargetModel:
     return target
 
 
+def _softmax(logs, ops):
+    """Rows of exp(logs) normalised to sum to one, shifted by the row max."""
+    w = ops.exp(logs - ops.row_max(logs))
+    return w / ops.reshape(ops.reduce_sum(w, axis=1), (-1, 1))
+
+
+def _logsumexp(logs, ops):
+    """log sum_j exp(logs_ij) per row, shifted by the row max."""
+    top = ops.row_max(logs)
+    return ops.reshape(top, (-1,)) + ops.log(ops.reduce_sum(ops.exp(logs - top), axis=1))
+
+
 def std_gaussian(dim: int) -> TargetModel:
     """Standard Gaussian N(0, I) in `dim` dimensions."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
 
-    def log_density(z):
-        z = np.asarray(z, dtype=float)
-        return float(-0.5 * np.dot(z, z) - 0.5 * dim * _LOG_2PI)
+    def log_density(z, ops=_NP):
+        return -0.5 * ops.reduce_sum(z * z, axis=-1) - 0.5 * dim * _LOG_2PI
 
-    def grad(z):
-        return -np.asarray(z, dtype=float)
-
-    def ad_log_density(z_node):
-        quad = ad.mul(-0.5, ad.reduce_sum(ad.mul(z_node, z_node), axis=-1))
-        return ad.add(quad, -0.5 * dim * _LOG_2PI)
-
-    def ad_grad(z_node):
-        return ad.neg(z_node)
+    def grad(z, ops=_NP):
+        return -z
 
     target = TargetModel(
         name=f"gaussian{dim}d",
@@ -129,8 +134,6 @@ def std_gaussian(dim: int) -> TargetModel:
             MomentSpec(1, np.zeros(dim), "mean"),
             MomentSpec(2, np.ones(dim), "second_moment"),
         ],
-        ad_log_density=ad_log_density,
-        ad_grad_log_density=ad_grad,
     )
     rng = np.random.default_rng(0)
     return _registered(target, rng.normal(size=(5, dim)))
@@ -154,27 +157,20 @@ def mixture_of_exponentials() -> TargetModel:
     p(y) = p(exp(y)) * exp(y).  Moments are evaluated after mapping samples
     back through exp.
     """
-    log_w = np.log(np.asarray(MOE_WEIGHTS))
     rates = np.asarray(MOE_RATES)
-    log_rates = np.log(rates)
+    # log(w_i rate_i) per component
+    log_w_rates = np.log(np.asarray(MOE_WEIGHTS)) + np.log(rates)
+    rate_column = rates[:, None]
 
-    def _terms(z):
-        # log(w_i rate_i exp(-rate_i z)) per component, along the last axis
-        return log_w + log_rates - rates * z
+    def log_density(y, ops=_NP):
+        # log sum_i w_i rate_i exp(-rate_i z) plus the Jacobian y, z = exp(y)
+        terms = log_w_rates - rates * ops.exp(y)
+        return _logsumexp(terms, ops) + ops.reshape(y, (-1,))
 
-    def log_density(y):
-        y = float(np.asarray(y, dtype=float).reshape(()))
-        # log sum_i w_i rate_i exp(-rate_i z), stabilized, plus the Jacobian y
-        terms = _terms(np.exp(y))
-        m = np.max(terms)
-        return float(m + np.log(np.sum(np.exp(terms - m))) + y)
-
-    def grad(y):
-        z = np.exp(np.asarray(y, dtype=float))  # (L, 1)
-        terms = _terms(z)  # (L, 2)
-        w = np.exp(terms - np.max(terms, axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        return 1.0 - z * (w @ rates)[:, None]
+    def grad(y, ops=_NP):
+        z = ops.exp(y)  # (n, 1)
+        w = _softmax(log_w_rates - rates * z, ops)  # (n, 2) component weights
+        return 1.0 - z * ops.matmul(w, rate_column)
 
     target = TargetModel(
         name="moe",
@@ -201,22 +197,17 @@ def mog_grid() -> TargetModel:
     var = MOG_COMPONENT_VAR
     k = len(centers)
 
-    def _component_logs(z):
-        # (L, d) points -> (L, k) component log-densities
-        diff = z[:, None, :] - centers
-        return -0.5 * np.sum(diff * diff, axis=2) / var - _LOG_2PI - np.log(var)
+    def _component_logs(z, ops):
+        # (n, d) points -> (n, k) component log-densities
+        diff = ops.reshape(z, (-1, 1, 2)) - centers
+        return -0.5 * ops.reduce_sum(diff * diff, axis=2) / var - _LOG_2PI - np.log(var)
 
-    def log_density(z):
-        logs = _component_logs(np.asarray(z, dtype=float)[None, :])[0]
-        m = np.max(logs)
-        return float(m + np.log(np.sum(np.exp(logs - m))) - np.log(k))
+    def log_density(z, ops=_NP):
+        return _logsumexp(_component_logs(z, ops), ops) - np.log(k)
 
-    def grad(z):
-        z = np.asarray(z, dtype=float)
-        logs = _component_logs(z)
-        w = np.exp(logs - np.max(logs, axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        return -(z - w @ centers) / var
+    def grad(z, ops=_NP):
+        w = _softmax(_component_logs(z, ops), ops)
+        return -(z - ops.matmul(w, centers)) / var
 
     second = var + float(np.mean(centers[:, 0] ** 2))
     target = TargetModel(
@@ -245,49 +236,27 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
     # exponent multiplier: log-std of z2 is z1 (std convention) or z1/2 (var)
     a = 1.0 if scale_convention == "std" else 0.5
 
-    def log_density(z):
-        z1, z2 = float(z[0]), float(z[1])
-        lp1 = -0.5 * (z1 / s1) ** 2 - np.log(s1) - 0.5 * _LOG_2PI
-        lp2 = -0.5 * z2 * z2 * np.exp(-2.0 * a * z1) - a * z1 - 0.5 * _LOG_2PI
-        return float(lp1 + lp2)
-
-    def grad(z):
-        z = np.asarray(z, dtype=float)
-        z1, z2 = z[:, 0], z[:, 1]
-        e = np.exp(-2.0 * a * z1)
-        g1 = -z1 / (s1 * s1) + a * z2 * z2 * e - a
-        g2 = -z2 * e
-        return np.stack([g1, g2], axis=1)
-
     basis = np.eye(2)
 
-    def _split(z_node):
-        # the two columns of an (n, 2) node, each (n, 1)
-        return ad.matmul(z_node, basis[:, :1]), ad.matmul(z_node, basis[:, 1:])
+    # The vis-funnel traces depend on this exact order of tape operations.
+    def _split(z, ops):
+        # the two columns of an (n, 2) batch, each (n, 1)
+        return ops.matmul(z, basis[:, :1]), ops.matmul(z, basis[:, 1:])
 
-    def ad_log_density(z_node):
-        z1, z2 = _split(z_node)
-        lp1 = ad.add(
-            ad.mul(-0.5 / (s1 * s1), ad.mul(z1, z1)),
-            -np.log(s1) - 0.5 * _LOG_2PI,
-        )
-        e = ad.exp(ad.mul(-2.0 * a, z1))
-        lp2 = ad.add(
-            ad.add(ad.mul(-0.5, ad.mul(ad.mul(z2, z2), e)), ad.mul(-a, z1)),
-            -0.5 * _LOG_2PI,
-        )
-        return ad.reshape(ad.add(lp1, lp2), (-1,))
+    def log_density(z, ops=_NP):
+        z1, z2 = _split(z, ops)
+        lp1 = -0.5 / (s1 * s1) * (z1 * z1) + (-np.log(s1) - 0.5 * _LOG_2PI)
+        e = ops.exp(-2.0 * a * z1)
+        lp2 = -0.5 * (z2 * z2 * e) + -a * z1 - 0.5 * _LOG_2PI
+        return ops.reshape(lp1 + lp2, (-1,))
 
-    def ad_grad(z_node):
-        z1, z2 = _split(z_node)
-        e = ad.exp(ad.mul(-2.0 * a, z1))
-        g1 = ad.add(
-            ad.add(ad.mul(-1.0 / (s1 * s1), z1), ad.mul(a, ad.mul(ad.mul(z2, z2), e))),
-            -a,
-        )
-        g2 = ad.neg(ad.mul(z2, e))
+    def grad(z, ops=_NP):
+        z1, z2 = _split(z, ops)
+        e = ops.exp(-2.0 * a * z1)
+        g1 = -1.0 / (s1 * s1) * z1 + a * (z2 * z2 * e) - a
+        g2 = -(z2 * e)
         # stack the (n, 1) columns back into (n, 2)
-        return ad.add(ad.mul(g1, basis[:1]), ad.mul(g2, basis[1:]))
+        return g1 * basis[:1] + g2 * basis[1:]
 
     target = TargetModel(
         name="funnel",
@@ -295,8 +264,6 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
         log_density=log_density,
         grad_log_density=grad,
         reference_moments=[MomentSpec(1, np.zeros(2), "mean")],
-        ad_log_density=ad_log_density,
-        ad_grad_log_density=ad_grad,
     )
     rng = np.random.default_rng(3)
     return _registered(target, rng.normal(scale=1.0, size=(8, 2)))

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,27 @@ class TestBatchedPrimitives:
             return ad.matmul(k, z)
 
         check_batched(build, [(5, 2)])
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+    def test_ndarray_on_the_left_gives_a_node(self, op):
+        # numpy defers to the node's reflected operator instead of building
+        # an object array of nodes
+        left = np.linspace(0.5, 2.0, 12).reshape(4, 3)
+        apply = getattr(operator, op)
+        assert isinstance(apply(left, ad.leaf(np.ones(3))), ad.Node)
+        check_batched(lambda a: apply(left, a), [(3,)])
+        check_batched(lambda a: apply(a, left), [(3,)])
+
+    def test_numpy_ops_mirror_the_tape(self):
+        x = np.random.default_rng(0).normal(size=(3, 4))
+        for name in vars(ad.numpy_ops):
+            assert callable(getattr(ad, name))
+        np.testing.assert_array_equal(ad.row_max(x).value, ad.numpy_ops.row_max(x))
+        assert ad.row_max(x).value.shape == (3, 1)
+        # the row max is held constant: d/dx sum(max_row * x) = max_row
+        leaf = ad.leaf(x)
+        ad.backward(ad.reduce_sum(ad.row_max(leaf) * leaf))
+        np.testing.assert_array_equal(leaf.grad, np.broadcast_to(ad.row_max(x).value, x.shape))
 
 
 class TestStopGradient:

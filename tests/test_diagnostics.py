@@ -142,7 +142,7 @@ class TestFpResidual:
 
     def test_uniform_density_flat_interior(self):
         flat = std_gaussian(1)
-        flat.log_density = lambda z: 0.0  # uniform on the grid
+        flat.log_density = lambda z: np.zeros(len(z))  # uniform on the grid
         residual = fp_residual(flat, lambda z: 0.0, 1.0, -1, 1, 500)
         assert residual < 1e-12
 

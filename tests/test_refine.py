@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steinmc import autodiff as ad
-from steinmc import targets
+from steinmc import bnn, kernels, refine, targets
 from steinmc.errors import ConfigError, DivergenceError
 from steinmc.kernels import KernelConfig
 from steinmc.refine import (
@@ -13,7 +13,6 @@ from steinmc.refine import (
     RefinedGuide,
     elbo,
     elbo_grad,
-    flow_step,
     kde_entropy_grad,
     optimize,
     sample_refined,
@@ -21,6 +20,10 @@ from steinmc.refine import (
 
 FUNNEL = targets.funnel()
 GAUSS2 = targets.std_gaussian(2)
+MOE = targets.mixture_of_exponentials()
+MOG = targets.mog_grid()
+ALL_TARGETS = [FUNNEL, GAUSS2, MOE, MOG]
+ALL_IDS = ["funnel", "gaussian2d", "moe", "mog"]
 
 
 def unit_guide(dim=2):
@@ -62,13 +65,12 @@ class TestSampleRefined:
 
     def test_entropy_mode_does_not_affect_samples(self):
         draws = {}
-        for mode in ("dirac", "markov", "gaussian"):
+        for mode in ("dirac", "markov"):
             rg = RefinedGuide(
                 guide=unit_guide(), inner_sampler="sgld", steps_refine=2, entropy_mode=mode
             )
             draws[mode], _ = sample_refined(rg, FUNNEL, 8, np.random.default_rng(2))
         np.testing.assert_array_equal(draws["dirac"], draws["markov"])
-        np.testing.assert_array_equal(draws["dirac"], draws["gaussian"])
 
     @pytest.mark.parametrize("sampler", INNER_SAMPLERS)
     def test_overflowing_step_raises_divergence(self, sampler):
@@ -91,12 +93,11 @@ class TestElbo:
         # oracle: mean log p(z0) + closed-form guide entropy on the same draws
         rng = np.random.default_rng(0)
         z0 = unit_guide().sample(8, rng)
-        plain = np.mean([FUNNEL.log_density(z) for z in z0]) + unit_guide().entropy()
+        plain = np.mean(FUNNEL.log_density(z0)) + unit_guide().entropy()
         for mode, sampler in (
             ("dirac", "sgld"),
             ("markov", "sgld"),
-            ("gaussian", "sgld"),
-            ("flow", "sgd"),
+            ("dirac", "sgd"),
         ):
             rg = RefinedGuide(
                 guide=unit_guide(), inner_sampler=sampler, steps_refine=0, entropy_mode=mode
@@ -127,16 +128,22 @@ class TestElbo:
         per_step = 0.5 * 2 * np.log(4 * np.pi * np.e * eta)
         assert v_markov - v_dirac == pytest.approx(3 * per_step, rel=1e-12)
 
-    def test_flow_mode_requires_deterministic_sampler(self):
-        with pytest.raises(ConfigError):
-            RefinedGuide(
-                guide=unit_guide(), inner_sampler="sgld", entropy_mode="flow"
-            )
+    @pytest.mark.parametrize("mode", ["gaussian", "flow"])
+    def test_deleted_entropy_modes_rejected(self, mode):
+        with pytest.raises(ConfigError) as info:
+            RefinedGuide(guide=unit_guide(), inner_sampler="sgd", entropy_mode=mode)
+        assert info.value.field == "entropy_mode"
+
+    @pytest.mark.parametrize("sampler", ["sgd", "svgd", "flow"])
+    def test_markov_mode_requires_stochastic_sampler(self, sampler):
+        # a deterministic step has no transition entropy to add; the bound
+        # would silently be the dirac one
+        with pytest.raises(ConfigError) as info:
+            RefinedGuide(guide=unit_guide(), inner_sampler=sampler, entropy_mode="markov")
+        assert info.value.field == "entropy_mode"
 
     def test_flow_inner_sampler_runs_on_tape(self):
-        rg = RefinedGuide(
-            guide=unit_guide(), inner_sampler="flow", steps_refine=2, entropy_mode="flow"
-        )
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler="flow", steps_refine=2)
         tape = elbo(rg, GAUSS2, 6, np.random.default_rng(6))
         assert np.isfinite(tape.value)
 
@@ -150,38 +157,66 @@ class TestElbo:
         assert v1 == pytest.approx(v2, rel=1e-14)
 
 
-def off_centre_guide():
-    return DiagonalGaussianGuide(np.array([0.3, -0.2]), np.log(np.array([0.8, 1.2])))
+def off_centre_guide(dim=2):
+    mean, scale = np.array([0.3, -0.2]), np.array([0.8, 1.2])
+    return DiagonalGaussianGuide(mean[:dim], np.log(scale[:dim]))
 
 
 class TestBatchedTape:
     @pytest.mark.parametrize("n", [1, 3, 8])
-    @pytest.mark.parametrize("target", [FUNNEL, GAUSS2], ids=["funnel", "gaussian2d"])
+    @pytest.mark.parametrize("target", ALL_TARGETS, ids=ALL_IDS)
     @pytest.mark.parametrize("sampler", INNER_SAMPLERS)
     def test_tape_samples_equal_numeric_refinement(self, sampler, target, n):
         rg = RefinedGuide(
-            guide=off_centre_guide(), inner_sampler=sampler, steps_refine=2,
+            guide=off_centre_guide(target.dim), inner_sampler=sampler, steps_refine=2,
             log_eta=np.log(0.05),
         )
         tape = elbo(rg, target, n, np.random.default_rng(11))
         numeric, _ = sample_refined(rg, target, n, np.random.default_rng(11))
-        assert tape.samples.shape == (n, 2)
+        assert tape.samples.shape == (n, target.dim)
         np.testing.assert_allclose(tape.samples, numeric, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("sampler", INNER_SAMPLERS)
     def test_node_count_independent_of_sample_count(self, sampler):
-        rg = RefinedGuide(guide=unit_guide(), inner_sampler=sampler, steps_refine=2)
-        tapes = [elbo(rg, FUNNEL, n, np.random.default_rng(0)) for n in (4, 64)]
-        counts = [len(ad._topological_order(tape.objective)) for tape in tapes]
-        assert counts[0] == counts[1]
+        for target in ALL_TARGETS:
+            rg = RefinedGuide(
+                guide=unit_guide(target.dim), inner_sampler=sampler, steps_refine=2
+            )
+            tapes = [elbo(rg, target, n, np.random.default_rng(0)) for n in (4, 64)]
+            counts = [len(ad._topological_order(tape.objective)) for tape in tapes]
+            assert counts[0] == counts[1], target.name
 
     def test_tape_score_shape_mismatch_names_target(self):
         summed = dataclasses.replace(
-            GAUSS2, ad_grad_log_density=lambda zn: ad.reduce_sum(zn, axis=-1)
+            GAUSS2, grad_log_density=lambda z, ops: ops.reduce_sum(z, axis=-1)
         )
         rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd", steps_refine=1)
         with pytest.raises(ConfigError, match="target"):
             elbo(rg, summed, 4, np.random.default_rng(0))
+
+
+def assert_gradients_match_finite_differences(rg, target, n=4, seed=8):
+    """Full-mode bound gradients against central differences of the bound."""
+    _, grads = elbo_grad(rg, target, n, np.random.default_rng(seed), mode="full")
+
+    def value_at(mean, log_scale, log_eta):
+        rg2 = dataclasses.replace(
+            rg, guide=DiagonalGaussianGuide(mean, log_scale), log_eta=float(log_eta)
+        )
+        return elbo(rg2, target, n, np.random.default_rng(seed)).value
+
+    base = {"mean": rg.guide.mean, "log_scale": rg.guide.log_scale,
+            "log_eta": np.array(rg.log_eta)}
+    step = 1e-6
+    for key, x0 in base.items():
+        fd = np.zeros(x0.shape)
+        for i in np.ndindex(x0.shape):
+            args = {k: v.copy() for k, v in base.items()}
+            args[key][i] += step
+            up = value_at(**args)
+            args[key][i] -= 2 * step
+            fd[i] = (up - value_at(**args)) / (2 * step)
+        np.testing.assert_allclose(grads[key], fd, rtol=1e-5, atol=1e-8, err_msg=key)
 
 
 class TestElboGrad:
@@ -224,30 +259,23 @@ class TestElboGrad:
             guide=off_centre_guide(),
             inner_sampler=sampler,
             steps_refine=2,
-            entropy_mode="flow" if sampler == "flow" else "dirac",
+            entropy_mode="dirac",
             log_eta=np.log(0.05),
             kernel_cfg=KernelConfig(bandwidth=1.5, bandwidth_mode="fixed"),
         )
-        _, grads = elbo_grad(rg, FUNNEL, 4, np.random.default_rng(8), mode="full")
+        assert_gradients_match_finite_differences(rg, FUNNEL)
 
-        def value_at(mean, log_scale, log_eta):
-            rg2 = dataclasses.replace(
-                rg, guide=DiagonalGaussianGuide(mean, log_scale), log_eta=float(log_eta)
-            )
-            return elbo(rg2, FUNNEL, 4, np.random.default_rng(8)).value
-
-        base = {"mean": rg.guide.mean, "log_scale": rg.guide.log_scale,
-                "log_eta": np.array(rg.log_eta)}
-        step = 1e-6
-        for key, x0 in base.items():
-            fd = np.zeros(x0.shape)
-            for i in np.ndindex(x0.shape):
-                args = {k: v.copy() for k, v in base.items()}
-                args[key][i] += step
-                up = value_at(**args)
-                args[key][i] -= 2 * step
-                fd[i] = (up - value_at(**args)) / (2 * step)
-            np.testing.assert_allclose(grads[key], fd, rtol=1e-5, atol=1e-8, err_msg=key)
+    @pytest.mark.parametrize("target", [MOE, MOG], ids=["moe", "mog"])
+    @pytest.mark.parametrize("sampler", INNER_SAMPLERS)
+    def test_mixture_gradients_match_finite_differences(self, sampler, target):
+        rg = RefinedGuide(
+            guide=off_centre_guide(target.dim),
+            inner_sampler=sampler,
+            steps_refine=2,
+            log_eta=np.log(0.02),
+            kernel_cfg=KernelConfig(bandwidth=1.5, bandwidth_mode="fixed"),
+        )
+        assert_gradients_match_finite_differences(rg, target)
 
     def test_full_and_fast_guide_gradients_agree_without_displacement(self):
         rg = RefinedGuide(
@@ -337,32 +365,80 @@ class TestKdeEntropyGrad:
                 np.testing.assert_allclose(kde_entropy_grad(z, cfg), ref, rtol=1e-13, atol=1e-12)
 
 
+def flow_steps(pos, target, steps, eta=0.05):
+    """The shared refinement loop's flow step on plain numpy, `steps` times."""
+    rg = RefinedGuide(
+        guide=unit_guide(pos.shape[1]), inner_sampler="flow", steps_refine=steps
+    )
+    return refine._refine(rg, target, pos, eta, None, ad.numpy_ops)[-1]
+
+
 class TestFlowStep:
     def test_single_particle_is_pure_ascent(self):
         z = np.array([[2.0, -1.0]])
-        out = flow_step(z, GAUSS2, KernelConfig(), 0.1)
+        out = flow_steps(z, GAUSS2, 1, eta=0.1)
         np.testing.assert_allclose(out, z + 0.1 * (-z), rtol=1e-14)
 
     def test_long_run_variance_near_target(self):
         rng = np.random.default_rng(0)
         pos = 3.0 + 0.2 * rng.standard_normal((100, 1))
-        t = targets.std_gaussian(1)
-        for _ in range(2000):
-            pos = flow_step(pos, t, KernelConfig(), 0.05)
+        pos = flow_steps(pos, targets.std_gaussian(1), 2000)
         assert 0.8 < pos.var() < 1.2
 
     def test_converged_configuration_is_fixed_point(self):
         rng = np.random.default_rng(1)
-        pos = rng.standard_normal((40, 1))
         t = targets.std_gaussian(1)
-        for _ in range(3000):
-            pos = flow_step(pos, t, KernelConfig(), 0.05)
-        residual = flow_step(pos, t, KernelConfig(), 0.05) - pos
+        pos = flow_steps(rng.standard_normal((40, 1)), t, 3000)
+        residual = flow_steps(pos, t, 1) - pos
         assert np.max(np.abs(residual)) < 1e-3
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):
-            flow_step(np.zeros((2, 1)), GAUSS2, KernelConfig(), 0.0)
+            flow_steps(np.zeros((2, 1)), GAUSS2, 1, eta=0.0)
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("target", [MOE, MOG], ids=["moe", "mog"])
+    @pytest.mark.parametrize("sampler", INNER_SAMPLERS)
+    def test_mixtures_refine_and_train(self, sampler, target):
+        rg = RefinedGuide(
+            guide=unit_guide(target.dim), inner_sampler=sampler, steps_refine=2,
+            steps_infer=2, log_eta=np.log(0.02),
+        )
+        assert np.isfinite(elbo(rg, target, 8, np.random.default_rng(0)).value)
+        res = optimize(
+            rg, target, 5, np.random.default_rng(1), n_samples=8, inference_samples=16
+        )
+        assert np.all(np.isfinite(res.loss_trace))
+        assert res.inference_samples.shape == (16, target.dim)
+
+    @pytest.mark.parametrize("sampler", ["svgd", "flow"])
+    def test_fixed_bandwidth_skips_the_median(self, sampler, monkeypatch):
+        def no_median(sq):
+            raise AssertionError("median bandwidth computed for a fixed bandwidth")
+
+        monkeypatch.setattr(kernels, "median_bandwidth", no_median)
+        rg = RefinedGuide(
+            guide=unit_guide(), inner_sampler=sampler, steps_refine=2,
+            kernel_cfg=KernelConfig(bandwidth=1.5, bandwidth_mode="fixed"),
+        )
+        elbo(rg, FUNNEL, 6, np.random.default_rng(0))
+        sample_refined(rg, FUNNEL, 6, np.random.default_rng(0))
+        with pytest.raises(AssertionError, match="median"):
+            elbo(dataclasses.replace(rg, kernel_cfg=KernelConfig()), FUNNEL, 6,
+                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_bnn_target_refuses_the_tape(self, steps):
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        data = bnn.load_arrays(x, x[:, 0] - x[:, 1], seed=0)
+        target = bnn.BnnTarget.create(bnn.BnnPotential(input_dim=2, hidden_dim=3), data, 5)
+        rg = RefinedGuide(
+            guide=unit_guide(target.dim), inner_sampler="sgd", steps_refine=steps
+        )
+        with pytest.raises(ConfigError) as info:
+            elbo(rg, target, 4, np.random.default_rng(0))
+        assert info.value.field == "target"
 
 
 class TestOptimize:
@@ -374,17 +450,11 @@ class TestOptimize:
 
     def test_zero_step_training_recovers_gaussian_mean(self):
         center = np.array([1.2, -0.7])
+        # one definition, run on the tape by the bound
         shifted = dataclasses.replace(
             GAUSS2,
-            log_density=lambda z: float(-0.5 * np.sum((z - center) ** 2)),
-            grad_log_density=lambda z: -(z - center),
-            ad_grad_log_density=None,
-            ad_log_density=lambda zn: ad.mul(
-                -0.5,
-                ad.reduce_sum(
-                    ad.mul(zn - ad.constant(center), zn - ad.constant(center)), axis=-1
-                ),
-            ),
+            log_density=lambda z, ops: -0.5 * ops.reduce_sum((z - center) * (z - center), axis=-1),
+            grad_log_density=lambda z, ops: -(z - center),
         )
         rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd", steps_refine=0)
         res = optimize(

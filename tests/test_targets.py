@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from steinmc import autodiff as ad
 from steinmc.targets import (
     TargetModel,
     audit_gradient,
@@ -23,8 +24,7 @@ def batched_rows_and_differences(t, points):
     """One batched gradient call on (L, d) points, and per-row central differences."""
     grads = t.grad_log_density(points)
     assert grads.shape == points.shape
-    fd = np.stack([finite_difference_grad(t.log_density, z) for z in points])
-    return grads, fd
+    return grads, finite_difference_grad(t.log_density, points)
 
 
 class TestStdGaussian:
@@ -73,7 +73,7 @@ class TestMixtureOfExponentials:
         # quadrature oracle over the log-space density
         t = mixture_of_exponentials()
         val, err = integrate.quad(
-            lambda y: np.exp(t.log_density(np.array([y]))), -20, 10, limit=200
+            lambda y: np.exp(t.log_density(np.array([[y]]))[0]), -20, 10, limit=200
         )
         assert abs(val - 1.0) < 1e-6
 
@@ -112,7 +112,7 @@ class TestMogGrid:
     def test_density_integrates_to_one(self):
         t = mog_grid()
         val, _ = integrate.dblquad(
-            lambda y, x: np.exp(t.log_density(np.array([x, y]))),
+            lambda y, x: np.exp(t.log_density(np.array([[x, y]]))[0]),
             -6, 6, lambda x: -6, lambda x: 6, epsabs=1e-8,
         )
         assert val == pytest.approx(1.0, abs=1e-6)
@@ -144,14 +144,12 @@ class TestFunnel:
     def test_variance_convention_switch(self):
         t_std = funnel(scale_convention="std")
         t_var = funnel(scale_convention="var")
-        z = np.array([0.7, -0.4])
-        assert t_std.log_density(z) != t_var.log_density(z)
+        z = np.array([[0.7, -0.4]])
+        assert t_std.log_density(z)[0] != t_var.log_density(z)[0]
         # both remain valid densities with matching gradients
         for t in (t_std, t_var):
             fd = finite_difference_grad(t.log_density, z)
-            np.testing.assert_allclose(
-                t.grad_log_density(z[None, :])[0], fd, rtol=1e-5, atol=1e-8
-            )
+            np.testing.assert_allclose(t.grad_log_density(z), fd, rtol=1e-5, atol=1e-8)
 
     def test_log_density_decomposes_into_two_gaussians(self):
         # independent densities from scipy; conditional scale is exp(z1)
@@ -164,7 +162,7 @@ class TestFunnel:
             expected = stats.norm.logpdf(z1, scale=1.35) + stats.norm.logpdf(
                 z2, scale=np.exp(z1)
             )
-            assert t.log_density(np.array([z1, z2])) == pytest.approx(expected, rel=1e-12)
+            assert t.log_density(np.array([[z1, z2]]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
@@ -181,9 +179,57 @@ class TestRegistry:
         bad = TargetModel(
             name="broken",
             dim=1,
-            log_density=lambda z: float(-0.5 * z[0] ** 2),
+            log_density=lambda z: -0.5 * z[:, 0] ** 2,
             grad_log_density=lambda z: np.asarray(z),  # sign flipped
         )
         with pytest.raises(AssertionError):
             audit_gradient(bad, np.array([[1.0]]))
 
+
+def reference_scores(name, z):
+    """Reference: each score in plain numpy, in the order of operations that
+    the bench-synthetic, run and ensemble artifacts depend on."""
+    if name == "gaussian":
+        return -np.asarray(z, dtype=float)
+    if name == "moe":
+        log_w, rates = np.log(np.array([1.0 / 3.0, 2.0 / 3.0])), np.array([1.5, 0.5])
+        z = np.exp(z)
+        terms = log_w + np.log(rates) - rates * z
+        w = np.exp(terms - np.max(terms, axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        return 1.0 - z * (w @ rates)[:, None]
+    centers = np.array([(a, b) for a in (-2.0, 0.0, 2.0) for b in (-2.0, 0.0, 2.0)])
+    diff = z[:, None, :] - centers
+    logs = -0.5 * np.sum(diff * diff, axis=2) / 0.1 - np.log(2.0 * np.pi) - np.log(0.1)
+    w = np.exp(logs - np.max(logs, axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return -(z - w @ centers) / 0.1
+
+
+class TestOneDefinition:
+    @pytest.mark.parametrize("n", [1, 10, 20, 100])
+    @pytest.mark.parametrize("name, scale", [("gaussian", 1.0), ("moe", 1.5), ("mog", 2.0)])
+    def test_numpy_scores_bitwise_equal_reference(self, name, scale, n):
+        t = make_target(name, dim=50) if name == "gaussian" else make_target(name)
+        rng = np.random.default_rng([n, t.dim])
+        for _ in range(50):
+            z = rng.normal(scale=scale, size=(n, t.dim))
+            np.testing.assert_array_equal(t.grad_log_density(z), reference_scores(name, z))
+
+    @pytest.mark.parametrize("name", ["gaussian", "moe", "mog", "funnel"])
+    def test_tape_values_match_numpy(self, name):
+        t = make_target(name, dim=3) if name == "gaussian" else make_target(name)
+        z = np.random.default_rng(0).normal(size=(6, t.dim))
+        node = ad.leaf(z)
+        np.testing.assert_allclose(t.log_density(node, ad).value, t.log_density(z), rtol=1e-15)
+        np.testing.assert_allclose(
+            t.grad_log_density(node, ad).value, t.grad_log_density(z), rtol=1e-15, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("name", ["gaussian", "moe", "mog", "funnel"])
+    def test_tape_log_density_gradient_is_the_score(self, name):
+        t = make_target(name, dim=3) if name == "gaussian" else make_target(name)
+        z = np.random.default_rng(1).normal(size=(5, t.dim))
+        node = ad.leaf(z)
+        ad.backward(ad.reduce_sum(t.log_density(node, ad)))
+        np.testing.assert_allclose(node.grad, t.grad_log_density(z), rtol=1e-12, atol=1e-12)
