@@ -212,17 +212,21 @@ def _run_single(target_spec, sampler_spec, common, seed, timing: str):
         report.wall_clock = 0.0
         report.ess_per_second = 0.0
 
-    lines = [f"# schema_version={SCHEMA_VERSION}"]
-    dim = result.per_particle.shape[2]
+    return report.to_dict(), _trajectory_csv(result.per_particle, policy)
+
+
+def _trajectory_csv(per_particle: np.ndarray, policy: samplers.CollectionPolicy) -> str:
+    """CSV text of an (L, events, d) trajectory, one row per event and particle."""
+    dim = per_particle.shape[2]
     header = "iteration,particle," + ",".join(f"z{j+1}" for j in range(dim))
-    lines.append(header)
-    n_events = result.per_particle.shape[1]
-    for e in range(n_events):
+    lines = [f"# schema_version={SCHEMA_VERSION}", header]
+    # '%.17g' % x is format(x, ".17g"), so these are _fmt's bytes, one format per row
+    row_fmt = "%d,%d," + ",".join(["%.17g"] * dim)
+    for e in range(per_particle.shape[1]):
         iteration = policy.burn_in + (e + 1) * policy.thin
-        for p in range(result.per_particle.shape[0]):
-            coords = ",".join(_fmt(v) for v in result.per_particle[p, e])
-            lines.append(f"{iteration},{p},{coords}")
-    return report.to_dict(), "\n".join(lines) + "\n"
+        for p, coords in enumerate(per_particle[:, e].tolist()):
+            lines.append(row_fmt % (iteration, p, *coords))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_run(args) -> int:

@@ -60,12 +60,10 @@ def gelman_rubin(chains: np.ndarray) -> np.ndarray:
     if n < 10:
         raise ValueError("chains must have length >= 10")
 
-    # (d, M, N) copy in the input's M/N memory order, so numpy sums as a loop over d
-    if abs(chains.strides[1]) <= abs(chains.strides[0]):
-        x = np.ascontiguousarray(chains.transpose(2, 0, 1))
-    else:
-        x = np.ascontiguousarray(chains.transpose(2, 1, 0)).transpose(0, 2, 1)
-    b_over_n = np.var(np.ascontiguousarray(x.mean(axis=2)), axis=1, ddof=1)
+    # one contiguous (d, M, N) layout whatever the input's strides, so the
+    # sums along each chain, and R-hat's last digits, do not depend on them
+    x = np.ascontiguousarray(chains.transpose(2, 0, 1))
+    b_over_n = np.var(x.mean(axis=2), axis=1, ddof=1)
     w = np.mean(np.var(x, axis=2, ddof=1), axis=1)
     if np.any(w == 0.0):
         raise DegenerateChainError("zero within-chain variance")
@@ -90,6 +88,9 @@ def fp_residual(target, drift, diffusion: float, lo: float, hi: float, n: int) -
     target.  A residual near zero certifies that pi is stationary for the
     diffusion with that drift; a clearly positive residual certifies it is
     not.
+
+    ``drift`` is called once, on the whole (n,) grid array, and must return
+    either n values or one scalar, which applies at every grid point.
     """
     if diffusion < 0:
         raise ValueError("diffusion must be >= 0")
@@ -102,7 +103,11 @@ def fp_residual(target, drift, diffusion: float, lo: float, hi: float, n: int) -
     pi = np.exp(log_pi - np.max(log_pi))
     pi /= np.trapezoid(pi, grid)
 
-    mu = np.array([float(np.asarray(drift(z)).reshape(())) for z in grid])
+    mu = np.asarray(drift(grid), dtype=float)
+    if mu.ndim == 0:
+        mu = np.full(n, float(mu))
+    elif mu.shape != (n,):
+        raise ValueError(f"drift returned shape {mu.shape} for a grid of {n} points")
 
     flux = mu * pi
     d_flux = (flux[2:] - flux[:-2]) / (2.0 * dz)

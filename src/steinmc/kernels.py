@@ -5,6 +5,11 @@ L x L kernel matrix K together with per-particle repulsion rows
 sum_l grad_{z_l} k(z_l, z_i) = (2/h) sum_l (z_i - z_l) k(z_l, z_i), which act
 as the diffusion-correction term of the repulsive update rules.
 
+Squared distances are assembled in Gram form from one symmetric product
+X X^T, with no (L, L, d) difference tensor; pairs close enough for the Gram
+form to cancel (duplicated rows among them) are recomputed from their explicit
+differences, so coincident particles are exactly at distance 0.
+
 The block-diagonal L*d x L*d diffusion matrix is never materialized: it equals
 K (x) I_d, so factorizations and noise draws reduce to the L x L matrix.
 """
@@ -75,27 +80,48 @@ class KernelMatrix:
 
 
 def squared_distances(positions: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, computed from explicit differences.
+    """Pairwise squared Euclidean distances in Gram form, with exact near pairs.
 
-    The difference-based form keeps the matrix exactly symmetric with an
-    exactly zero diagonal, which the samplers rely on.
+    D_ij = (n_i + n_j) - 2 G_ij with G = X X^T and the norms n taken from
+    G's own diagonal, so D has an exactly zero diagonal and is exactly
+    symmetric (numpy evaluates X X^T as one symmetric rank-k update).  The
+    subtraction cancels when D_ij is small against n_i + n_j, so every pair
+    with D_ij <= 1e-6 (n_i + n_j) is recomputed from the explicit difference
+    x_i - x_j: duplicated rows get exactly 0 and ensembles far from the origin
+    stay accurate.  Other pairs carry a relative error of at most about
+    d * 1e-10.
     """
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    x = np.ascontiguousarray(positions, dtype=float)
+    sq = x @ x.T
+    norms = sq.diagonal().copy()
+    tol = np.add.outer(norms, norms)
+    sq *= -2.0
+    sq += tol  # (n_i + n_j) - 2 G_ij, symmetric because the sum is formed first
+    tol *= 1e-6
+    far = sq > tol
+    # the diagonal is always near; recompute only when other pairs are too
+    if far.size - np.count_nonzero(far) > x.shape[0]:
+        i, j = np.nonzero(~far)
+        diff = x[i] - x[j]
+        sq[i, j] = np.einsum("ij,ij->i", diff, diff)
+    return sq
 
 
 def median_bandwidth(sq_dists: np.ndarray) -> tuple[float, bool]:
     """Median-heuristic bandwidth h = median(d^2) / log(L + 1).
 
     Returns (h, degenerate).  Falls back to h = 1.0 when there are no
-    distinct pairs or all pairwise distances are zero.
+    distinct pairs or all pairwise distances are zero.  The median is taken
+    over the off-diagonal entries of any (L, L) matrix, symmetric or not.
     """
     n = sq_dists.shape[0]
     if n < 2:
         return 1.0, True
-    off = sq_dists[~np.eye(n, dtype=bool)]
+    # off-diagonal entries: after the first, every (n + 1)-th flat entry is diagonal
+    off = sq_dists.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
     mid = off.size // 2  # n (n - 1) is even: the median averages the two middle values
-    med = float(np.partition(off, (mid - 1, mid))[mid - 1 : mid + 1].mean())
+    part = np.partition(off, mid, axis=None)  # one kth: a pair of kth costs 4x as much
+    med = (float(part[:mid].max()) + float(part[mid])) / 2
     if med <= 0.0:
         return 1.0, True
     return med / np.log(n + 1.0), False

@@ -26,6 +26,7 @@ while guide gradients still flow through the initial draw.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -169,6 +170,24 @@ def kde_entropy_grad(positions: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     return _entropy_grad(k, z, h, ad.numpy_ops)
 
 
+def _call_target(target: TargetModel, name: str, z, ops):
+    """``target.<name>(z, ops)``; a function that cannot take ``ops`` is a ConfigError."""
+    fn = getattr(target, name)
+    try:
+        return fn(z, ops)
+    except TypeError:
+        try:
+            inspect.signature(fn).bind(z, ops)
+        except TypeError:
+            raise ConfigError(
+                f"{name} of {target.name!r} must take (z, ops) to be refined",
+                field="target",
+            ) from None
+        except ValueError:  # no signature to check: keep the original error
+            pass
+        raise
+
+
 def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
     """Push the (m, d) batch z through ``rg.steps_refine`` inner steps.
 
@@ -184,7 +203,7 @@ def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
         root = ops.exp(0.5 * ops.log(2.0 * eta))  # sqrt(2 eta)
     path = [z]
     for step in range(rg.steps_refine):
-        scores = target.grad_log_density(z, ops)
+        scores = _call_target(target, "grad_log_density", z, ops)
         if ops.value(scores).shape != (m, d):
             raise ConfigError(
                 f"target {target.name!r} returned scores of shape "
@@ -263,7 +282,8 @@ def elbo(
 
     xi = ad.constant(rng.standard_normal((n_samples, d)))
     z = _refine(rg, target, mean + scale * xi, eta_node, rng, ad)[-1]
-    avg_logp = ad.div(ad.reduce_sum(target.log_density(z, ad)), float(n_samples))
+    logp = _call_target(target, "log_density", z, ad)
+    avg_logp = ad.div(ad.reduce_sum(logp), float(n_samples))
 
     # closed-form guide entropy; differentiable in log_scale
     guide_entropy = ad.add(ad.reduce_sum(log_scale), 0.5 * d * (1.0 + _LOG_2PI))

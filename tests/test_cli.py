@@ -10,10 +10,12 @@ from steinmc.cli import (
     EXIT_FACTORIZATION,
     EXIT_OK,
     OUTPUT_DIR_ENV,
+    _fmt,
+    _trajectory_csv,
     main,
     validate_config,
 )
-from steinmc import kernels
+from steinmc import kernels, samplers
 from steinmc.errors import ConfigError, FactorizationError
 
 
@@ -165,6 +167,23 @@ class TestRunCommand:
         cfg_path = write_config(tmp_path, cfg)
         main(["run", "--config", cfg_path])
         assert list((tmp_path / "envout").glob("*.report.json"))
+
+
+class TestTrajectoryCsv:
+    def test_bytes_equal_per_value_format(self):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, -2.2250738585072014e-308,
+                   1.0 / 3.0, -1e300, 1e16, 123456789.125, 0.1]  # subnormals among them
+        rng = np.random.default_rng(3)
+        scaled = rng.normal(size=47) * 10.0 ** rng.integers(-300, 300, 47)
+        values = np.concatenate([special, scaled])
+        per_particle = rng.permutation(values).reshape(3, 4, 5)  # (L, events, d)
+        policy = samplers.CollectionPolicy(burn_in=100, thin=10)
+        lines = ["# schema_version=1", "iteration,particle,z1,z2,z3,z4,z5"]
+        for e in range(4):
+            for p in range(3):
+                coords = ",".join(_fmt(v) for v in per_particle[p, e])
+                lines.append(f"{100 + (e + 1) * 10},{p},{coords}")
+        assert _trajectory_csv(per_particle, policy) == "\n".join(lines) + "\n"
 
 
 class TestBenchCommand:

@@ -89,8 +89,8 @@ class TestGelmanRubin:
                 out[j] = float(np.sqrt(((n - 1) / n * w + b_over_n) / w))
             return out
 
-        # the loop's summation order follows the memory layout: contiguous
-        # chains, the runner's (N, M, d) array viewed as (M, N, d), Fortran order
+        # every layout (contiguous chains, the runner's (N, M, d) array viewed
+        # as (M, N, d), Fortran order) matches the loop over a contiguous copy
         rng = np.random.default_rng(6)
         for trial in range(300):
             m, n, d = (int(rng.integers(lo, hi)) for lo, hi in ((2, 60), (10, 200), (1, 12)))
@@ -100,7 +100,17 @@ class TestGelmanRubin:
                 chains = np.ascontiguousarray(chains.transpose(1, 0, 2)).transpose(1, 0, 2)
             elif trial % 3 == 2:
                 chains = np.asfortranarray(chains)
-            assert gelman_rubin(chains).tobytes() == reference(chains).tobytes()
+            expected = reference(np.ascontiguousarray(chains))
+            assert gelman_rubin(chains).tobytes() == expected.tobytes()
+
+    def test_independent_of_memory_layout(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n, m, d = int(rng.integers(10, 300)), int(rng.integers(2, 50)), int(rng.integers(1, 9))
+            stack = rng.standard_normal((n, m, d)) * 10 + 100 * rng.standard_normal(d)
+            view = stack.transpose(1, 0, 2)  # how the runner passes its chains
+            copy = np.ascontiguousarray(view)
+            assert gelman_rubin(view).tobytes() == gelman_rubin(copy).tobytes()
 
     def test_zero_within_chain_variance_in_one_dimension_raises(self):
         rng = np.random.default_rng(7)
@@ -145,6 +155,25 @@ class TestFpResidual:
         flat.log_density = lambda z: np.zeros(len(z))  # uniform on the grid
         residual = fp_residual(flat, lambda z: 0.0, 1.0, -1, 1, 500)
         assert residual < 1e-12
+
+    def test_drift_called_once_on_the_grid(self):
+        t = std_gaussian(1)
+        calls = []
+
+        def drift(z):
+            calls.append(np.shape(z))
+            return -z
+
+        residual = fp_residual(t, drift, 1.0, -6, 6, 2000)
+        assert calls == [(2000,)]
+        assert residual == fp_residual(t, lambda z: -z, 1.0, -6, 6, 2000)
+
+    def test_drift_of_wrong_shape_rejected(self):
+        t = std_gaussian(1)
+        with pytest.raises(ValueError, match="drift"):
+            fp_residual(t, lambda z: -z[:, None], 1.0, -6, 6, 2000)
+        with pytest.raises(ValueError, match="drift"):
+            fp_residual(t, lambda z: np.zeros(3), 1.0, -6, 6, 2000)
 
     def test_second_order_convergence(self):
         t = std_gaussian(1)

@@ -142,6 +142,72 @@ class TestKernelMatrix:
         assert np.all(np.isfinite(chol))
 
 
+def difference_form(z):
+    """Reference squared distances from the explicit (L, L, d) differences."""
+    diff = z[:, None, :] - z[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class TestSquaredDistances:
+    def test_bitwise_symmetric_with_zero_diagonal(self):
+        rng = np.random.default_rng(21)
+        shapes = [(1, 1), (1, 5), (2, 1), (7, 1), (5, 3), (20, 2), (33, 50), (100, 1)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 80, 2)) for _ in range(60)]
+        for trial, (n, d) in enumerate(shapes):
+            z = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+            if trial % 3 == 1:
+                z = np.asfortranarray(z)
+            elif trial % 3 == 2:
+                z = np.repeat(z, 2, axis=1)[:, ::2]  # strided view
+            sq = squared_distances(z)
+            assert sq.shape == (n, n)
+            assert np.array_equal(sq, sq.T), (n, d)
+            assert np.all(np.diag(sq) == 0.0), (n, d)
+            assert np.all(sq >= 0.0), (n, d)
+
+    def test_duplicated_rows_are_exactly_zero(self):
+        rng = np.random.default_rng(22)
+        for trial in range(200):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(1, 60))
+            z = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+            z += 1e4 * (trial % 2)
+            copies = rng.integers(0, n, max(1, n // 3))
+            z[copies] = z[0]
+            same = np.all(z[:, None, :] == z[None, :, :], axis=-1)
+            sq = squared_distances(z)
+            assert np.all(sq[same] == 0.0)
+            assert np.all(sq[~same] > 0.0)
+
+    def test_coincident_ensemble_sets_degenerate_bandwidth(self):
+        rng = np.random.default_rng(23)
+        for n, d in ((2, 1), (10, 1), (20, 301), (100, 50)):
+            z = np.tile(rng.normal(size=d) * 3.0 + 7.0, (n, 1))
+            assert np.all(squared_distances(z) == 0.0)
+            km = kernel_matrix(z, KernelConfig())
+            assert km.degenerate_bandwidth and km.bandwidth == 1.0
+
+    def test_agrees_with_difference_form(self):
+        rng = np.random.default_rng(24)
+        cases = []
+        for _ in range(100):
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 60))
+            cases.append(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4))
+        # an ensemble far from the origin: every pair cancels in Gram form
+        cases.append(1e4 + rng.normal(size=(100, 50)))
+        cases.append(1e4 + rng.normal(size=(20, 2)))
+        # one pair 1e-7 apart among well-separated particles
+        close = rng.normal(size=(10, 3))
+        close[1] = close[0] + 1e-7 * np.array([1.0, -2.0, 0.5])
+        cases.append(close)
+        for z in cases:
+            ref = difference_form(z)
+            sq = squared_distances(z)
+            off = ref > 0
+            assert np.array_equal(sq == 0.0, ~off)
+            rel = np.abs(sq[off] - ref[off]) / ref[off]
+            assert rel.max(initial=0.0) < 1e-8, z.shape
+
+
 class TestRepulsiveNoise:
     def test_identity_kernel_empirical_covariance(self):
         # oracle: empirical covariance over many draws approaches

@@ -194,6 +194,31 @@ class TestBatchedTape:
         with pytest.raises(ConfigError, match="target"):
             elbo(rg, summed, 4, np.random.default_rng(0))
 
+    def test_target_without_ops_argument_is_config_error(self):
+        # a sampler-only user target: its functions take the batch alone
+        plain = dataclasses.replace(
+            GAUSS2,
+            log_density=lambda z: -0.5 * np.sum(z * z, axis=1),
+            grad_log_density=lambda z: -z,
+        )
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd", steps_refine=1)
+        for call in (elbo, sample_refined):
+            with pytest.raises(ConfigError) as info:
+                call(rg, plain, 4, np.random.default_rng(0))
+            assert info.value.field == "target"
+        # with no refinement step only the bound calls the target
+        with pytest.raises(ConfigError, match="log_density"):
+            elbo(dataclasses.replace(rg, steps_refine=0), plain, 4, np.random.default_rng(0))
+
+    def test_type_error_inside_target_propagates(self):
+        def broken(z, ops):
+            raise TypeError("inside the target")
+
+        target = dataclasses.replace(GAUSS2, grad_log_density=broken)
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd", steps_refine=1)
+        with pytest.raises(TypeError, match="inside the target"):
+            elbo(rg, target, 4, np.random.default_rng(0))
+
 
 def assert_gradients_match_finite_differences(rg, target, n=4, seed=8):
     """Full-mode bound gradients against central differences of the bound."""
