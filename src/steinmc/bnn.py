@@ -191,14 +191,13 @@ class BnnPotential:
         out = self._layers(np.atleast_2d(theta), x)[2]
         return out[0] if np.ndim(theta) == 1 else out
 
-    def potential(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_total: int) -> float:
-        """Scalar potential (negative log posterior up to constants) for one particle."""
+    def potential(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_total: int):
+        """Negative log posterior up to constants; theta (K, P) or (P,) gives
+        (K,) values or one float."""
         theta = np.asarray(theta, dtype=float)
-        pred = self.forward(theta, x)
         scale = n_total / x.shape[0]
-        data = 0.5 * scale * float(np.sum((pred - y) ** 2)) / self.noise_std**2
-        prior = 0.5 * float(np.dot(theta, theta)) / self.prior_std**2
-        return prior + data
+        data = 0.5 * scale * np.sum((self.forward(theta, x) - y) ** 2, axis=-1) / self.noise_std**2
+        return 0.5 * np.sum(theta * theta, axis=-1) / self.prior_std**2 + data
 
     @np.errstate(over="ignore", invalid="ignore")  # callers check finiteness
     def potential_grad(
@@ -281,8 +280,7 @@ class BnnTarget(TargetModel):
     def _log_density(self, theta, ops=ad.numpy_ops):
         self._numpy_only(ops)
         x, y = self._batch_xy()
-        n = self.dataset.n_train
-        return np.array([-self.potential.potential(t, x, y, n) for t in theta])
+        return -self.potential.potential(np.atleast_2d(theta), x, y, self.dataset.n_train)
 
     def _score(self, theta, ops=ad.numpy_ops):
         self._numpy_only(ops)

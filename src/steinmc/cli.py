@@ -392,11 +392,13 @@ def cmd_vis_funnel(args) -> int:
     return EXIT_OK
 
 
+# The minibatch score grows with the N training rows, so the per-particle
+# step is step_scale / N (1e-4 at 450 rows); a fixed 1e-4 diverged at 1,000.
 BNN_PROTOCOL = {
     "particles": 20,
     "iterations": 2000,
     "batch_size": 100,
-    "step_size": 1e-4,
+    "step_scale": 0.045,
     "burn_in": 1000,
     "thin": 10,
 }
@@ -405,10 +407,14 @@ BNN_PROTOCOL = {
 def bnn_report(
     dataset: bnn_mod.RegressionDataset, sampler: str, seed: int, protocol=None
 ) -> dict:
+    unknown = set(protocol or ()) - set(BNN_PROTOCOL)
+    if unknown:
+        raise ConfigError(f"unknown bnn protocol keys {sorted(unknown)}", field="protocol")
     proto = {**BNN_PROTOCOL, **(protocol or {})}
     potential = bnn_mod.BnnPotential(input_dim=dataset.n_features)
     target = bnn_mod.BnnTarget.create(potential, dataset, proto["batch_size"])
-    eps = _step_size(sampler, proto["step_size"], proto["particles"])
+    step = proto["step_scale"] / dataset.n_train
+    eps = _step_size(sampler, step, proto["particles"])
     result = samplers.run(
         sampler,
         target,
@@ -431,6 +437,7 @@ def bnn_report(
         "test_ll": metrics["test_ll"],
         "config": {
             **proto,
+            "step_size": step,
             "hidden_dim": potential.hidden_dim,
             "prior_std": potential.prior_std,
             "noise_std": potential.noise_std,

@@ -1,4 +1,4 @@
-"""RBF kernel machinery shared by the repulsive samplers.
+"""RBF kernel machinery shared by the repulsive samplers and the refined bound.
 
 The kernel is k(a, b) = exp(-||a - b||^2 / h).  A particle ensemble yields an
 L x L kernel matrix K together with per-particle repulsion rows
@@ -10,6 +10,9 @@ X X^T, with no (L, L, d) difference tensor; pairs close enough for the Gram
 form to cancel (duplicated rows among them) are recomputed from their explicit
 differences, so coincident particles are exactly at distance 0.
 
+:func:`rbf` and :func:`kernel_drift` serve both the samplers (numpy) and the
+refined bound of :mod:`steinmc.refine` (numpy or tape nodes).
+
 The block-diagonal L*d x L*d diffusion matrix is never materialized: it equals
 K (x) I_d, so factorizations and noise draws reduce to the L x L matrix.
 """
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import FactorizationError
 
 # Diagonal jitter ladder used when a Cholesky factorization fails.
@@ -127,6 +131,31 @@ def median_bandwidth(sq_dists: np.ndarray) -> tuple[float, bool]:
     return med / np.log(n + 1.0), False
 
 
+def kernel_drift(k, z, ops=ad.numpy_ops):
+    """Row i: sum_l k_il (z_i - z_l), for an (m, m) weight matrix k."""
+    return z * ops.reshape(ops.reduce_sum(k, axis=1), (-1, 1)) - ops.matmul(k, z)
+
+
+def rbf(z, cfg: KernelConfig, ops=ad.numpy_ops):
+    """RBF kernel matrix of an (m, d) batch z: returns (k, h, degenerate).
+
+    On the tape the distances from :func:`squared_distances` enter as one
+    node with the analytic pullback dD_ij/dz_i = 2 (z_i - z_j).  A median
+    bandwidth is a statistic of the positions, held constant.
+    """
+    x = ops.value(z)
+    sq = squared_distances(x)
+    if cfg.bandwidth_mode == "median":
+        h, degenerate = median_bandwidth(sq)
+    else:
+        h, degenerate = cfg.bandwidth, False
+    if isinstance(z, ad.Node):
+        # d/dz_i of sum_jl g_jl D_jl is 2 sum_l (g + g^T)_il (z_i - z_l)
+        sq = ad.Node(sq, parents=((z, lambda g: 2.0 * kernel_drift(g + g.T, x)),))
+    # D is exactly symmetric with a zero diagonal, so k is too
+    return ops.exp(-sq / h), h, degenerate
+
+
 def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
     """Assemble the kernel matrix and repulsion rows for an ensemble.
 
@@ -140,23 +169,10 @@ def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
 
-    sq = squared_distances(positions)
-    degenerate = False
-    if cfg.bandwidth_mode == "median":
-        h, degenerate = median_bandwidth(sq)
-    else:
-        h = cfg.bandwidth
-
-    # sq is exactly symmetric with a zero diagonal, so entries are too
-    entries = np.exp(-sq / h)
-
-    # row i: (2/h) * (z_i * sum_l K_il - sum_l K_il z_l)
-    col_sums = entries.sum(axis=1)
-    grad_terms = (2.0 / h) * (positions * col_sums[:, None] - entries @ positions)
-
+    entries, h, degenerate = rbf(positions, cfg)
     return KernelMatrix(
         entries=entries,
-        grad_terms=grad_terms,
+        grad_terms=(2.0 / h) * kernel_drift(entries, positions),
         bandwidth=h,
         jitter=cfg.jitter,
         degenerate_bandwidth=degenerate,

@@ -17,11 +17,15 @@ density flow).  Two entropy treatments are available:
 One refinement loop serves both uses: written over an ``ops`` namespace
 like the targets, it runs on :data:`autodiff.numpy_ops` to draw refined
 samples and on the :mod:`autodiff` tape to build the differentiable bound.
+The ``svgd`` and ``flow`` steps take their RBF kernel and kernel drift from
+:mod:`steinmc.kernels`, the same code the ensemble samplers use; this module
+computes no distance of its own.
 
-Two differentiation modes: ``full`` differentiates through the refinement
-displacement (the step size receives a gradient); ``fast`` wraps the
-displacement in a stop-gradient, so the step-size gradient is exactly zero
-while guide gradients still flow through the initial draw.
+Two differentiation modes, chosen by ``RefinedGuide.ad_mode``: ``full``
+differentiates through the refinement displacement (the step size receives a
+gradient); ``fast`` wraps the displacement in a stop-gradient, so the
+step-size gradient is exactly zero while guide gradients still flow through
+the initial draw.
 """
 
 from __future__ import annotations
@@ -121,27 +125,6 @@ class RefinedGuide:
         return math.exp(self.log_eta)
 
 
-def _rbf(z, cfg: KernelConfig, ops):
-    """RBF kernel matrix of an (m, d) batch, and the bandwidth it used.
-
-    A median bandwidth is a statistic of the current positions, held
-    constant rather than differentiated.
-    """
-    m, d = ops.value(z).shape
-    diff = ops.reshape(z, (m, 1, d)) - ops.reshape(z, (1, m, d))
-    sq = ops.reduce_sum(diff * diff, axis=-1)
-    if cfg.bandwidth_mode == "median":
-        h, _ = kernels.median_bandwidth(ops.value(sq))
-    else:
-        h = cfg.bandwidth
-    return ops.exp(-1.0 / h * sq), h
-
-
-def _kernel_drift(k, z, ops):
-    """Row i: sum_l k_il (z_i - z_l), for an m x m weight matrix k."""
-    return z * ops.reshape(ops.reduce_sum(k, axis=1), (-1, 1)) - ops.matmul(k, z)
-
-
 def _entropy_grad(k, z, h, ops):
     """Kernel-smoothed -grad log q of the batch z with kernel matrix k.
 
@@ -150,7 +133,7 @@ def _entropy_grad(k, z, h, ops):
     """
     sums = ops.reduce_sum(k, axis=1)
     weights = k / ops.reshape(sums, (-1, 1)) + k / sums
-    return 2.0 / h * _kernel_drift(weights, z, ops)
+    return 2.0 / h * kernels.kernel_drift(weights, z, ops)
 
 
 def kde_entropy_grad(positions: np.ndarray, cfg: KernelConfig) -> np.ndarray:
@@ -166,7 +149,7 @@ def kde_entropy_grad(positions: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     ``flow`` inner sampler.
     """
     z = np.asarray(positions, dtype=float)
-    k, h = _rbf(z, cfg, ad.numpy_ops)
+    k, h, _ = kernels.rbf(z, cfg)
     return _entropy_grad(k, z, h, ad.numpy_ops)
 
 
@@ -215,10 +198,10 @@ def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
             if rg.inner_sampler == "sgld":
                 delta = delta + root * ops.constant(rng.standard_normal((m, d)))
         else:
-            k, h = _rbf(z, rg.kernel_cfg, ops)
+            k, h, _ = kernels.rbf(z, rg.kernel_cfg, ops)
             if rg.inner_sampler == "svgd":
                 # (1/m) [K @ scores + (2/h) sum_l K_il (z_i - z_l)]
-                phi = ops.matmul(k, scores) + 2.0 / h * _kernel_drift(k, z, ops)
+                phi = ops.matmul(k, scores) + 2.0 / h * kernels.kernel_drift(k, z, ops)
                 delta = eta * (phi / float(m))
             else:
                 delta = eta * (scores + _entropy_grad(k, z, h, ops))
@@ -286,8 +269,7 @@ def elbo(
     avg_logp = ad.div(ad.reduce_sum(logp), float(n_samples))
 
     # closed-form guide entropy; differentiable in log_scale
-    guide_entropy = ad.add(ad.reduce_sum(log_scale), 0.5 * d * (1.0 + _LOG_2PI))
-    entropy = guide_entropy
+    entropy = ad.add(ad.reduce_sum(log_scale), 0.5 * d * (1.0 + _LOG_2PI))
     if rg.entropy_mode == "markov":
         # each transition is Gaussian with covariance 2 eta I
         per_step = ad.add(
@@ -302,19 +284,13 @@ def elbo(
 
 
 def elbo_grad(
-    rg: RefinedGuide,
-    target: TargetModel,
-    n_samples: int,
-    rng: np.random.Generator,
-    mode: str | None = None,
+    rg: RefinedGuide, target: TargetModel, n_samples: int, rng: np.random.Generator
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Value and gradients of the refined bound for (mean, log_scale, log_eta).
 
-    Fast mode blocks the refinement displacement, so the step-size gradient
-    is exactly zero and guide gradients flow only through the initial draw.
+    With ``rg.ad_mode == "fast"`` the step-size gradient is exactly zero and
+    guide gradients flow only through the initial draw.
     """
-    if mode is not None:
-        rg = replace(rg, ad_mode=mode)
     tape = elbo(rg, target, n_samples, rng)
     ad.backward(tape.objective)
     grads = {
@@ -354,25 +330,24 @@ def optimize(
     """
     if outer_iterations < 1:
         raise ValueError("outer_iterations must be >= 1")
-    guide = rg
     params = {
-        "mean": guide.guide.mean.copy(),
-        "log_scale": guide.guide.log_scale.copy(),
-        "log_eta": np.asarray(float(guide.log_eta)),
+        "mean": rg.guide.mean.copy(),
+        "log_scale": rg.guide.log_scale.copy(),
+        "log_eta": np.asarray(float(rg.log_eta)),
     }
+
+    def current():
+        guide = DiagonalGaussianGuide(params["mean"], params["log_scale"])
+        return replace(rg, guide=guide, log_eta=float(params["log_eta"]))
+
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(v) for k, v in params.items()}
     b1, b2, stab = 0.9, 0.999, 1e-8
 
     trace = []
     for it in range(outer_iterations):
-        current = replace(
-            guide,
-            guide=DiagonalGaussianGuide(params["mean"], params["log_scale"]),
-            log_eta=float(params["log_eta"]),
-        )
         try:
-            value, grads = elbo_grad(current, target, n_samples, rng)
+            value, grads = elbo_grad(current(), target, n_samples, rng)
         except (ad.NonFiniteError, DivergenceError) as err:
             particle = getattr(err, "particle", -1)
             raise DivergenceError(it, particle, snapshot=np.array(trace)) from err
@@ -388,11 +363,7 @@ def optimize(
             vhat = v[key] / (1 - b2 ** (it + 1))
             params[key] = params[key] + learning_rate * mhat / (np.sqrt(vhat) + stab)
 
-    trained = replace(
-        guide,
-        guide=DiagonalGaussianGuide(params["mean"], params["log_scale"]),
-        log_eta=float(params["log_eta"]),
-    )
+    trained = current()
     inferred = None
     if inference_samples > 0:
         infer_guide = replace(trained, steps_refine=trained.steps_infer)

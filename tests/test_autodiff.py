@@ -175,7 +175,8 @@ class TestBatchedPrimitives:
             ad.matmul(ad.constant(np.ones(3)), ad.constant(np.ones((3, 2))))
 
     def test_rbf_kernel_block_gradcheck(self):
-        # the refined bound's kernel block: exp(-|z_i - z_j|^2 / h) as one node
+        # an RBF kernel block built from tape primitives alone (the refined
+        # bound takes its kernel from kernels.rbf, checked in test_kernels)
         def build(z):
             diff = ad.reshape(z, (5, 1, 2)) - ad.reshape(z, (1, 5, 2))
             k = ad.exp(ad.mul(-0.7, ad.reduce_sum(ad.mul(diff, diff), axis=-1)))

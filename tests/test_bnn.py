@@ -3,7 +3,7 @@ import pytest
 
 from steinmc import cli
 from steinmc.bnn import BnnPotential, BnnTarget, load_arrays, load_csv, predict
-from steinmc.errors import DivergenceError
+from steinmc.errors import ConfigError, DivergenceError
 
 
 def linear_data(n=500, p=4, noise=0.1, seed=0):
@@ -260,6 +260,20 @@ class TestBnnTarget:
             rtol=1e-14,
         )
 
+    def test_log_density_is_one_batched_potential_call(self):
+        x, y = linear_data(n=120, p=3, seed=8)
+        ds = load_arrays(x, y, seed=0)
+        pot = BnnPotential(input_dim=3, hidden_dim=4)
+        target = BnnTarget.create(pot, ds, batch_size=50)
+        theta = np.random.default_rng(9).normal(size=(5, pot.n_params)) * 0.3
+        xs, ys = ds.features_train[target._batch], ds.targets_train[target._batch]
+        batched = pot.potential(theta, xs, ys, ds.n_train)
+        assert batched.shape == (5,)
+        single = [pot.potential(t, xs, ys, ds.n_train) for t in theta]
+        assert all(isinstance(v, float) for v in single)
+        np.testing.assert_allclose(batched, single, rtol=1e-14)
+        np.testing.assert_array_equal(target.log_density(theta), -batched)
+
     def test_resample_batch_changes_batch(self):
         x, y = linear_data(n=120, p=3, seed=8)
         ds = load_arrays(x, y, seed=0)
@@ -286,13 +300,35 @@ class TestEvaluate:
 class TestBnnReport:
     @pytest.mark.parametrize("sampler", ["sgld", "repulsive_sgld"])
     def test_divergence_names_iteration_and_snapshot(self, sampler):
-        # a step far above the protocol's 1e-4 blows the network weights up
-        # within a few iterations; the first non-finite value is a score
+        # a per-particle step of 0.1 (step_scale 45 at 450 training rows), far
+        # above the protocol's 1e-4, blows the network weights up within a
+        # few iterations; the first non-finite value is a score
         x, y = linear_data()
         ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
-        protocol = {"step_size": 0.1, "iterations": 50, "burn_in": 10}
+        protocol = {"step_scale": 45.0, "iterations": 50, "burn_in": 10}
         with pytest.raises(DivergenceError) as exc:
             cli.bnn_report(ds, sampler, seed=0, protocol=protocol)
         assert exc.value.iteration >= 1
         assert exc.value.snapshot is not None
         assert np.all(np.isfinite(exc.value.snapshot))
+
+    @pytest.mark.parametrize("sampler", ["sgld", "repulsive_sgld"])
+    def test_step_scales_with_training_rows(self, sampler):
+        # the minibatch score grows with the N training rows; a fixed 1e-4
+        # step diverges within ten iterations at 1,000 rows, step_scale / N
+        # does not
+        x, y = linear_data(n=1000)
+        ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
+        short = {"iterations": 100, "burn_in": 50}
+        report = cli.bnn_report(ds, sampler, seed=0, protocol=short)
+        assert np.isfinite(report["rmse"])
+        assert report["config"]["step_size"] == report["config"]["step_scale"] / 900
+        fixed = {**short, "step_scale": 1e-4 * ds.n_train}
+        with pytest.raises(DivergenceError):
+            cli.bnn_report(ds, sampler, seed=0, protocol=fixed)
+
+    def test_unknown_protocol_key_is_rejected(self):
+        x, y = linear_data(n=100)
+        ds = load_arrays(x, y, seed=0)
+        with pytest.raises(ConfigError, match="step_size"):
+            cli.bnn_report(ds, "sgld", seed=0, protocol={"step_size": 1e-4})

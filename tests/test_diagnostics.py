@@ -119,6 +119,35 @@ class TestGelmanRubin:
         with pytest.raises(DegenerateChainError):
             gelman_rubin(chains)
 
+    def test_rounding_level_within_chain_variance_raises(self):
+        # constant chains plus a few ulps of jitter carry no sampling variance
+        rng = np.random.default_rng(9)
+        chains = np.array([-0.74, 0.74])[:, None] * (1 + 8e-16 * rng.standard_normal((2, 100)))
+        assert np.all(np.var(chains, axis=1) > 0)
+        with pytest.raises(DegenerateChainError):
+            gelman_rubin(chains)
+        # a small spread far from the origin is still sampling variance
+        wide = 1e6 + 1e-6 * rng.standard_normal((2, 100))
+        assert np.isfinite(gelman_rubin(wide)).all()
+
+    @pytest.mark.parametrize("particles", [2, 3, 5])
+    def test_converged_svgd_ensemble_reports_null_rhat(self, particles):
+        # deterministic SVGD on N(0, 1) settles on a fixed point; its chains
+        # differ only in the last digits and R-hat used to read ~1e15
+        from steinmc import samplers, targets
+
+        result = samplers.run(
+            "svgd",
+            targets.make_target("gaussian", dim=1),
+            n_particles=particles,
+            iterations=3000,
+            schedule=samplers.StepSchedule(kind="constant", eps0=0.05),
+            policy=samplers.CollectionPolicy(burn_in=2000, thin=10),
+            seed=0,
+        )
+        assert np.ptp(result.per_particle[:, :, 0].mean(axis=1)) > 0.1
+        assert result.report.to_dict()["rhat"] == [None]
+
 
 class TestMomentError:
     def test_exact_samples_give_zero(self):

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinmc import autodiff as ad
 from steinmc.errors import FactorizationError
 from steinmc.kernels import (
     KernelConfig,
     kernel_matrix,
     median_bandwidth,
+    rbf,
     sample_repulsive_noise,
     squared_distances,
 )
@@ -140,6 +142,73 @@ class TestKernelMatrix:
         km = kernel_matrix(z, KernelConfig())
         chol = km.cholesky()
         assert np.all(np.isfinite(chol))
+
+
+class TestRbf:
+    """`rbf` is the one kernel code: numpy arrays and tape nodes alike."""
+
+    @staticmethod
+    def objective(z, weight, ops):
+        # uses k through a non-symmetric weight and z directly, as the svgd
+        # step does, so both the distance pullback and the z path are checked
+        k, _, _ = rbf(z, KernelConfig(bandwidth=1.3, bandwidth_mode="fixed"), ops)
+        return ops.reduce_sum(ops.matmul(weight * k, z) * z)
+
+    @pytest.mark.parametrize("m,d", [(1, 2), (2, 1), (5, 2), (6, 4)])
+    def test_tape_gradient_matches_finite_differences(self, m, d):
+        rng = np.random.default_rng(10 * m + d)
+        z0, weight = rng.normal(size=(m, d)), rng.normal(size=(m, m))
+        z = ad.leaf(z0)
+        ad.backward(self.objective(z, weight, ad))
+        step, fd = 1e-6, np.zeros((m, d))
+        for i in np.ndindex(m, d):
+            up, down = z0.copy(), z0.copy()
+            up[i] += step
+            down[i] -= step
+            fd[i] = (
+                self.objective(up, weight, ad.numpy_ops)
+                - self.objective(down, weight, ad.numpy_ops)
+            ) / (2 * step)
+        np.testing.assert_allclose(z.grad, fd, rtol=1e-6, atol=1e-8)
+
+    def test_duplicated_rows_get_finite_identical_pullbacks(self):
+        rng = np.random.default_rng(31)
+        z0 = rng.normal(size=(6, 3))
+        z0[[2, 4]] = z0[0]
+        for values in (z0, np.tile(z0[0], (6, 1))):  # the second is degenerate
+            z = ad.leaf(values)
+            k, h, degenerate = rbf(z, KernelConfig(), ad)
+            assert degenerate == (h == 1.0)
+            ad.backward(ad.reduce_sum(k * k))
+            assert np.all(np.isfinite(z.grad))
+            np.testing.assert_array_equal(z.grad[2], z.grad[0])
+            np.testing.assert_array_equal(z.grad[4], z.grad[0])
+
+    def test_tape_values_equal_numpy_values(self):
+        rng = np.random.default_rng(32)
+        for cfg in (KernelConfig(), FIXED):
+            z = rng.normal(size=(9, 4))
+            k, h, degenerate = rbf(z, cfg)
+            tk, th, tdegenerate = rbf(ad.leaf(z), cfg, ad)
+            assert (th, tdegenerate) == (h, degenerate)
+            assert tk.value.tobytes() == k.tobytes()
+
+    def test_kernel_matrix_bitwise_equal_to_direct_formulas(self):
+        # the kernel and repulsion rows as written before kernel_drift existed
+        rng = np.random.default_rng(33)
+        shapes = [(1, 1), (1, 4), (2, 1), (10, 1), (100, 50)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 40, 2)) for _ in range(40)]
+        for cfg in (KernelConfig(), KernelConfig(bandwidth=0.7, bandwidth_mode="fixed")):
+            for n, d in shapes:
+                z = rng.normal(size=(n, d))
+                sq = squared_distances(z)
+                h = median_bandwidth(sq)[0] if cfg.bandwidth_mode == "median" else 0.7
+                entries = np.exp(-sq / h)
+                grad = (2.0 / h) * (z * entries.sum(axis=1)[:, None] - entries @ z)
+                km = kernel_matrix(z, cfg)
+                assert km.bandwidth == h
+                assert km.entries.tobytes() == entries.tobytes(), (n, d)
+                assert km.grad_terms.tobytes() == grad.tobytes(), (n, d)
 
 
 def difference_form(z):
