@@ -32,10 +32,10 @@ import numpy as np
 
 from . import bnn as bnn_mod
 from . import refine, samplers, targets
+from .diagnostics import SCHEMA_VERSION
 from .errors import ConfigError, DivergenceError, FactorizationError
 from .kernels import KernelConfig
 
-SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "STEINMC_OUT"
 BENCH_HEADER = "distribution,sampler,seed,ess,ess_per_s,err_ex,err_ex2"
 
@@ -176,43 +176,38 @@ def _build_target(spec: dict):
         raise ConfigError(str(err), field="target.params")
 
 
-def _run_single(target_spec, sampler_spec, common, seed, timing: str):
-    """One (sampler, seed) run; returns (report dict, trajectory CSV text)."""
-    target = _build_target(target_spec)
-    kind = sampler_spec["name"]
-    kcfg = KernelConfig(**sampler_spec.get("kernel", {}))
-    schedule = samplers.StepSchedule(
-        kind=sampler_spec.get("schedule", "constant"),
-        eps0=sampler_spec.get("step_size", 1e-3),
-        gamma=sampler_spec.get("gamma", 0.55),
-    )
-    policy = samplers.CollectionPolicy(
-        burn_in=common["collection"].get("burn_in", 0),
-        thin=common["collection"].get("thin", 1),
-    )
-    init = common.get("init", {})
-    result = samplers.run(
-        kind,
-        target,
-        n_particles=sampler_spec.get("particles", 10),
-        iterations=common["iterations"],
-        schedule=schedule,
-        policy=policy,
-        seed=seed,
-        init_mean=init.get("mean", 0.0),
-        init_std=init.get("std", 1.0),
-        kernel_cfg=kcfg,
-        beta1=sampler_spec.get("beta1", 0.9),
-        beta2=sampler_spec.get("beta2", 0.999),
-        stabilizer=sampler_spec.get("stabilizer", 1e-8),
-        repulsion_cutoff=sampler_spec.get("repulsion_cutoff"),
-    )
-    report = result.report
-    if timing != "wall":
-        report.wall_clock = 0.0
-        report.ess_per_second = 0.0
+# sampler-entry keys of a run config -> StepSchedule fields and run() options
+_SCHEDULE_KEYS = {"schedule": "kind", "step_size": "eps0", "gamma": "gamma"}
+_RUN_KEYS = ("beta1", "beta2", "stabilizer", "repulsion_cutoff")
 
-    return report.to_dict(), _trajectory_csv(result.per_particle, policy)
+
+def _sample(target, spec: dict, config: dict, seed: int, timing: str) -> samplers.RunResult:
+    """The CLI's one call of :func:`samplers.run`.
+
+    ``spec`` is a sampler entry of a run config and ``config`` holds its
+    "iterations", "collection" and "init".  A key left out is not passed, so
+    the library's defaults are the only ones.  Timing fields are zeroed
+    unless ``timing`` is "wall", which keeps artifacts byte-reproducible.
+    """
+    schedule = {field: spec[key] for key, field in _SCHEDULE_KEYS.items() if key in spec}
+    options = {key: spec[key] for key in _RUN_KEYS if key in spec}
+    options.update({f"init_{key}": value for key, value in config.get("init", {}).items()})
+    if "kernel" in spec:
+        options["kernel_cfg"] = KernelConfig(**spec["kernel"])
+    result = samplers.run(
+        spec["name"],
+        target,
+        n_particles=spec.get("particles", 10),
+        iterations=config["iterations"],
+        schedule=samplers.StepSchedule(**schedule),
+        policy=samplers.CollectionPolicy(**config.get("collection", {})),
+        seed=seed,
+        **options,
+    )
+    if timing != "wall":
+        result.report.wall_clock = 0.0
+        result.report.ess_per_second = 0.0
+    return result
 
 
 def _trajectory_csv(per_particle: np.ndarray, policy: samplers.CollectionPolicy) -> str:
@@ -233,20 +228,16 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     out_dir = _resolve_out(args, config.get("output_dir"))
     seeds = _resolve_seeds(args, config["seeds"])
-    common = {
-        "iterations": config["iterations"],
-        "collection": config.get("collection", {}),
-        "init": config.get("init", {}),
-    }
+    policy = samplers.CollectionPolicy(**config.get("collection", {}))
     chash = config_hash(config)
 
     jobs = [(spec, seed) for spec in config["samplers"] for seed in seeds]
 
     def job(spec_seed):
         spec, seed = spec_seed
-        report, csv_text = _run_single(config["target"], spec, common, seed, args.timing)
-        report["config_hash"] = chash
-        return spec["name"], seed, report, csv_text
+        result = _sample(_build_target(config["target"]), spec, config, seed, args.timing)
+        report = {**result.report.to_dict(), "config_hash": chash}
+        return spec["name"], seed, report, _trajectory_csv(result.per_particle, policy)
 
     results = _map_jobs(job, jobs, args.threads)
     tname = config["target"]["name"]
@@ -285,30 +276,14 @@ def bench_rows(seeds, timing: str = "off", threads: int = 1):
 
     def job(item):
         dist, kind, seed, proto = item
-        target = targets.make_target(dist)
         eps = _step_size(kind, proto["per_particle_step"], proto["particles"])
-        result = samplers.run(
-            kind,
-            target,
-            n_particles=proto["particles"],
-            iterations=BENCH_ITERATIONS,
-            schedule=samplers.StepSchedule(kind="constant", eps0=eps),
-            policy=samplers.CollectionPolicy(**BENCH_POLICY),
-            seed=seed,
-            init_std=proto["init_std"],
-        )
-        report = result.report
+        spec = {"name": kind, "particles": proto["particles"], "step_size": eps}
+        init = {"std": proto["init_std"]}
+        config = {"iterations": BENCH_ITERATIONS, "collection": BENCH_POLICY, "init": init}
+        report = _sample(targets.make_target(dist), spec, config, seed, timing).report
         errs = dict(report.moment_errors)
-        ess_per_s = report.ess_per_second if timing == "wall" else 0.0
-        return (
-            dist,
-            kind,
-            seed,
-            report.ess,
-            ess_per_s,
-            errs["mean"],
-            errs["second_moment"],
-        )
+        row = (dist, kind, seed, report.ess, report.ess_per_second)
+        return (*row, errs["mean"], errs["second_moment"])
 
     return _map_jobs(job, jobs, threads)
 
@@ -349,7 +324,7 @@ def funnel_trace(steps_refine: int, seed: int):
         entropy_mode="dirac",
         ad_mode="full",
     )
-    result = refine.optimize(
+    return refine.optimize(
         rg,
         target,
         FUNNEL_OUTER_ITERATIONS,
@@ -357,7 +332,6 @@ def funnel_trace(steps_refine: int, seed: int):
         n_samples=FUNNEL_SAMPLES,
         learning_rate=FUNNEL_LEARNING_RATE,
     )
-    return result
 
 
 def cmd_vis_funnel(args) -> int:
@@ -415,16 +389,12 @@ def bnn_report(
     target = bnn_mod.BnnTarget.create(potential, dataset, proto["batch_size"])
     step = proto["step_scale"] / dataset.n_train
     eps = _step_size(sampler, step, proto["particles"])
-    result = samplers.run(
-        sampler,
-        target,
-        n_particles=proto["particles"],
-        iterations=proto["iterations"],
-        schedule=samplers.StepSchedule(eps0=eps),
-        policy=samplers.CollectionPolicy(burn_in=proto["burn_in"], thin=proto["thin"]),
-        seed=seed,
-        init_std=potential.init_std(),
-    )
+    spec = {"name": sampler, "particles": proto["particles"], "step_size": eps}
+    collection = {"burn_in": proto["burn_in"], "thin": proto["thin"]}
+    init = {"std": potential.init_std()}
+    config = {"iterations": proto["iterations"], "collection": collection, "init": init}
+    result = _sample(target, spec, config, seed, timing="off")
+    report = result.report.to_dict()
     # event-major, in the order the draws were collected
     particles = result.per_particle.transpose(1, 0, 2).reshape(-1, target.dim)
     metrics = bnn_mod.evaluate(potential, particles, dataset)
@@ -435,6 +405,8 @@ def bnn_report(
         "seed": seed,
         "rmse": metrics["rmse"],
         "test_ll": metrics["test_ll"],
+        "ess": report["ess"],
+        "rhat": report["rhat"],
         "config": {
             **proto,
             "step_size": step,

@@ -3,13 +3,13 @@ grid-based stationarity certificate for one-dimensional diffusions."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateChainError
 
+# the version every artifact the CLI writes carries
 SCHEMA_VERSION = 1
 
 
@@ -133,12 +133,11 @@ class RunReport:
     moment_errors: list[tuple[str, float]]
     wall_clock: float
     collected_count: int
-    schema_version: int = SCHEMA_VERSION
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "ess": None if not np.isfinite(self.ess) else self.ess,
             "ess_per_second": None
             if not np.isfinite(self.ess_per_second)
@@ -153,6 +152,3 @@ class RunReport:
             out[f"err_{label}"] = err
         out.update(self.extra)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

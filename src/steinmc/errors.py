@@ -37,8 +37,9 @@ class DegenerateChainError(SteinmcError):
     """A diagnostic was asked to summarize a zero-variance chain."""
 
 
-class ConfigError(SteinmcError):
-    """Invalid experiment configuration; `field` names the offending entry."""
+class ConfigError(SteinmcError, ValueError):
+    """Invalid experiment configuration or argument value (hence also a
+    ValueError); `field` names the offending entry.  The CLI exits with 2."""
 
     def __init__(self, message, field=None):
         self.field = field

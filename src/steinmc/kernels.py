@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FactorizationError
+from .errors import ConfigError, FactorizationError
 
 # Diagonal jitter ladder used when a Cholesky factorization fails.
 _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -45,11 +45,11 @@ class KernelConfig:
 
     def __post_init__(self):
         if self.bandwidth_mode not in ("fixed", "median"):
-            raise ValueError(f"unknown bandwidth_mode {self.bandwidth_mode!r}")
+            raise ConfigError(f"unknown mode {self.bandwidth_mode!r}", field="bandwidth_mode")
         if self.bandwidth_mode == "fixed" and not self.bandwidth > 0:
-            raise ValueError("fixed bandwidth must be > 0")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+            raise ConfigError("fixed bandwidth must be > 0", field="bandwidth")
+        if not self.jitter >= 0:
+            raise ConfigError("jitter must be >= 0", field="jitter")
 
 
 @dataclass

@@ -63,11 +63,11 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.kind not in ("constant", "robbins_monro"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError(f"unknown schedule kind {self.kind!r}", field="schedule")
         if not self.eps0 > 0:
-            raise ValueError("eps0 must be > 0")
+            raise ConfigError("eps0 must be > 0", field="step_size")
         if self.kind == "robbins_monro" and not (0.5 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0.5, 1]")
+            raise ConfigError("gamma must lie in (0.5, 1]", field="gamma")
 
     def eps(self, t: int) -> float:
         if self.kind == "constant":
@@ -87,8 +87,11 @@ class MomentumState:
 
     def __post_init__(self):
         self.momenta = np.asarray(self.momenta, dtype=float)
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1)", field=name)
+        if not self.stabilizer >= 0:
+            raise ConfigError("stabilizer must be >= 0", field="stabilizer")
         if self.second_moments is not None:
             self.second_moments = np.asarray(self.second_moments, dtype=float)
             if np.any(self.second_moments < 0):
@@ -104,7 +107,7 @@ class CollectionPolicy:
 
     def __post_init__(self):
         if self.burn_in < 0 or self.thin < 1:
-            raise ValueError("burn_in must be >= 0 and thin >= 1")
+            raise ConfigError("burn_in must be >= 0 and thin >= 1", field="collection")
 
     def collect_at(self, t: int) -> bool:
         # t is the 1-based count of completed iterations
@@ -425,6 +428,9 @@ def run(
     rng = np.random.default_rng(seed)
 
     dim = target.dim
+    for field, value in (("init.mean", init_mean), ("init.std", init_std)):
+        if np.ndim(value) > 1 or np.size(value) not in (1, dim):
+            raise ConfigError(f"expected a number or {dim} numbers", field=field)
     mean = np.broadcast_to(np.asarray(init_mean, dtype=float), (dim,))
     std = np.broadcast_to(np.asarray(init_std, dtype=float), (dim,))
     ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
+from .errors import ConfigError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _NP = ad.numpy_ops
@@ -77,7 +78,7 @@ def audit_gradient(target: TargetModel, points: np.ndarray, rel_tol: float = 1e-
     """Check grad_log_density against central differences at the given points.
 
     The gradient is called once on the whole (n, d) batch and compared row
-    by row with the finite differences of the log-density.
+    by row with the finite differences of the log-density; a NaN error fails.
     """
     points = np.asarray(points, dtype=float)
     grads = np.asarray(target.grad_log_density(points), dtype=float)
@@ -89,8 +90,9 @@ def audit_gradient(target: TargetModel, points: np.ndarray, rel_tol: float = 1e-
     numeric = finite_difference_grad(target.log_density, points)
     scale = np.maximum(1.0, np.max(np.abs(numeric), axis=1))
     err = np.max(np.abs(grads - numeric), axis=1) / scale
-    if np.any(err > rel_tol):
-        i = int(np.argmax(err > rel_tol))
+    bad = ~(err <= rel_tol)  # NaN compares False
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise AssertionError(
             f"gradient audit failed for {target.name} at z={points[i]}: "
             f"rel err {err[i]:.2e}"
@@ -117,7 +119,7 @@ def _logsumexp(logs, ops):
 def std_gaussian(dim: int) -> TargetModel:
     """Standard Gaussian N(0, I) in `dim` dimensions."""
     if dim < 1:
-        raise ValueError("dim must be >= 1")
+        raise ConfigError("dim must be >= 1", field="dim")
 
     def log_density(z, ops=_NP):
         return -0.5 * ops.reduce_sum(z * z, axis=-1) - 0.5 * dim * _LOG_2PI
@@ -231,7 +233,9 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
     standard deviations ("std", the default) or variances ("var").
     """
     if scale_convention not in ("std", "var"):
-        raise ValueError("scale_convention must be 'std' or 'var'")
+        raise ConfigError("must be 'std' or 'var'", field="scale_convention")
+    if not scale > 0:
+        raise ConfigError("scale must be > 0", field="scale")
     s1 = scale if scale_convention == "std" else float(np.sqrt(scale))
     # exponent multiplier: log-std of z2 is z1 (std convention) or z1/2 (var)
     a = 1.0 if scale_convention == "std" else 0.5

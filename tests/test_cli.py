@@ -15,7 +15,7 @@ from steinmc.cli import (
     main,
     validate_config,
 )
-from steinmc import kernels, samplers
+from steinmc import kernels, samplers, targets
 from steinmc.errors import ConfigError, FactorizationError
 
 
@@ -160,6 +160,59 @@ class TestRunCommand:
             path_b = tmp_path / "b" / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "target, sampler, init, key",
+        [
+            ({}, {"schedule": "robbins_monro", "gamma": 2.0}, {}, "gamma"),
+            ({}, {"name": "repulsive_sgdm", "beta1": 1.5}, {}, "beta1"),
+            ({}, {"kernel": {"bandwidth": -1, "bandwidth_mode": "fixed"}}, {}, "bandwidth"),
+            ({"name": "gaussian", "params": {"dim": 2}}, {}, {"mean": [0, 0, 0]}, "init.mean"),
+            ({"name": "gaussian", "params": {"dim": 0}}, {}, {}, "dim"),
+            ({"name": "funnel", "params": {"scale_convention": "x"}}, {}, {}, "scale_convention"),
+            ({"name": "funnel", "params": {"scale": 0}}, {}, {}, "scale"),
+            ({"name": "funnel", "params": {"scale": -1}}, {}, {}, "scale"),
+            ({}, {"name": "repulsive_adam", "stabilizer": -1}, {}, "stabilizer"),
+        ],
+        ids=["gamma", "beta1", "bandwidth", "init_mean", "dim", "scale_convention",
+             "scale_zero", "scale_negative", "stabilizer"],
+    )
+    def test_bad_config_value_exits_2_naming_key(
+        self, tmp_path, capsys, target, sampler, init, key
+    ):
+        cfg = moe_config(tmp_path / "out")
+        cfg["target"].update(target)
+        cfg["samplers"] = [{"name": "repulsive_sgld", "particles": 3, "step_size": 0.1, **sampler}]
+        cfg["init"] = init
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
+    def test_omitted_keys_take_library_defaults(self, tmp_path, kind):
+        # every optional key left out: the library's defaults are the only ones
+        cfg = {
+            "schema_version": 1,
+            "target": {"name": "mog"},
+            "samplers": [{"name": kind}],
+            "iterations": 30,
+            "collection": {},
+            "seeds": [0],
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        result = samplers.run(
+            kind,
+            targets.mog_grid(),
+            n_particles=10,
+            iterations=30,
+            schedule=samplers.StepSchedule(),
+            policy=samplers.CollectionPolicy(),
+            seed=0,
+        )
+        rows = np.loadtxt(out / f"mog_{kind}_seed0.trajectory.csv", delimiter=",", skiprows=2)
+        expected = result.per_particle.transpose(1, 0, 2).reshape(-1, 2)
+        np.testing.assert_array_equal(rows[:, 2:], expected)
+
     def test_env_var_sets_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "envout"))
         cfg = moe_config(tmp_path / "ignored")
@@ -252,6 +305,10 @@ class TestBnnCommand:
         for key in ("rmse", "test_ll", "seed", "config_hash", "dataset"):
             assert key in payload
         assert np.isfinite(payload["rmse"]) and np.isfinite(payload["test_ll"])
+        # the run's diagnostics, formatted as in run reports
+        assert payload["ess"] > 0
+        assert len(payload["rhat"]) == 50 * (3 + 1) + 50 + 1  # one per network weight
+        assert all(r is None or r > 0 for r in payload["rhat"])
 
     def test_missing_file_exits_2(self, tmp_path):
         code = main(

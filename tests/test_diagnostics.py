@@ -232,7 +232,9 @@ class TestRunReport:
     def test_json_round_trip(self):
         import json
 
-        payload = json.loads(self._report().to_json())
+        from steinmc import cli
+
+        payload = json.loads(cli.dump_json(self._report().to_dict()))
         assert payload["schema_version"] == 1
         assert payload["ess"] == 120.5
         assert payload["err_mean"] == 0.1

@@ -185,6 +185,17 @@ class TestRegistry:
         with pytest.raises(AssertionError):
             audit_gradient(bad, np.array([[1.0]]))
 
+    def test_audit_rejects_nan_log_density(self):
+        # a NaN error compares False against the tolerance; it must still fail
+        nan = TargetModel(
+            name="nan",
+            dim=2,
+            log_density=lambda z: np.full(len(z), np.nan),
+            grad_log_density=lambda z: -np.asarray(z),
+        )
+        with pytest.raises(AssertionError, match="rel err nan"):
+            audit_gradient(nan, np.random.default_rng(0).normal(size=(4, 2)))
+
 
 def reference_scores(name, z):
     """Reference: each score in plain numpy, in the order of operations that
