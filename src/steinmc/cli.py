@@ -132,8 +132,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "mean": {"type": ["number", "array"]},
-                "std": {"type": ["number", "array"]},
+                "mean": {"type": ["number", "array"], "items": {"type": "number"}},
+                "std": {"type": ["number", "array"], "items": {"type": "number"}},
             },
         },
         "seeds": {

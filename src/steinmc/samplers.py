@@ -2,22 +2,28 @@
 
 All update rules are written internally in score space (score = grad log
 density); the H-space descent forms used in their docstrings relate through
-H = -log pi.  The interacting samplers share one drift,
+H = -log pi.  Every sampler moves its positions by the one update
 
-    phi_i = (1/L) [ sum_l K_il * score_l + repulsion_i ],
+    z <- z + eps * drift (+ noise),
 
-where repulsion_i is the kernel-gradient row from :mod:`steinmc.kernels`.
-Adding correlated noise with covariance (2 eps / L) K to an eps * phi step
-makes the product target stationary; omitting the noise gives the
-deterministic flow, which settles on variance-underestimating
-configurations.
+written once in :func:`_advance`; the samplers differ only in their drift
+and their noise.  The interacting samplers take their drift from
+
+    phi_i(v) = (1/L) [ sum_l K_il * v_l + repulsion_i ],
+
+where repulsion_i is the kernel-gradient row from :mod:`steinmc.kernels` and
+v is the scores (svgd, repulsive_sgld) or the negated, possibly
+preconditioned momenta (repulsive_sgdm, repulsive_adam).  Adding correlated
+noise with covariance (2 eps / L) K to an eps * phi step makes the product
+target stationary; omitting the noise gives the deterministic flow, which
+settles on variance-underestimating configurations.
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +72,7 @@ class StepSchedule:
             raise ConfigError(f"unknown schedule kind {self.kind!r}", field="schedule")
         if not self.eps0 > 0:
             raise ConfigError("eps0 must be > 0", field="step_size")
-        if self.kind == "robbins_monro" and not (0.5 < self.gamma <= 1.0):
+        if not 0.5 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0.5, 1]", field="gamma")
 
     def eps(self, t: int) -> float:
@@ -140,10 +146,27 @@ def _check_finite(positions: np.ndarray, iteration: int, snapshot=None):
         )
 
 
-def _interaction_drift(scores: np.ndarray, km: KernelMatrix) -> np.ndarray:
-    """(1/L) [K @ scores + repulsion rows]; the shared interacting drift."""
-    n = km.n_particles
-    return (km.entries @ scores + km.grad_terms) / n
+def _interaction_drift(v: np.ndarray, km: KernelMatrix) -> np.ndarray:
+    """(1/L) [K @ v + repulsion rows]; the shared interacting drift."""
+    return (km.entries @ v + km.grad_terms) / km.n_particles
+
+
+def _advance(
+    ensemble: ParticleEnsemble, drift: np.ndarray, eps: float, noise: np.ndarray | None = None
+) -> ParticleEnsemble:
+    """The one position update of every sampler: z + eps * drift (+ noise).
+
+    A non-finite new position diverges the step, with the ensemble it
+    started from as the snapshot.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    z = ensemble.positions
+    new = z + eps * drift
+    if noise is not None:
+        new = new + noise
+    _check_finite(new, ensemble.step_index + 1, snapshot=z)
+    return ParticleEnsemble(new, ensemble.step_index + 1)
 
 
 def _pooled_ess(collected: np.ndarray) -> float:
@@ -170,14 +193,9 @@ def sgld_step(
     ensemble: ParticleEnsemble, target: TargetModel, eps: float, rng: np.random.Generator
 ) -> ParticleEnsemble:
     """Langevin step per particle: z + eps * score + N(0, 2 eps I); no interaction."""
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    z = ensemble.positions
     scores = _scores(target, ensemble)
-    noise = np.sqrt(2.0 * eps) * rng.standard_normal(z.shape)
-    new = z + eps * scores + noise
-    _check_finite(new, ensemble.step_index + 1, snapshot=z)
-    return ParticleEnsemble(new, ensemble.step_index + 1)
+    noise = np.sqrt(2.0 * eps) * rng.standard_normal(ensemble.positions.shape)
+    return _advance(ensemble, scores, eps, noise)
 
 
 def svgd_direction(
@@ -200,14 +218,9 @@ def svgd_step(
     km: KernelMatrix | None = None,
 ) -> ParticleEnsemble:
     """Deterministic interacting step (no noise)."""
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     if km is None:
         km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
-    direction = svgd_direction(ensemble, target, km)
-    new = ensemble.positions - eps * direction
-    _check_finite(new, ensemble.step_index + 1, snapshot=ensemble.positions)
-    return ParticleEnsemble(new, ensemble.step_index + 1)
+    return _advance(ensemble, -svgd_direction(ensemble, target, km), eps)
 
 
 def repulsive_sgld_step(
@@ -223,17 +236,11 @@ def repulsive_sgld_step(
     With a single particle the kernel collapses to 1 and the update law is
     bitwise identical to :func:`sgld_step`.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    z = ensemble.positions
     if km is None:
-        km = kernels.kernel_matrix(z, kernel_cfg)
-    scores = _scores(target, ensemble)
-    drift = _interaction_drift(scores, km)
+        km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
+    drift = _interaction_drift(_scores(target, ensemble), km)
     noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
-    new = z + eps * drift + noise
-    _check_finite(new, ensemble.step_index + 1, snapshot=z)
-    return ParticleEnsemble(new, ensemble.step_index + 1)
+    return _advance(ensemble, drift, eps, noise)
 
 
 def repulsive_sgdm_step(
@@ -261,33 +268,19 @@ def repulsive_sgdm_step(
     `position_noise` adds the kernel-correlated noise used by the Langevin
     variant.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    z = ensemble.positions
     m = momentum.momenta
-    if m.shape != z.shape:
+    if m.shape != ensemble.positions.shape:
         raise ValueError("momentum state shape must match ensemble")
     if km is None:
-        km = kernels.kernel_matrix(z, kernel_cfg)
-    n = ensemble.n_particles
-    scores = _scores(target, ensemble)
-
-    new_z = z - (eps / n) * (km.entries @ m - km.grad_terms)
-    new_m = m - (eps / n) * (km.entries @ scores - km.grad_terms)
+        km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
+    new_m = m + eps * _interaction_drift(-_scores(target, ensemble), km)
+    noise = None
     if position_noise:
         if rng is None:
             raise ValueError("position_noise requires an rng")
-        new_z = new_z + kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
-
-    _check_finite(new_z, ensemble.step_index + 1, snapshot=z)
-    new_momentum = MomentumState(
-        new_m,
-        second_moments=momentum.second_moments,
-        beta1=momentum.beta1,
-        beta2=momentum.beta2,
-        stabilizer=momentum.stabilizer,
-    )
-    return ParticleEnsemble(new_z, ensemble.step_index + 1), new_momentum
+        noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
+    new = _advance(ensemble, _interaction_drift(-m, km), eps, noise)
+    return new, replace(momentum, momenta=new_m)
 
 
 def repulsive_adam_step(
@@ -310,36 +303,22 @@ def repulsive_adam_step(
         v <- beta2 v + (1 - beta2) grad_H^2
         z_i <- z_i - (eps/L) sum_l [ K_il m_l/sqrt(v_l + c) - repulsion_il ] + noise_i
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    z = ensemble.positions
     m = momentum.momenta
     v = momentum.second_moments
     if v is None:
         raise ValueError("adaptive step requires second_moments in the momentum state")
-    if m.shape != z.shape or v.shape != z.shape:
+    if m.shape != ensemble.positions.shape or v.shape != m.shape:
         raise ValueError("momentum state shape must match ensemble")
     if km is None:
-        km = kernels.kernel_matrix(z, kernel_cfg)
-    n = ensemble.n_particles
+        km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
 
     grad_h = -_scores(target, ensemble)
     new_m = momentum.beta1 * m + (1.0 - momentum.beta1) * grad_h
     new_v = momentum.beta2 * v + (1.0 - momentum.beta2) * grad_h**2
-    scaled = new_m / np.sqrt(new_v + momentum.stabilizer)
-
-    new_z = z - (eps / n) * (km.entries @ scaled - km.grad_terms)
-    new_z = new_z + kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
-
-    _check_finite(new_z, ensemble.step_index + 1, snapshot=z)
-    new_momentum = MomentumState(
-        new_m,
-        second_moments=new_v,
-        beta1=momentum.beta1,
-        beta2=momentum.beta2,
-        stabilizer=momentum.stabilizer,
-    )
-    return ParticleEnsemble(new_z, ensemble.step_index + 1), new_momentum
+    drift = _interaction_drift(-new_m / np.sqrt(new_v + momentum.stabilizer), km)
+    noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
+    new = _advance(ensemble, drift, eps, noise)
+    return new, replace(momentum, momenta=new_m, second_moments=new_v)
 
 
 def momentum_block_matrix(km: KernelMatrix) -> np.ndarray:
@@ -361,11 +340,12 @@ class RunResult:
     final: ParticleEnsemble
 
 
-# The step table: kind -> (interacting, initial momenta or None, one step).
-# A step maps (ensemble, momentum, target, kernel_cfg, eps, rng, km) to
-# (ensemble, momentum) and looks its update rule up in this module's globals
-# at call time, so a wrapper installed on, say, ``samplers.sgld_step`` sees
-# every runner step.
+# The step table: kind -> (interacting, momentum initializer or None, one
+# step).  An initializer maps (rng, zero-momentum state) to the kind's
+# initial state.  A step maps (ensemble, momentum, target, kernel_cfg, eps,
+# rng, km) to (ensemble, momentum) and looks its update rule up in this
+# module's globals at call time, so a wrapper installed on, say,
+# ``samplers.sgld_step`` sees every runner step.
 _KINDS = {
     "sgld": (False, None, lambda e, m, t, c, eps, rng, km: (sgld_step(e, t, eps, rng), m)),
     "svgd": (True, None, lambda e, m, t, c, eps, rng, km: (svgd_step(e, t, c, eps, km), m)),
@@ -377,14 +357,12 @@ _KINDS = {
     "repulsive_sgdm": (
         True,
         # momenta start from their standard-Gaussian stationary law
-        lambda rng, shape, **betas: MomentumState(rng.standard_normal(shape), **betas),
+        lambda rng, m: replace(m, momenta=rng.standard_normal(m.momenta.shape)),
         lambda e, m, t, c, eps, rng, km: repulsive_sgdm_step(e, m, t, c, eps, rng, km=km),
     ),
     "repulsive_adam": (
         True,
-        lambda rng, shape, **betas: MomentumState(
-            np.zeros(shape), second_moments=np.zeros(shape), **betas
-        ),
+        lambda rng, m: replace(m, second_moments=np.zeros_like(m.momenta)),
         lambda e, m, t, c, eps, rng, km: repulsive_adam_step(e, m, t, c, eps, rng, km),
     ),
 }
@@ -414,9 +392,11 @@ def run(
     row of the step table.  Deterministic given the seed.  `init_std` may be
     a scalar or one std per coordinate.  `repulsion_cutoff` switches the
     interacting samplers to the identity kernel (no interaction) from that
-    iteration on.  Collected draws are mapped through the target's moment
-    transform and pooled over particles; the reported ESS discounts the
-    pooled draw count by the autocorrelation of the per-event ensemble mean.
+    iteration on.  `beta1`, `beta2` and `stabilizer` are checked for every
+    kind, also where unused.  Collected draws are mapped through the
+    target's moment transform and pooled over particles; the reported ESS
+    discounts the pooled draw count by the autocorrelation of the per-event
+    ensemble mean.
     """
     if kind not in _KINDS:
         raise ConfigError(f"unknown sampler kind {kind!r}", field="sampler")
@@ -433,6 +413,10 @@ def run(
             raise ConfigError(f"expected a number or {dim} numbers", field=field)
     mean = np.broadcast_to(np.asarray(init_mean, dtype=float), (dim,))
     std = np.broadcast_to(np.asarray(init_std, dtype=float), (dim,))
+    if not np.all(std >= 0):
+        raise ConfigError("must be >= 0", field="init.std")
+    if repulsion_cutoff is not None and repulsion_cutoff < 0:
+        raise ConfigError("must be >= 0", field="repulsion_cutoff")
     ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))
 
     if (iterations - policy.burn_in) // policy.thin == 0:
@@ -441,18 +425,18 @@ def run(
         )
 
     interacting, init_momentum, step = _KINDS[kind]
-    momentum = None
+    momentum = MomentumState(
+        np.zeros((n_particles, dim)), beta1=beta1, beta2=beta2, stabilizer=stabilizer
+    )
     if init_momentum is not None:
-        momentum = init_momentum(
-            rng, (n_particles, dim), beta1=beta1, beta2=beta2, stabilizer=stabilizer
-        )
+        momentum = init_momentum(rng, momentum)
 
+    refresh = getattr(target, "resample_batch", None)
     collected: list[np.ndarray] = []
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # each step checks finiteness
         for t in range(iterations):
             eps = schedule.eps(t)
-            refresh = getattr(target, "resample_batch", None)
             if refresh is not None:
                 refresh(rng)
             km = None

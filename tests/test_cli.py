@@ -172,9 +172,20 @@ class TestRunCommand:
             ({"name": "funnel", "params": {"scale": 0}}, {}, {}, "scale"),
             ({"name": "funnel", "params": {"scale": -1}}, {}, {}, "scale"),
             ({}, {"name": "repulsive_adam", "stabilizer": -1}, {}, "stabilizer"),
+            # momentum and schedule keys are checked also where the kind ignores them
+            ({}, {"name": "sgld", "beta1": 1.5}, {}, "beta1"),
+            ({}, {"name": "svgd", "beta2": 1.0}, {}, "beta2"),
+            ({}, {"name": "sgld", "stabilizer": -1}, {}, "stabilizer"),
+            ({}, {"name": "svgd", "gamma": 7.0}, {}, "gamma"),
+            ({}, {"name": "sgld", "repulsion_cutoff": -5}, {}, "repulsion_cutoff"),
+            ({}, {}, {"mean": ["a"]}, "$.init.mean[0]"),
+            ({}, {}, {"std": [1, "b"]}, "$.init.std[1]"),
+            ({}, {}, {"std": -1.0}, "init.std"),
         ],
         ids=["gamma", "beta1", "bandwidth", "init_mean", "dim", "scale_convention",
-             "scale_zero", "scale_negative", "stabilizer"],
+             "scale_zero", "scale_negative", "stabilizer", "sgld_beta1", "svgd_beta2",
+             "sgld_stabilizer", "constant_gamma", "repulsion_cutoff", "init_mean_item",
+             "init_std_item", "init_std_negative"],
     )
     def test_bad_config_value_exits_2_naming_key(
         self, tmp_path, capsys, target, sampler, init, key

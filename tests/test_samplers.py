@@ -53,7 +53,10 @@ class TestSchedule:
             StepSchedule(kind="robbins_monro", gamma=0.5)
         with pytest.raises(ValueError):
             StepSchedule(kind="robbins_monro", gamma=1.5)
+        with pytest.raises(ValueError):
+            StepSchedule(kind="constant", gamma=7.0)
         StepSchedule(kind="robbins_monro", gamma=1.0)
+        StepSchedule(kind="constant")
 
 
 class TestSgldStep:
@@ -74,11 +77,6 @@ class TestSgldStep:
         a = sgld_step(ParticleEnsemble(z), t, 0.05, np.random.default_rng(0))
         b = sgld_step(ParticleEnsemble(z[:1]), t, 0.05, np.random.default_rng(0))
         np.testing.assert_array_equal(a.positions[0], b.positions[0])
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            sgld_step(ParticleEnsemble(np.zeros((1, 1))), std_gaussian(1), 0.0,
-                      np.random.default_rng(0))
 
     def test_divergence_names_particle(self):
         bad = TargetModel(
@@ -307,6 +305,56 @@ class TestRepulsiveAdam:
                 0.1,
                 np.random.default_rng(0),
             )
+
+
+class TestUpdateLaw:
+    """Every step moves its positions by z + eps * drift (+ noise)."""
+
+    @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
+    def test_eps_validation(self, kind):
+        t, ens, rng = std_gaussian(1), ParticleEnsemble(np.zeros((2, 1))), np.random.default_rng(0)
+        step = {
+            "sgld": lambda: sgld_step(ens, t, 0.0, rng),
+            "svgd": lambda: svgd_step(ens, t, FIXED, 0.0),
+            "repulsive_sgld": lambda: repulsive_sgld_step(ens, t, FIXED, 0.0, rng),
+            "repulsive_sgdm": lambda: repulsive_sgdm_step(
+                ens, MomentumState(np.zeros((2, 1))), t, FIXED, 0.0
+            ),
+            "repulsive_adam": lambda: repulsive_adam_step(
+                ens, MomentumState(np.zeros((2, 1)), second_moments=np.zeros((2, 1))),
+                t, FIXED, 0.0, rng,
+            ),
+        }[kind]
+        with pytest.raises(ValueError):
+            step()
+
+    def test_momentum_steps_match_hand_evaluated_update(self):
+        # x + eps * ((K @ v + R) / L) at L = 3, bitwise: v = -m for the sgdm
+        # positions, -scores for its momenta, -m'/sqrt(v' + c) for adam
+        t, cfg, eps = std_gaussian(2), KernelConfig(), 0.3
+        # at this seed and step the (eps / L) * (K @ v - R) order rounds apart on all three
+        rng = np.random.default_rng(5)
+        z, m0 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        v0 = rng.uniform(0.5, 2.0, size=(3, 2))
+        km = kernels.kernel_matrix(z, cfg)
+
+        def law(x, v):
+            return x + eps * ((km.entries @ v + km.grad_terms) / 3)
+
+        grad_h = -t.grad_log_density(z)
+        ens, mom = repulsive_sgdm_step(ParticleEnsemble(z), MomentumState(m0), t, cfg, eps, km=km)
+        assert np.array_equal(ens.positions, law(z, -m0))
+        assert np.array_equal(mom.momenta, law(m0, grad_h))
+
+        state = MomentumState(m0, second_moments=v0, beta1=0.8, beta2=0.9, stabilizer=1e-3)
+        ens, mom = repulsive_adam_step(
+            ParticleEnsemble(z), state, t, cfg, eps, np.random.default_rng(7), km=km
+        )
+        m1 = 0.8 * m0 + (1.0 - 0.8) * grad_h
+        v1 = 0.9 * v0 + (1.0 - 0.9) * grad_h**2
+        noise = kernels.sample_repulsive_noise(km, eps, np.random.default_rng(7), 2)
+        assert np.array_equal(ens.positions, law(z, -m1 / np.sqrt(v1 + 1e-3)) + noise)
+        assert np.array_equal(mom.momenta, m1) and np.array_equal(mom.second_moments, v1)
 
 
 class TestRunner:
