@@ -98,12 +98,12 @@ def _check_finite(value, op):
 def _reduce_to(adjoint, shape):
     # undo numpy broadcasting during the reverse pass: sum away the leading
     # axes the operand lacked and the axes where it had size 1
-    lead = np.ndim(adjoint) - len(shape)
+    lead = adjoint.ndim - len(shape)
     if lead > 0:
-        adjoint = np.sum(adjoint, axis=tuple(range(lead)))
+        adjoint = adjoint.sum(axis=tuple(range(lead)))
     stretched = tuple(i for i, n in enumerate(shape) if n == 1 and adjoint.shape[i] != 1)
     if stretched:
-        adjoint = np.sum(adjoint, axis=stretched, keepdims=True)
+        adjoint = adjoint.sum(axis=stretched, keepdims=True)
     return adjoint
 
 
@@ -138,7 +138,7 @@ def neg(a) -> Node:
 
 def div(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    if np.any(b.value == 0):
+    if (b.value == 0).any():
         raise ValueError("div: division by zero")
     out_val = a.value / b.value
     out = Node(
@@ -161,7 +161,7 @@ def exp(a) -> Node:
 
 def log(a) -> Node:
     a = as_node(a)
-    if np.any(a.value <= 0):
+    if (a.value <= 0).any():
         raise ValueError("log: operand must be positive")
     return Node(np.log(a.value), parents=((a, lambda g: g / a.value),))
 
@@ -187,7 +187,7 @@ def reduce_sum(a, axis=None) -> Node:
     def pull(g):
         return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
-    return Node(np.sum(a.value, axis=axis), parents=((a, pull),))
+    return Node(a.value.sum(axis=axis), parents=((a, pull),))
 
 
 def matmul(a, b) -> Node:
@@ -221,7 +221,7 @@ def dot(a, b) -> Node:
 def gaussian_log_pdf(x, mean, std) -> Node:
     """Elementwise log N(x; mean, std^2); callers reduce_sum as needed."""
     x, mean, std = as_node(x), as_node(mean), as_node(std)
-    if np.any(std.value <= 0):
+    if (std.value <= 0).any():
         raise ValueError("gaussian_log_pdf: std must be positive")
     z = (x.value - mean.value) / std.value
     val = -0.5 * z * z - np.log(std.value) - 0.5 * _LOG_2PI
@@ -246,7 +246,7 @@ def stop_gradient(a) -> Node:
 
 def row_max(a) -> Node:
     """Max over the last axis (kept as a size-1 axis), held constant."""
-    return Node(np.max(as_node(a).value, axis=-1, keepdims=True))
+    return Node(as_node(a).value.max(axis=-1, keepdims=True))
 
 
 def value(a) -> np.ndarray:

@@ -19,6 +19,7 @@ K (x) I_d, so factorizations and noise draws reduce to the L x L matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,8 @@ class KernelConfig:
     """Bandwidth and factorization settings for the RBF kernel.
 
     bandwidth_mode "median" recomputes the bandwidth from the current
-    particles on every call; "fixed" uses `bandwidth` as given.
+    particles on every call; "fixed" uses `bandwidth` as given.  `bandwidth`
+    is checked in both modes, also where the median heuristic ignores it.
     `jitter` is added to the kernel matrix diagonal before factorization.
     """
 
@@ -46,10 +48,10 @@ class KernelConfig:
     def __post_init__(self):
         if self.bandwidth_mode not in ("fixed", "median"):
             raise ConfigError(f"unknown mode {self.bandwidth_mode!r}", field="bandwidth_mode")
-        if self.bandwidth_mode == "fixed" and not self.bandwidth > 0:
-            raise ConfigError("fixed bandwidth must be > 0", field="bandwidth")
-        if not self.jitter >= 0:
-            raise ConfigError("jitter must be >= 0", field="jitter")
+        if not 0 < self.bandwidth < math.inf:
+            raise ConfigError("bandwidth must be finite and > 0", field="bandwidth")
+        if not 0 <= self.jitter < math.inf:
+            raise ConfigError("jitter must be finite and >= 0", field="jitter")
 
 
 @dataclass
@@ -124,7 +126,8 @@ def median_bandwidth(sq_dists: np.ndarray) -> tuple[float, bool]:
     # off-diagonal entries: after the first, every (n + 1)-th flat entry is diagonal
     off = sq_dists.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
     mid = off.size // 2  # n (n - 1) is even: the median averages the two middle values
-    part = np.partition(off, mid, axis=None)  # one kth: a pair of kth costs 4x as much
+    part = off.flatten()
+    part.partition(mid)  # one kth: a pair of kth costs 4x as much
     med = (float(part[:mid].max()) + float(part[mid])) / 2
     if med <= 0.0:
         return 1.0, True
@@ -166,7 +169,7 @@ def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[0] < 1:
         raise ValueError("positions must be an L x d matrix with L >= 1")
-    if not np.all(np.isfinite(positions)):
+    if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
 
     entries, h, degenerate = rbf(positions, cfg)

@@ -7,7 +7,11 @@ H = -log pi.  Every sampler moves its positions by the one update
     z <- z + eps * drift (+ noise),
 
 written once in :func:`_advance`; the samplers differ only in their drift
-and their noise.  The interacting samplers take their drift from
+and their noise.  Finiteness is checked twice per step: the scores in
+:func:`_scores` and the new positions in :func:`_advance`, each by one pass
+over the whole array, with the per-row scan that names the diverged
+particle run only when that pass fails.  The interacting samplers take their
+drift from
 
     phi_i(v) = (1/L) [ sum_l K_il * v_l + repulsion_i ],
 
@@ -22,6 +26,7 @@ settles on variance-underestimating configurations.
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -70,8 +75,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "robbins_monro"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}", field="schedule")
-        if not self.eps0 > 0:
-            raise ConfigError("eps0 must be > 0", field="step_size")
+        if not 0 < self.eps0 < math.inf:
+            raise ConfigError("eps0 must be finite and > 0", field="step_size")
         if not 0.5 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0.5, 1]", field="gamma")
 
@@ -96,11 +101,11 @@ class MomentumState:
         for name in ("beta1", "beta2"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1)", field=name)
-        if not self.stabilizer >= 0:
-            raise ConfigError("stabilizer must be >= 0", field="stabilizer")
+        if not 0 <= self.stabilizer < math.inf:
+            raise ConfigError("stabilizer must be finite and >= 0", field="stabilizer")
         if self.second_moments is not None:
             self.second_moments = np.asarray(self.second_moments, dtype=float)
-            if np.any(self.second_moments < 0):
+            if (self.second_moments < 0).any():
                 raise ValueError("second moments must be non-negative")
 
 
@@ -139,16 +144,21 @@ def _scores(target: TargetModel, ensemble: ParticleEnsemble) -> np.ndarray:
 
 
 def _check_finite(positions: np.ndarray, iteration: int, snapshot=None):
-    bad = ~np.all(np.isfinite(positions), axis=1)
-    if np.any(bad):
-        raise DivergenceError(
-            iteration=iteration, particle=int(np.argmax(bad)), snapshot=snapshot
-        )
+    # one pass over the whole array; the row scan runs only to name the particle
+    if not np.isfinite(positions).all():
+        bad = ~np.isfinite(positions).all(axis=1)
+        raise DivergenceError(iteration=iteration, particle=int(bad.argmax()), snapshot=snapshot)
 
 
 def _interaction_drift(v: np.ndarray, km: KernelMatrix) -> np.ndarray:
     """(1/L) [K @ v + repulsion rows]; the shared interacting drift."""
     return (km.entries @ v + km.grad_terms) / km.n_particles
+
+
+def _check_eps(eps: float) -> None:
+    """The step-size rule of every step function, checked before eps is used."""
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
 
 
 def _advance(
@@ -159,8 +169,6 @@ def _advance(
     A non-finite new position diverges the step, with the ensemble it
     started from as the snapshot.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     z = ensemble.positions
     new = z + eps * drift
     if noise is not None:
@@ -193,6 +201,7 @@ def sgld_step(
     ensemble: ParticleEnsemble, target: TargetModel, eps: float, rng: np.random.Generator
 ) -> ParticleEnsemble:
     """Langevin step per particle: z + eps * score + N(0, 2 eps I); no interaction."""
+    _check_eps(eps)
     scores = _scores(target, ensemble)
     noise = np.sqrt(2.0 * eps) * rng.standard_normal(ensemble.positions.shape)
     return _advance(ensemble, scores, eps, noise)
@@ -218,6 +227,7 @@ def svgd_step(
     km: KernelMatrix | None = None,
 ) -> ParticleEnsemble:
     """Deterministic interacting step (no noise)."""
+    _check_eps(eps)
     if km is None:
         km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
     return _advance(ensemble, -svgd_direction(ensemble, target, km), eps)
@@ -236,6 +246,7 @@ def repulsive_sgld_step(
     With a single particle the kernel collapses to 1 and the update law is
     bitwise identical to :func:`sgld_step`.
     """
+    _check_eps(eps)
     if km is None:
         km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
     drift = _interaction_drift(_scores(target, ensemble), km)
@@ -268,6 +279,7 @@ def repulsive_sgdm_step(
     `position_noise` adds the kernel-correlated noise used by the Langevin
     variant.
     """
+    _check_eps(eps)
     m = momentum.momenta
     if m.shape != ensemble.positions.shape:
         raise ValueError("momentum state shape must match ensemble")
@@ -303,6 +315,7 @@ def repulsive_adam_step(
         v <- beta2 v + (1 - beta2) grad_H^2
         z_i <- z_i - (eps/L) sum_l [ K_il m_l/sqrt(v_l + c) - repulsion_il ] + noise_i
     """
+    _check_eps(eps)
     m = momentum.momenta
     v = momentum.second_moments
     if v is None:
@@ -413,8 +426,10 @@ def run(
             raise ConfigError(f"expected a number or {dim} numbers", field=field)
     mean = np.broadcast_to(np.asarray(init_mean, dtype=float), (dim,))
     std = np.broadcast_to(np.asarray(init_std, dtype=float), (dim,))
-    if not np.all(std >= 0):
-        raise ConfigError("must be >= 0", field="init.std")
+    if not np.isfinite(mean).all():
+        raise ConfigError("must be finite", field="init.mean")
+    if not ((std >= 0) & (std < math.inf)).all():
+        raise ConfigError("must be finite and >= 0", field="init.std")
     if repulsion_cutoff is not None and repulsion_cutoff < 0:
         raise ConfigError("must be >= 0", field="repulsion_cutoff")
     ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))

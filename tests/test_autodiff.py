@@ -95,6 +95,19 @@ class TestPrimitives:
             ad.div(ad.constant(1.0), ad.constant(0.0))
         with pytest.raises(ValueError):
             ad.gaussian_log_pdf(ad.constant(0.0), ad.constant(0.0), ad.constant(0.0))
+        # one bad entry anywhere in an array operand is enough
+        with pytest.raises(ValueError, match="log: operand must be positive"):
+            ad.log(ad.constant(0.0))
+        for bad in (0, 2, 4):
+            entries = np.linspace(0.5, 2.5, 5)
+            entries[bad] = 0.0
+            with pytest.raises(ValueError, match="div: division by zero"):
+                ad.div(ad.constant(np.ones(5)), ad.constant(entries))
+            entries[bad] = -1.0
+            with pytest.raises(ValueError, match="log: operand must be positive"):
+                ad.log(ad.constant(entries.reshape(5, 1)))
+            with pytest.raises(ValueError, match="std must be positive"):
+                ad.gaussian_log_pdf(ad.constant(0.0), ad.constant(0.0), ad.constant(entries))
 
     def test_linear_function_constant_gradient(self):
         x = ad.leaf(np.array([1.0, 2.0, 3.0]))

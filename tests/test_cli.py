@@ -35,6 +35,9 @@ def moe_config(out_dir, samplers=None, step=0.1, iterations=200):
     }
 
 
+GAUSS2 = {"name": "gaussian", "params": {"dim": 2}}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -181,11 +184,22 @@ class TestRunCommand:
             ({}, {}, {"mean": ["a"]}, "$.init.mean[0]"),
             ({}, {}, {"std": [1, "b"]}, "$.init.std[1]"),
             ({}, {}, {"std": -1.0}, "init.std"),
+            # non-finite numbers (JSON NaN / Infinity) are rejected where first checked
+            (GAUSS2, {}, {"mean": float("nan")}, "init.mean"),
+            (GAUSS2, {}, {"std": float("inf")}, "init.std"),
+            (GAUSS2, {"step_size": float("inf")}, {}, "step_size"),
+            (GAUSS2, {"kernel": {"jitter": float("inf")}}, {}, "jitter"),
+            (GAUSS2, {"kernel": {"bandwidth": float("inf"), "bandwidth_mode": "fixed"}}, {},
+             "bandwidth"),
+            (GAUSS2, {"name": "repulsive_adam", "stabilizer": float("inf")}, {}, "stabilizer"),
+            (GAUSS2, {"kernel": {"bandwidth": float("nan")}}, {}, "bandwidth"),
         ],
         ids=["gamma", "beta1", "bandwidth", "init_mean", "dim", "scale_convention",
              "scale_zero", "scale_negative", "stabilizer", "sgld_beta1", "svgd_beta2",
              "sgld_stabilizer", "constant_gamma", "repulsion_cutoff", "init_mean_item",
-             "init_std_item", "init_std_negative"],
+             "init_std_item", "init_std_negative", "init_mean_nan", "init_std_inf",
+             "step_size_inf", "jitter_inf", "bandwidth_inf", "stabilizer_inf",
+             "median_bandwidth_nan"],
     )
     def test_bad_config_value_exits_2_naming_key(
         self, tmp_path, capsys, target, sampler, init, key

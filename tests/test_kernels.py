@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinmc import autodiff as ad
-from steinmc.errors import FactorizationError
+from steinmc.errors import ConfigError, FactorizationError
 from steinmc.kernels import (
     KernelConfig,
     kernel_matrix,
@@ -22,6 +22,15 @@ class TestKernelMatrix:
         km = kernel_matrix(np.array([[1.0, 2.0]]), FIXED)
         assert np.array_equal(km.entries, np.eye(1))
         assert np.array_equal(km.grad_terms, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_rejected(self, value, row):
+        z = np.random.default_rng(4).normal(size=(7, 2))
+        z[row, 1] = value
+        for cfg in (FIXED, KernelConfig()):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                kernel_matrix(z, cfg)
 
     def test_two_identical_particles(self):
         z = np.array([[0.5, -0.5], [0.5, -0.5]])
@@ -345,3 +354,13 @@ class TestKernelConfig:
             KernelConfig(jitter=-1e-3)
         with pytest.raises(ValueError):
             KernelConfig(bandwidth_mode="nope")
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_numbers_rejected(self, value):
+        for mode in ("fixed", "median"):  # checked also where the median ignores it
+            with pytest.raises(ConfigError) as exc:
+                KernelConfig(bandwidth=value, bandwidth_mode=mode)
+            assert exc.value.field == "bandwidth"
+        with pytest.raises(ConfigError) as exc:
+            KernelConfig(jitter=value)
+        assert exc.value.field == "jitter"

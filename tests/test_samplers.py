@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from steinmc import kernels, samplers
 from steinmc.errors import ConfigError, DivergenceError
@@ -57,6 +62,12 @@ class TestSchedule:
             StepSchedule(kind="constant", gamma=7.0)
         StepSchedule(kind="robbins_monro", gamma=1.0)
         StepSchedule(kind="constant")
+
+    @pytest.mark.parametrize("eps0", [0.0, -1.0, np.inf, np.nan])
+    def test_eps0_must_be_finite_and_positive(self, eps0):
+        with pytest.raises(ConfigError) as exc:
+            StepSchedule(eps0=eps0)
+        assert exc.value.field == "step_size"
 
 
 class TestSgldStep:
@@ -219,6 +230,12 @@ class TestRepulsiveSgdm:
             q = momentum_block_matrix(km)
             np.testing.assert_array_equal(q, -q.T)
 
+    @pytest.mark.parametrize("stabilizer", [-1.0, np.inf, np.nan])
+    def test_stabilizer_must_be_finite_and_non_negative(self, stabilizer):
+        with pytest.raises(ConfigError) as exc:
+            MomentumState(np.zeros((2, 1)), stabilizer=stabilizer)
+        assert exc.value.field == "stabilizer"
+
     def test_momentum_shape_validation(self):
         t = std_gaussian(2)
         with pytest.raises(ValueError):
@@ -312,21 +329,24 @@ class TestUpdateLaw:
 
     @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
     def test_eps_validation(self, kind):
+        # rejected before eps is used: a negative eps must not reach np.sqrt
+        # (a RuntimeWarning is an error in this suite)
         t, ens, rng = std_gaussian(1), ParticleEnsemble(np.zeros((2, 1))), np.random.default_rng(0)
         step = {
-            "sgld": lambda: sgld_step(ens, t, 0.0, rng),
-            "svgd": lambda: svgd_step(ens, t, FIXED, 0.0),
-            "repulsive_sgld": lambda: repulsive_sgld_step(ens, t, FIXED, 0.0, rng),
-            "repulsive_sgdm": lambda: repulsive_sgdm_step(
-                ens, MomentumState(np.zeros((2, 1))), t, FIXED, 0.0
+            "sgld": lambda eps: sgld_step(ens, t, eps, rng),
+            "svgd": lambda eps: svgd_step(ens, t, FIXED, eps),
+            "repulsive_sgld": lambda eps: repulsive_sgld_step(ens, t, FIXED, eps, rng),
+            "repulsive_sgdm": lambda eps: repulsive_sgdm_step(
+                ens, MomentumState(np.zeros((2, 1))), t, FIXED, eps
             ),
-            "repulsive_adam": lambda: repulsive_adam_step(
+            "repulsive_adam": lambda eps: repulsive_adam_step(
                 ens, MomentumState(np.zeros((2, 1)), second_moments=np.zeros((2, 1))),
-                t, FIXED, 0.0, rng,
+                t, FIXED, eps, rng,
             ),
         }[kind]
-        with pytest.raises(ValueError):
-            step()
+        for eps in (0.0, -0.1):
+            with pytest.raises(ValueError, match="eps must be > 0"):
+                step(eps)
 
     def test_momentum_steps_match_hand_evaluated_update(self):
         # x + eps * ((K @ v + R) / L) at L = 3, bitwise: v = -m for the sgdm
@@ -357,6 +377,77 @@ class TestUpdateLaw:
         assert np.array_equal(mom.momenta, m1) and np.array_equal(mom.second_moments, v1)
 
 
+def first_bad_row(x):
+    """The row scan: index of the first row holding a non-finite entry, or None."""
+    bad = [i for i, row in enumerate(x.tolist()) if not all(map(math.isfinite, row))]
+    return bad[0] if bad else None
+
+
+class TestFiniteCheck:
+    """One pass over the array decides; the row scan only names the particle."""
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_row_iteration_and_snapshot(self, value, row):
+        scores = np.zeros((5, 2))
+        scores[row, 1] = value
+        scores[-1, 0] = value  # a later bad row must not be named instead
+        bad = TargetModel(
+            name="bad", dim=2,
+            log_density=lambda z: 0.0,
+            grad_log_density=lambda z: scores.copy(),
+        )
+        z = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(DivergenceError) as exc:
+            sgld_step(ParticleEnsemble(z, step_index=7), bad, 0.1, np.random.default_rng(0))
+        assert exc.value.particle == first_bad_row(scores) == row
+        assert exc.value.iteration == 8
+        np.testing.assert_array_equal(exc.value.snapshot, z)
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_names_row_iteration_and_snapshot(self, value, row):
+        z = np.arange(10.0).reshape(5, 2)
+        noise = np.zeros((5, 2))
+        noise[row, 0] = value
+        noise[-1, 1] = value
+        ens = ParticleEnsemble(z, step_index=3)
+        with pytest.raises(DivergenceError) as exc:
+            samplers._advance(ens, np.ones((5, 2)), 0.1, noise)
+        assert exc.value.particle == first_bad_row(z + 0.1 * np.ones((5, 2)) + noise) == row
+        assert exc.value.iteration == 4
+        assert exc.value.snapshot is z
+
+    def test_huge_finite_rows_pass(self):
+        # rows whose sums overflow are still finite entry by entry
+        x = np.full((4, 3), np.finfo(float).max)
+        x[2] = -x[2]
+        samplers._check_finite(x, 1)
+
+    @given(
+        hnp.arrays(
+            float,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([np.nan, np.inf, -np.inf, np.finfo(float).max, -1e308]),
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_raises_exactly_when_an_entry_is_non_finite(self, x):
+        expected = first_bad_row(x)
+        snapshot = np.zeros_like(x)
+        if expected is None:
+            samplers._check_finite(x, 9, snapshot=snapshot)
+            return
+        with pytest.raises(DivergenceError) as exc:
+            samplers._check_finite(x, 9, snapshot=snapshot)
+        assert exc.value.particle == expected
+        assert exc.value.iteration == 9
+        assert exc.value.snapshot is snapshot
+
+
 class TestRunner:
     def test_empty_collection_rejected(self):
         with pytest.raises(ConfigError):
@@ -381,6 +472,24 @@ class TestRunner:
                 policy=CollectionPolicy(),
                 seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "init, field",
+        [
+            ({"init_mean": np.nan}, "init.mean"),
+            ({"init_mean": [0.0, -np.inf]}, "init.mean"),
+            ({"init_std": np.inf}, "init.std"),
+            ({"init_std": [1.0, np.nan]}, "init.std"),
+            ({"init_std": -1.0}, "init.std"),
+        ],
+    )
+    def test_init_must_be_finite(self, init, field):
+        with pytest.raises(ConfigError) as exc:
+            samplers.run(
+                "sgld", std_gaussian(2), n_particles=2, iterations=10,
+                schedule=StepSchedule(), policy=CollectionPolicy(), seed=0, **init,
+            )
+        assert exc.value.field == field
 
     def test_same_seed_bitwise_identical(self):
         kwargs = dict(
