@@ -58,14 +58,30 @@ def load_arrays(
     seed: int = 0,
     name: str = "dataset",
 ) -> RegressionDataset:
-    """Standardize and split in-memory arrays (training stats only)."""
+    """Standardize and split in-memory arrays (training stats only); errors
+    number rows from 0 and columns by feature index, the target last."""
     features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float).ravel()
-    n = features.shape[0]
+    table = np.hstack([features, np.asarray(targets, dtype=float).reshape(-1, 1)])
+    columns = [*range(features.shape[1]), "target"]
+    return _split(table, -1, columns, 0, split_fraction, seed, name)
+
+
+def _split(table, t_idx, columns, first_row, split_fraction, seed, name) -> RegressionDataset:
+    """Check a numeric table and split it at column ``t_idx``; errors name its
+    columns by ``columns`` and number its rows from ``first_row``."""
+    n = table.shape[0]
     if n < 20:
-        raise ValueError("need at least 20 rows")
+        raise ValueError(f"need at least 20 data rows, got {n}")
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(
+            f"non-finite cell at row {first_row + r}, column {columns[c]!r}: {table[r, c]}"
+        )
     if not 0.0 < split_fraction < 1.0:
         raise ValueError("split_fraction must be in (0, 1)")
+    targets = table[:, t_idx]
+    features = np.delete(table, t_idx, axis=1)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -77,7 +93,9 @@ def load_arrays(
 
     f_std = x_train.std(axis=0, ddof=0)
     keep = f_std > 0
-    if not np.all(keep):
+    if not keep.any():
+        raise ValueError(f"no feature column varies over the {n_train} training rows")
+    if not keep.all():
         dropped = np.flatnonzero(~keep)
         warnings.warn(f"dropping zero-variance feature columns {dropped.tolist()}")
         x_train, x_test = x_train[:, keep], x_test[:, keep]
@@ -109,15 +127,19 @@ def load_csv(
     split_fraction: float = 0.9,
     seed: int = 0,
 ) -> RegressionDataset:
-    """Parse a numeric CSV with a header row into a standardized split."""
+    """Parse a numeric CSV with a header row into a standardized split; errors
+    number rows as file lines (the header is row 1) and name header columns."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if not header:
+            raise ValueError("missing header row")
         if target_column not in header:
             raise ValueError(f"target column {target_column!r} not in header {header}")
-        t_idx = header.index(target_column)
         rows = []
         for r, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"row {r} has {len(row)} cells, the header has {len(header)}")
             vals = []
             for c, cell in enumerate(row):
                 try:
@@ -127,16 +149,9 @@ def load_csv(
                         f"non-numeric cell at row {r}, column {header[c]!r}: {cell!r}"
                     ) from None
             rows.append(vals)
-    data = np.asarray(rows, dtype=float)
-    targets = data[:, t_idx]
-    features = np.delete(data, t_idx, axis=1)
-    return load_arrays(
-        features,
-        targets,
-        split_fraction=split_fraction,
-        seed=seed,
-        name=os.path.splitext(os.path.basename(str(path)))[0],
-    )
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    name = os.path.splitext(os.path.basename(str(path)))[0]
+    return _split(table, header.index(target_column), header, 2, split_fraction, seed, name)
 
 
 @dataclass
@@ -242,7 +257,7 @@ class BnnTarget(TargetModel):
     potential: BnnPotential = None
     dataset: RegressionDataset = None
     batch_size: int = 100
-    _batch: np.ndarray = field(default=None, repr=False)
+    _batch: np.ndarray = field(default=None, init=False, repr=False)
 
     @classmethod
     def create(cls, potential: BnnPotential, dataset: RegressionDataset, batch_size: int):

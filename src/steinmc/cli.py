@@ -31,10 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bnn as bnn_mod
-from . import refine, samplers, targets
+from . import kernels, refine, samplers, targets
 from .diagnostics import SCHEMA_VERSION
 from .errors import ConfigError, DivergenceError, FactorizationError
-from .kernels import KernelConfig
 
 OUTPUT_DIR_ENV = "STEINMC_OUT"
 BENCH_HEADER = "distribution,sampler,seed,ess,ess_per_s,err_ex,err_ex2"
@@ -101,7 +100,7 @@ CONFIG_SCHEMA = {
                     "name": {"enum": list(samplers.SAMPLER_KINDS)},
                     "particles": {"type": "integer", "minimum": 1},
                     "step_size": {"type": "number", "exclusiveMinimum": 0},
-                    "schedule": {"enum": ["constant", "robbins_monro"]},
+                    "schedule": {"enum": list(samplers.SCHEDULE_KINDS)},
                     "gamma": {"type": "number"},
                     "beta1": {"type": "number"},
                     "beta2": {"type": "number"},
@@ -112,7 +111,7 @@ CONFIG_SCHEMA = {
                         "additionalProperties": False,
                         "properties": {
                             "bandwidth": {"type": "number"},
-                            "bandwidth_mode": {"enum": ["fixed", "median"]},
+                            "bandwidth_mode": {"enum": list(kernels.BANDWIDTH_MODES)},
                             "jitter": {"type": "number", "minimum": 0},
                         },
                     },
@@ -193,7 +192,7 @@ def _sample(target, spec: dict, config: dict, seed: int, timing: str) -> sampler
     options = {key: spec[key] for key in _RUN_KEYS if key in spec}
     options.update({f"init_{key}": value for key, value in config.get("init", {}).items()})
     if "kernel" in spec:
-        options["kernel_cfg"] = KernelConfig(**spec["kernel"])
+        options["kernel_cfg"] = kernels.KernelConfig(**spec["kernel"])
     result = samplers.run(
         spec["name"],
         target,

@@ -30,6 +30,8 @@ from .errors import ConfigError, FactorizationError
 # Diagonal jitter ladder used when a Cholesky factorization fails.
 _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
+BANDWIDTH_MODES = ("fixed", "median")
+
 
 @dataclass
 class KernelConfig:
@@ -46,7 +48,7 @@ class KernelConfig:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_mode not in ("fixed", "median"):
+        if self.bandwidth_mode not in BANDWIDTH_MODES:
             raise ConfigError(f"unknown mode {self.bandwidth_mode!r}", field="bandwidth_mode")
         if not 0 < self.bandwidth < math.inf:
             raise ConfigError("bandwidth must be finite and > 0", field="bandwidth")
@@ -72,7 +74,7 @@ class KernelMatrix:
     bandwidth: float
     jitter: float = 0.0
     degenerate_bandwidth: bool = False
-    _chol: np.ndarray | None = field(default=None, repr=False)
+    _chol: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_particles(self) -> int:

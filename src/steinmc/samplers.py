@@ -59,6 +59,9 @@ class ParticleEnsemble:
         return self.positions.shape[1]
 
 
+SCHEDULE_KINDS = ("constant", "robbins_monro")
+
+
 @dataclass
 class StepSchedule:
     """Constant or polynomially decaying step sizes.
@@ -73,7 +76,7 @@ class StepSchedule:
     gamma: float = 0.55
 
     def __post_init__(self):
-        if self.kind not in ("constant", "robbins_monro"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}", field="schedule")
         if not 0 < self.eps0 < math.inf:
             raise ConfigError("eps0 must be finite and > 0", field="step_size")
@@ -413,10 +416,8 @@ def run(
     """
     if kind not in _KINDS:
         raise ConfigError(f"unknown sampler kind {kind!r}", field="sampler")
-    if iterations <= policy.burn_in:
-        raise ConfigError(
-            "iterations must exceed burn_in or nothing is collected", field="iterations"
-        )
+    if (iterations - policy.burn_in) // policy.thin < 1:
+        raise ConfigError("must exceed burn_in by at least thin", field="iterations")
     kernel_cfg = kernel_cfg or KernelConfig()
     rng = np.random.default_rng(seed)
 
@@ -433,11 +434,6 @@ def run(
     if repulsion_cutoff is not None and repulsion_cutoff < 0:
         raise ConfigError("must be >= 0", field="repulsion_cutoff")
     ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))
-
-    if (iterations - policy.burn_in) // policy.thin == 0:
-        raise ConfigError(
-            "collection window shorter than the thinning interval", field="iterations"
-        )
 
     interacting, init_momentum, step = _KINDS[kind]
     momentum = MomentumState(

@@ -54,9 +54,9 @@ class TargetModel:
     grad_log_density: Callable[..., np.ndarray]
     reference_moments: list[MomentSpec] = field(default_factory=list)
     moment_transform: Callable[[np.ndarray], np.ndarray] = lambda z: z
-    # Vestigial: only the benchmark tracer (perfbench/tracer.py) reads it;
-    # nothing in the library sets or reads it.
-    grad_log_density_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    # Not a constructor field: only the benchmark tracer (perfbench/tracer.py)
+    # reads it; nothing in the library sets or reads it.
+    grad_log_density_batch = None
 
 
 def finite_difference_grad(f, points, step: float = 1e-5) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,68 @@ class TestDataset:
         x, y = linear_data(n=10)
         with pytest.raises(ValueError):
             load_arrays(x, y)
+
+
+def write_table(path, rows, header="a,b,y"):
+    """A CSV with `header` and one line per row of cells (strings or floats)."""
+    lines = [header] if header is not None else []
+    lines += [",".join(str(cell) for cell in row) for row in rows]
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def table_rows(n=30):
+    x, y = linear_data(n=n, p=2)
+    return [[repr(float(a)), repr(float(b)), repr(float(t))] for (a, b), t in zip(x, y)]
+
+
+class TestMalformedTables:
+    """Each malformed table raises one ValueError naming the problem, with no
+    numpy warning on the way."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_missing_header(self, tmp_path):
+        with pytest.raises(ValueError, match="missing header row"):
+            load_csv(write_table(tmp_path / "t.csv", [], header=None), "y")
+
+    @pytest.mark.parametrize("cells", [["1.0", "2.0", "3.0", "oops"], ["1.0", "2.0"]])
+    def test_row_length_differs_from_header(self, tmp_path, cells):
+        rows = table_rows()
+        rows[4] = cells
+        with pytest.raises(ValueError, match=f"row 6 has {len(cells)} cells, the header has 3"):
+            load_csv(write_table(tmp_path / "t.csv", rows), "y")
+
+    @pytest.mark.parametrize("column, cell", [(0, "nan"), (2, "inf"), (1, "-inf")])
+    def test_non_finite_cell(self, tmp_path, column, cell):
+        rows = table_rows()
+        rows[7][column] = cell
+        name = "aby"[column]
+        with pytest.raises(ValueError, match=f"row 9, column '{name}': {cell}"):
+            load_csv(write_table(tmp_path / "t.csv", rows), "y")
+
+    def test_non_finite_array_value_names_index(self):
+        x, y = linear_data(n=30)
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="row 3, column 'target': nan"):
+            load_arrays(x, y)
+        y[3], x[5, 2] = 0.0, np.inf
+        with pytest.raises(ValueError, match="row 5, column 2: inf"):
+            load_arrays(x, y)
+
+    @pytest.mark.parametrize("n", [0, 19])
+    def test_fewer_than_20_data_rows(self, tmp_path, n):
+        with pytest.raises(ValueError, match=f"need at least 20 data rows, got {n}"):
+            load_csv(write_table(tmp_path / "t.csv", table_rows()[:n]), "y")
+
+    def test_no_varying_feature_column(self, tmp_path):
+        rows = [["1.0", "2.0", t] for _, _, t in table_rows()]
+        with pytest.raises(ValueError, match="no feature column varies"):
+            load_csv(write_table(tmp_path / "t.csv", rows), "y")
 
 
 class TestPotential:
@@ -259,6 +323,16 @@ class TestBnnTarget:
             -pot.potential_grad(theta, xs, ys, ds.n_train),
             rtol=1e-14,
         )
+
+    def test_batch_is_no_constructor_field(self):
+        ds = load_arrays(*linear_data(n=40, p=2), seed=0)
+        pot = BnnPotential(input_dim=2, hidden_dim=3)
+        with pytest.raises(TypeError):
+            BnnTarget(
+                name="b", dim=pot.n_params, log_density=None, grad_log_density=None,
+                potential=pot, dataset=ds, _batch=np.arange(5),
+            )
+        assert BnnTarget.create(pot, ds, batch_size=10)._batch.tolist() == list(range(10))
 
     def test_log_density_is_one_batched_potential_call(self):
         x, y = linear_data(n=120, p=3, seed=8)

@@ -5,6 +5,7 @@ import pytest
 
 from steinmc.cli import (
     BENCH_HEADER,
+    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
     EXIT_FACTORIZATION,
@@ -212,6 +213,24 @@ class TestRunCommand:
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("iterations", [100, 105])
+    def test_run_too_short_to_collect_exits_2(self, tmp_path, capsys, iterations):
+        # burn-in 100, thin 10: nothing collected at 100 iterations, nor at 105
+        cfg = moe_config(tmp_path / "out", iterations=iterations)
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "config error: iterations: " in capsys.readouterr().err
+
+    def test_schema_enums_are_the_library_tuples(self):
+        entry = CONFIG_SCHEMA["properties"]["samplers"]["items"]["properties"]
+        assert entry["schedule"]["enum"] == list(samplers.SCHEDULE_KINDS)
+        assert entry["kernel"]["properties"]["bandwidth_mode"]["enum"] == list(
+            kernels.BANDWIDTH_MODES
+        )
+        for kind in samplers.SCHEDULE_KINDS:
+            samplers.StepSchedule(kind=kind)
+        for mode in kernels.BANDWIDTH_MODES:
+            kernels.KernelConfig(bandwidth_mode=mode)
+
     @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
     def test_omitted_keys_take_library_defaults(self, tmp_path, kind):
         # every optional key left out: the library's defaults are the only ones
@@ -340,3 +359,24 @@ class TestBnnCommand:
             ["bnn", "--data", str(tmp_path / "none.csv"), "--target-column", "y"]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("", "missing header row"),
+            ("f1,y\n", "need at least 20 data rows, got 0"),
+            ("f1,y\n1.0,2.0,x\n", "row 2 has 3 cells"),
+            ("f1,y\n" + "1.0,2.0\n" * 19 + "nan,2.0\n", "row 21, column 'f1': nan"),
+            ("f1,y\n" + "1.0,2.0\n1.0,3.0\n" * 10, "no feature column varies"),
+        ],
+    )
+    def test_malformed_table_exits_2_naming_the_problem(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = main(
+            ["bnn", "--data", str(path), "--target-column", "y", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data: ") and problem in err
+        assert "Warning" not in err

@@ -7,6 +7,7 @@ from steinmc import autodiff as ad
 from steinmc.errors import ConfigError, FactorizationError
 from steinmc.kernels import (
     KernelConfig,
+    KernelMatrix,
     kernel_matrix,
     median_bandwidth,
     rbf,
@@ -151,6 +152,13 @@ class TestKernelMatrix:
         km = kernel_matrix(z, KernelConfig())
         chol = km.cholesky()
         assert np.all(np.isfinite(chol))
+
+    def test_cholesky_cache_is_no_constructor_field(self):
+        with pytest.raises(TypeError):
+            KernelMatrix(np.eye(2), np.zeros((2, 1)), 1.0, _chol=np.eye(2))
+        km = KernelMatrix(np.eye(2), np.zeros((2, 1)), 1.0)
+        assert km._chol is None
+        assert km.cholesky() is km.cholesky()
 
 
 class TestRbf:
@@ -334,8 +342,6 @@ class TestRepulsiveNoise:
             sample_repulsive_noise(km, 0.0, np.random.default_rng(0), 1)
 
     def test_factorization_failure_reports_jitter_ladder(self):
-        from steinmc.kernels import KernelMatrix
-
         bad = KernelMatrix(
             entries=np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
             grad_terms=np.zeros((2, 1)),

@@ -37,6 +37,37 @@ def linear_potential(dim, slope=1.0):
     )
 
 
+def hand_loop(kind, t, n, iterations, eps, seed, cutoff=None):
+    """The positions after each of `iterations` public steps of `kind`, (T, L, d).
+
+    Draws in the runner's order (initial positions, then initial momenta)
+    with the default kernel; from iteration `cutoff` on, every step gets the
+    identity kernel.
+    """
+    cfg = KernelConfig()
+    rng = np.random.default_rng(seed)
+    ens = ParticleEnsemble(rng.standard_normal((n, t.dim)))
+    if kind == "repulsive_sgdm":
+        mom = MomentumState(rng.standard_normal((n, t.dim)))
+    elif kind == "repulsive_adam":
+        mom = MomentumState(np.zeros((n, t.dim)), second_moments=np.zeros((n, t.dim)))
+    kept = []
+    for i in range(iterations):
+        km = kernels.identity_kernel(n, t.dim) if cutoff is not None and i >= cutoff else None
+        if kind == "sgld":
+            ens = sgld_step(ens, t, eps, rng)
+        elif kind == "svgd":
+            ens = svgd_step(ens, t, cfg, eps, km)
+        elif kind == "repulsive_sgld":
+            ens = repulsive_sgld_step(ens, t, cfg, eps, rng, km)
+        elif kind == "repulsive_sgdm":
+            ens, mom = repulsive_sgdm_step(ens, mom, t, cfg, eps, rng=rng, km=km)
+        else:
+            ens, mom = repulsive_adam_step(ens, mom, t, cfg, eps, rng, km)
+        kept.append(ens.positions)
+    return np.stack(kept)
+
+
 class TestSchedule:
     def test_constant(self):
         s = StepSchedule(kind="constant", eps0=0.3)
@@ -461,6 +492,24 @@ class TestRunner:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("iterations, burn_in, thin", [(100, 100, 1), (100, 95, 10)])
+    def test_run_length_checked_before_any_draw(self, iterations, burn_in, thin):
+        # the one rule (iterations - burn_in) // thin >= 1 is checked first,
+        # so it wins over the also-bad init.std
+        with pytest.raises(ConfigError) as exc:
+            samplers.run(
+                "sgld", std_gaussian(1), n_particles=1, iterations=iterations,
+                schedule=StepSchedule(eps0=1e-3),
+                policy=CollectionPolicy(burn_in=burn_in, thin=thin), seed=0, init_std=-1.0,
+            )
+        assert exc.value.field == "iterations"
+        res = samplers.run(
+            "sgld", std_gaussian(1), n_particles=1, iterations=burn_in + thin,
+            schedule=StepSchedule(eps0=1e-3),
+            policy=CollectionPolicy(burn_in=burn_in, thin=thin), seed=0,
+        )
+        assert res.report.collected_count == 1
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             samplers.run(
@@ -564,19 +613,18 @@ class TestRunner:
         assert exc.value.snapshot is not None
 
     def test_repulsion_cutoff_switches_to_identity_kernel(self):
-        t = std_gaussian(2)
-        full = samplers.run(
-            "repulsive_sgld", t, n_particles=4, iterations=100,
-            schedule=StepSchedule(eps0=0.01),
-            policy=CollectionPolicy(burn_in=50, thin=1), seed=5,
-        )
-        cut = samplers.run(
-            "repulsive_sgld", t, n_particles=4, iterations=100,
-            schedule=StepSchedule(eps0=0.01),
-            policy=CollectionPolicy(burn_in=50, thin=1), seed=5,
-            repulsion_cutoff=0,
-        )
-        assert not np.array_equal(full.samples, cut.samples)
+        # bitwise the hand loop that steps with the median RBF kernel before
+        # the cutoff and with K = I, no repulsion, from the cutoff on
+        t, n, iterations, eps, seed = std_gaussian(2), 4, 100, 0.05, 5
+        for kind in ("svgd", "repulsive_sgld", "repulsive_sgdm", "repulsive_adam"):
+            for cutoff in (0, 40):
+                res = samplers.run(
+                    kind, t, n_particles=n, iterations=iterations,
+                    schedule=StepSchedule(eps0=eps), policy=CollectionPolicy(), seed=seed,
+                    repulsion_cutoff=cutoff,
+                )
+                kept = hand_loop(kind, t, n, iterations, eps, seed, cutoff)
+                assert np.array_equal(res.per_particle, kept.transpose(1, 0, 2)), (kind, cutoff)
 
     @pytest.mark.parametrize("kind", ["repulsive_sgdm", "repulsive_adam"])
     def test_momentum_kinds_run_to_completion(self, kind):
@@ -609,35 +657,13 @@ class TestStepTable:
     @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
     def test_run_equals_hand_loop_of_public_step(self, kind):
         t, n, iterations, eps, seed = std_gaussian(2), 4, 30, 0.05, 9
-        cfg = KernelConfig()
         res = samplers.run(
             kind, t, n_particles=n, iterations=iterations,
             schedule=StepSchedule(eps0=eps), policy=CollectionPolicy(), seed=seed,
         )
-
-        # same seed, same draw order: initial positions, then initial momenta
-        rng = np.random.default_rng(seed)
-        ens = ParticleEnsemble(rng.standard_normal((n, 2)))
-        if kind == "repulsive_sgdm":
-            mom = MomentumState(rng.standard_normal((n, 2)))
-        elif kind == "repulsive_adam":
-            mom = MomentumState(np.zeros((n, 2)), second_moments=np.zeros((n, 2)))
-        kept = []
-        for _ in range(iterations):
-            if kind == "sgld":
-                ens = sgld_step(ens, t, eps, rng)
-            elif kind == "svgd":
-                ens = svgd_step(ens, t, cfg, eps)
-            elif kind == "repulsive_sgld":
-                ens = repulsive_sgld_step(ens, t, cfg, eps, rng)
-            elif kind == "repulsive_sgdm":
-                ens, mom = repulsive_sgdm_step(ens, mom, t, cfg, eps, rng=rng)
-            else:
-                ens, mom = repulsive_adam_step(ens, mom, t, cfg, eps, rng)
-            kept.append(ens.positions)
-
-        assert np.array_equal(res.per_particle, np.stack(kept).transpose(1, 0, 2))
-        assert np.array_equal(res.final.positions, ens.positions)
+        kept = hand_loop(kind, t, n, iterations, eps, seed)
+        assert np.array_equal(res.per_particle, kept.transpose(1, 0, 2))
+        assert np.array_equal(res.final.positions, kept[-1])
 
     @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
     def test_steps_resolve_through_module_globals(self, kind, monkeypatch):

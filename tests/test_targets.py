@@ -175,6 +175,15 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_target("unknown")
 
+    def test_batch_gradient_is_no_constructor_field(self):
+        assert TargetModel.grad_log_density_batch is None
+        assert make_target("moe").grad_log_density_batch is None
+        with pytest.raises(TypeError):
+            TargetModel(
+                name="x", dim=1, log_density=None, grad_log_density=None,
+                grad_log_density_batch=None,
+            )
+
     def test_audit_rejects_wrong_gradient(self):
         bad = TargetModel(
             name="broken",
