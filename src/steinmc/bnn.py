@@ -2,9 +2,13 @@
 
 Parameters are a single flat vector (first-layer weights and biases, output
 weights, output bias) so the ensemble samplers can treat a network as one
-particle.  Gradients are batched-matmul backprop in a (K, h, B) layout
-(particles x hidden units x batch rows) through the ReLU layer; minibatch
-gradients rescale the batch term by N / |batch|.  Targets are standardized
+particle.  One layer pass serves the outputs, the potential and its gradient,
+in a (K, h, B) layout (particles x hidden units x batch rows).  The first
+layer is the augmented matrix [w1 | b1] in both directions: forward is one
+batched matmul [w1 | b1] @ [x | 1]^T whose result the ReLU overwrites in
+place, and backward is one matmul of the 0/1 ReLU gate with [r * x | r] for
+the residual r, scaled by the output weights.  Minibatch gradients rescale
+the batch term by N / |batch|.  Targets are standardized
 for sampling and predictions are mapped back to original units.
 """
 
@@ -164,8 +168,12 @@ class BnnPotential:
     noise_std: float = 0.5
 
     def __post_init__(self):
-        if self.noise_std <= 0 or self.prior_std <= 0:
-            raise ValueError("prior_std and noise_std must be positive")
+        for name in ("input_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("prior_std", "noise_std"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @property
     def n_params(self) -> int:
@@ -195,11 +203,13 @@ class BnnPotential:
 
     @np.errstate(over="ignore", invalid="ignore")  # callers check finiteness
     def _layers(self, theta: np.ndarray, x: np.ndarray):
-        """Hidden pre-activations and activations (K, h, B), outputs (K, B)."""
+        """The one layer pass for (K, P) theta: the augmented inputs
+        [x | 1] (B, p+1), hidden activations (K, h, B) and outputs (K, B)."""
         w1, b1, w2, b2 = self.unpack(theta)
-        pre = w1 @ x.T + b1[:, :, None]
-        act = np.maximum(pre, 0.0)
-        return pre, act, (w2[:, None, :] @ act)[:, 0] + b2[:, None]
+        x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
+        act = np.concatenate([w1, b1[..., None]], axis=-1) @ x_aug.T
+        np.maximum(act, 0.0, out=act)
+        return x_aug, act, (w2[:, None, :] @ act)[:, 0] + b2[:, None]
 
     def forward(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Network outputs; theta (K, P) or (P,), x (B, p).  Returns (K, B) or (B,)."""
@@ -220,27 +230,28 @@ class BnnPotential:
     ) -> np.ndarray:
         """Gradient of the potential; theta (K, P) or (P,), batch (x, y).
 
-        Manual backprop: residual -> output layer -> ReLU mask -> first layer,
-        scaled by N/|batch| and the noise precision, plus the Gaussian prior
-        term theta / prior_std^2.
+        Manual backprop: residual r -> output layer -> ReLU gate -> first
+        layer, scaled by N/|batch| and the noise precision, plus the Gaussian
+        prior term theta / prior_std^2.  The output weight w2 is a factor of
+        every row's first-layer gradient, so [g_w1 | g_b1] is
+        (gate @ [r * x | r]) * w2 with the 0/1 gate of the ReLU (0 at 0).
         """
         single = np.ndim(theta) == 1
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         w2 = self.unpack(theta)[2]
-        pre, act, out = self._layers(theta, x)
+        x_aug, act, out = self._layers(theta, x)
 
         scale = n_total / x.shape[0] / self.noise_std**2
         resid = scale * (out - y[None, :])  # (K, B)
 
+        gate = (act > 0).astype(float)  # (K, h, B)
+        g_first = (gate @ (resid[:, :, None] * x_aug)) * w2[:, :, None]  # (K, h, p+1)
         g_w2 = (act @ resid[:, :, None])[..., 0]
         g_b2 = resid.sum(axis=1)
-        g_act = (w2[:, :, None] * resid[:, None, :]) * (pre > 0)  # (K, h, B)
-        g_w1 = g_act @ x
-        g_b1 = g_act.sum(axis=2)
 
-        k = theta.shape[0]
+        k, p = theta.shape[0], self.input_dim
         data_grad = np.concatenate(
-            [g_w1.reshape(k, -1), g_b1, g_w2, g_b2[:, None]], axis=1
+            [g_first[..., :p].reshape(k, -1), g_first[..., p], g_w2, g_b2[:, None]], axis=1
         )
         grad = data_grad + theta / self.prior_std**2
         return grad[0] if single else grad

@@ -98,8 +98,8 @@ CONFIG_SCHEMA = {
                 "required": ["name"],
                 "properties": {
                     "name": {"enum": list(samplers.SAMPLER_KINDS)},
-                    "particles": {"type": "integer", "minimum": 1},
-                    "step_size": {"type": "number", "exclusiveMinimum": 0},
+                    "particles": {"type": "integer"},
+                    "step_size": {"type": "number"},
                     "schedule": {"enum": list(samplers.SCHEDULE_KINDS)},
                     "gamma": {"type": "number"},
                     "beta1": {"type": "number"},
@@ -112,19 +112,19 @@ CONFIG_SCHEMA = {
                         "properties": {
                             "bandwidth": {"type": "number"},
                             "bandwidth_mode": {"enum": list(kernels.BANDWIDTH_MODES)},
-                            "jitter": {"type": "number", "minimum": 0},
+                            "jitter": {"type": "number"},
                         },
                     },
                 },
             },
         },
-        "iterations": {"type": "integer", "minimum": 1},
+        "iterations": {"type": "integer"},
         "collection": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "burn_in": {"type": "integer", "minimum": 0},
-                "thin": {"type": "integer", "minimum": 1},
+                "burn_in": {"type": "integer"},
+                "thin": {"type": "integer"},
             },
         },
         "init": {

@@ -120,8 +120,10 @@ class CollectionPolicy:
     thin: int = 1
 
     def __post_init__(self):
-        if self.burn_in < 0 or self.thin < 1:
-            raise ConfigError("burn_in must be >= 0 and thin >= 1", field="collection")
+        if self.burn_in < 0:
+            raise ConfigError("must be >= 0", field="collection.burn_in")
+        if self.thin < 1:
+            raise ConfigError("must be >= 1", field="collection.thin")
 
     def collect_at(self, t: int) -> bool:
         # t is the 1-based count of completed iterations
@@ -416,6 +418,8 @@ def run(
     """
     if kind not in _KINDS:
         raise ConfigError(f"unknown sampler kind {kind!r}", field="sampler")
+    if n_particles < 1:
+        raise ConfigError("must be >= 1", field="particles")
     if (iterations - policy.burn_in) // policy.thin < 1:
         raise ConfigError("must exceed burn_in by at least thin", field="iterations")
     kernel_cfg = kernel_cfg or KernelConfig()

@@ -182,6 +182,56 @@ class TestPotential:
         np.testing.assert_allclose(w1_grad[0], 0.0, atol=1e-12)
         assert np.any(w1_grad[1:] != 0)
 
+    def test_unit_at_exactly_zero_gets_no_data_gradient(self):
+        # a zero w1 row and b1 entry hold the pre-activation at exactly 0 on
+        # every row: the ReLU subgradient there is 0 (as autodiff.relu's)
+        pot = BnnPotential(input_dim=3, hidden_dim=4)
+        rng = np.random.default_rng(5)
+        theta = rng.normal(size=(2, pot.n_params))
+        w1, b1, w2, _ = pot.unpack(theta)
+        w1[:, 1] = 0.0
+        b1[:, 1] = 0.0
+        w2[:, 1] = 2.0
+        x, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+        grad = pot.potential_grad(theta, x, y, 300)
+        g_w1, g_b1 = pot.unpack(grad)[:2]
+        # the prior term is theta / prior_std^2, which is 0 on this unit
+        np.testing.assert_array_equal(g_w1[:, 1], 0.0)
+        np.testing.assert_array_equal(g_b1[:, 1], 0.0)
+        assert np.all(g_b1[:, [0, 2, 3]] != 0)
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_inputs_left_unchanged(self, single):
+        # the pass writes into its own buffers only; w1 is a view of theta
+        pot = BnnPotential(input_dim=4, hidden_dim=50)
+        rng = np.random.default_rng(6)
+        theta = rng.normal(size=(20, pot.n_params))
+        theta = theta[0] if single else theta
+        x, y = rng.normal(size=(100, 4)), rng.normal(size=100)
+        before = theta.copy(), x.copy(), y.copy()
+        pot.forward(theta, x)
+        pot.potential(theta, x, y, 450)
+        pot.potential_grad(theta, x, y, 450)
+        for now, then in zip((theta, x, y), before):
+            np.testing.assert_array_equal(now, then)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"prior_std": np.nan}, "prior_std"),
+            ({"prior_std": np.inf}, "prior_std"),
+            ({"prior_std": 0.0}, "prior_std"),
+            ({"noise_std": np.nan}, "noise_std"),
+            ({"noise_std": np.inf}, "noise_std"),
+            ({"noise_std": -0.5}, "noise_std"),
+            ({"input_dim": 0}, "input_dim"),
+            ({"hidden_dim": 0}, "hidden_dim"),
+        ],
+    )
+    def test_invalid_size_or_scale_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            BnnPotential(**{"input_dim": 4, **fields})
+
     def test_minibatch_estimator_unbiased_over_partition(self):
         # exhaustive disjoint partition reproduces the full-data gradient
         rng = np.random.default_rng(2)

@@ -213,6 +213,30 @@ class TestRunCommand:
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"samplers": [{"name": "sgld", "step_size": -1}]}, "step_size"),
+            ({"samplers": [{"name": "sgld", "step_size": 0}]}, "step_size"),
+            ({"samplers": [{"name": "svgd", "kernel": {"jitter": -1e-6}}]}, "jitter"),
+            ({"samplers": [{"name": "sgld", "particles": 0}]}, "particles"),
+            ({"samplers": [{"name": "sgld", "particles": -3}]}, "particles"),
+            ({"collection": {"burn_in": -1, "thin": 10}}, "collection.burn_in"),
+            ({"collection": {"burn_in": 100, "thin": 0}}, "collection.thin"),
+            ({"iterations": 0}, "iterations"),
+            ({"iterations": -5}, "iterations"),
+        ],
+        ids=["step_size_negative", "step_size_zero", "jitter", "particles_zero",
+             "particles_negative", "burn_in", "thin", "iterations_zero", "iterations_negative"],
+    )
+    def test_numeric_bound_is_the_library_rule(self, tmp_path, capsys, change, key):
+        # the schema checks only the type; the library's check is the one rule
+        cfg = {**moe_config(tmp_path / "out"), **change}
+        validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("iterations", [100, 105])
     def test_run_too_short_to_collect_exits_2(self, tmp_path, capsys, iterations):
         # burn-in 100, thin 10: nothing collected at 100 iterations, nor at 105

@@ -510,6 +510,15 @@ class TestRunner:
         )
         assert res.report.collected_count == 1
 
+    @pytest.mark.parametrize("n_particles", [0, -2])
+    def test_particle_count_checked(self, n_particles):
+        with pytest.raises(ConfigError) as exc:
+            samplers.run(
+                "sgld", std_gaussian(1), n_particles=n_particles, iterations=100,
+                schedule=StepSchedule(eps0=1e-3), policy=CollectionPolicy(), seed=0,
+            )
+        assert exc.value.field == "particles"
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             samplers.run(
