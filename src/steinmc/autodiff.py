@@ -5,6 +5,11 @@ their parents.  The graph is built eagerly by the arithmetic helpers below;
 calling :func:`backward` on a scalar output accumulates gradients into the
 ``grad`` attribute of every ``requires_grad`` leaf.
 
+A node is *live* when it is a ``requires_grad`` leaf or has a live parent;
+the reverse sweep visits live nodes only, so constants, ``requires_grad=False``
+leaves and everything built from them alone never receive a ``grad`` (it
+stays ``None``) and their pulls are never called.
+
 Elementwise operations broadcast like numpy; the reverse pass sums each
 adjoint back to its operand's shape.  With ``reduce_sum`` along an axis,
 ``matmul`` and ``reshape``, a whole (n, d) particle batch is a single node,
@@ -32,7 +37,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 class Node:
     """One recorded value in the computation graph."""
 
-    __slots__ = ("value", "parents", "grad", "requires_grad", "_backward_done")
+    __slots__ = ("value", "parents", "grad", "requires_grad", "live", "_backward_done")
     # an ndarray operand defers to the reflected operators below instead of
     # broadcasting over the node as an object
     __array_ufunc__ = None
@@ -42,6 +47,11 @@ class Node:
         self.parents = parents  # tuple of (node, pull) pairs
         self.grad = None
         self.requires_grad = requires_grad
+        self.live = requires_grad  # a requires_grad leaf, or a node with a live parent
+        for parent, _ in parents:
+            if parent.live:
+                self.live = True
+                break
         self._backward_done = False
 
     # arithmetic sugar; every route lands on the primitives below
@@ -98,6 +108,8 @@ def _check_finite(value, op):
 def _reduce_to(adjoint, shape):
     # undo numpy broadcasting during the reverse pass: sum away the leading
     # axes the operand lacked and the axes where it had size 1
+    if adjoint.shape == shape:
+        return adjoint
     lead = adjoint.ndim - len(shape)
     if lead > 0:
         adjoint = adjoint.sum(axis=tuple(range(lead)))
@@ -257,9 +269,11 @@ def value(a) -> np.ndarray:
 def backward(output: Node) -> None:
     """Reverse-mode sweep from a scalar output.
 
-    Gradients accumulate into ``grad`` on every node reachable from
-    ``output``; a second sweep from the same node without rebuilding the
-    graph is rejected.
+    Gradients accumulate into ``grad`` on the live nodes reachable from
+    ``output``: those with a ``requires_grad`` leaf among their ancestors.
+    Every other node keeps ``grad = None``; each ``requires_grad`` leaf ends
+    with a writable array of its own shape.  A second sweep from the same
+    node without rebuilding the graph is rejected.
     """
     if output.value.shape != ():
         raise ValueError("backward expects a scalar output")
@@ -269,16 +283,28 @@ def backward(output: Node) -> None:
 
     order = _topological_order(output)
     for node in order:
-        node.grad = np.zeros(node.value.shape)
+        node.grad = None
     output.grad = np.ones(())
 
+    # the first contribution is stored as it comes (it may be a read-only
+    # view or another node's adjoint); later ones make a new array
     for node in reversed(order):
         g = node.grad
         for parent, pull in node.parents:
-            parent.grad = parent.grad + pull(g)
+            if parent.live:
+                c = pull(g)
+                parent.grad = c if parent.grad is None else parent.grad + c
+    # a fresh zeros array per leaf, as the full sweep gave: 0 + sum turns a
+    # -0.0 sum into +0.0, so every entry is bitwise what it was
+    for node in order:
+        if node.requires_grad:
+            grad = np.zeros(node.value.shape)
+            grad += node.grad
+            node.grad = grad
 
 
 def _topological_order(output: Node) -> list[Node]:
+    """Live nodes reachable from ``output`` (and ``output``), DFS post-order."""
     order: list[Node] = []
     seen: set[int] = set()
     stack: list[tuple[Node, bool]] = [(output, False)]
@@ -292,7 +318,7 @@ def _topological_order(output: Node) -> list[Node]:
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node.parents:
-            if id(parent) not in seen:
+            if parent.live and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 

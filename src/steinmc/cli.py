@@ -178,31 +178,53 @@ def _build_target(spec: dict):
 # sampler-entry keys of a run config -> StepSchedule fields and run() options
 _SCHEDULE_KEYS = {"schedule": "kind", "step_size": "eps0", "gamma": "gamma"}
 _RUN_KEYS = ("beta1", "beta2", "stabilizer", "repulsion_cutoff")
+# library ConfigError fields that name a sampler-entry key -> that key's path
+_ENTRY = CONFIG_SCHEMA["properties"]["samplers"]["items"]["properties"]
+_ENTRY_FIELDS = {key: key for key in _ENTRY} | {
+    key: f"kernel.{key}" for key in _ENTRY["kernel"]["properties"]
+}
 
 
-def _sample(target, spec: dict, config: dict, seed: int, timing: str) -> samplers.RunResult:
-    """The CLI's one call of :func:`samplers.run`.
+def _run_options(spec: dict, config: dict) -> dict:
+    """Keyword arguments of :func:`samplers.run` for one sampler entry.
 
     ``spec`` is a sampler entry of a run config and ``config`` holds its
     "iterations", "collection" and "init".  A key left out is not passed, so
-    the library's defaults are the only ones.  Timing fields are zeroed
-    unless ``timing`` is "wall", which keeps artifacts byte-reproducible.
+    the library's defaults are the only ones.
     """
     schedule = {field: spec[key] for key, field in _SCHEDULE_KEYS.items() if key in spec}
     options = {key: spec[key] for key in _RUN_KEYS if key in spec}
     options.update({f"init_{key}": value for key, value in config.get("init", {}).items()})
     if "kernel" in spec:
         options["kernel_cfg"] = kernels.KernelConfig(**spec["kernel"])
-    result = samplers.run(
-        spec["name"],
-        target,
-        n_particles=spec.get("particles", 10),
-        iterations=config["iterations"],
-        schedule=samplers.StepSchedule(**schedule),
-        policy=samplers.CollectionPolicy(**config.get("collection", {})),
-        seed=seed,
+    return {
+        "n_particles": spec.get("particles", 10),
+        "iterations": config["iterations"],
+        "schedule": samplers.StepSchedule(**schedule),
+        "policy": samplers.CollectionPolicy(**config.get("collection", {})),
         **options,
-    )
+    }
+
+
+def _entry_options(index: int, spec: dict, config: dict, target) -> dict:
+    """:func:`_run_options` of ``samplers[index]``, checked by the library
+    before any job runs; a rejected key is named ``samplers[index].<key>``."""
+    try:
+        options = _run_options(spec, config)
+        samplers.check_run(spec["name"], target, **options)
+    except ConfigError as err:
+        if err.field not in _ENTRY_FIELDS:
+            raise
+        field = f"samplers[{index}].{_ENTRY_FIELDS[err.field]}"
+        raise ConfigError(err.reason, field=field) from None
+    return options
+
+
+def _sample(kind: str, target, options: dict, seed: int, timing: str) -> samplers.RunResult:
+    """The CLI's one call of :func:`samplers.run`, with ``options`` from
+    :func:`_run_options`.  Timing fields are zeroed unless ``timing`` is
+    "wall", which keeps artifacts byte-reproducible."""
+    result = samplers.run(kind, target, seed=seed, **options)
     if timing != "wall":
         result.report.wall_clock = 0.0
         result.report.ess_per_second = 0.0
@@ -230,13 +252,18 @@ def cmd_run(args) -> int:
     policy = samplers.CollectionPolicy(**config.get("collection", {}))
     chash = config_hash(config)
 
-    jobs = [(spec, seed) for spec in config["samplers"] for seed in seeds]
+    target = _build_target(config["target"])
+    entries = [
+        (spec["name"], _entry_options(i, spec, config, target))
+        for i, spec in enumerate(config["samplers"])
+    ]
+    jobs = [(entry, seed) for entry in entries for seed in seeds]
 
-    def job(spec_seed):
-        spec, seed = spec_seed
-        result = _sample(_build_target(config["target"]), spec, config, seed, args.timing)
+    def job(entry_seed):
+        (kind, options), seed = entry_seed
+        result = _sample(kind, _build_target(config["target"]), options, seed, args.timing)
         report = {**result.report.to_dict(), "config_hash": chash}
-        return spec["name"], seed, report, _trajectory_csv(result.per_particle, policy)
+        return kind, seed, report, _trajectory_csv(result.per_particle, policy)
 
     results = _map_jobs(job, jobs, args.threads)
     tname = config["target"]["name"]
@@ -276,10 +303,11 @@ def bench_rows(seeds, timing: str = "off", threads: int = 1):
     def job(item):
         dist, kind, seed, proto = item
         eps = _step_size(kind, proto["per_particle_step"], proto["particles"])
-        spec = {"name": kind, "particles": proto["particles"], "step_size": eps}
+        spec = {"particles": proto["particles"], "step_size": eps}
         init = {"std": proto["init_std"]}
         config = {"iterations": BENCH_ITERATIONS, "collection": BENCH_POLICY, "init": init}
-        report = _sample(targets.make_target(dist), spec, config, seed, timing).report
+        target = targets.make_target(dist)
+        report = _sample(kind, target, _run_options(spec, config), seed, timing).report
         errs = dict(report.moment_errors)
         row = (dist, kind, seed, report.ess, report.ess_per_second)
         return (*row, errs["mean"], errs["second_moment"])
@@ -388,11 +416,11 @@ def bnn_report(
     target = bnn_mod.BnnTarget.create(potential, dataset, proto["batch_size"])
     step = proto["step_scale"] / dataset.n_train
     eps = _step_size(sampler, step, proto["particles"])
-    spec = {"name": sampler, "particles": proto["particles"], "step_size": eps}
+    spec = {"particles": proto["particles"], "step_size": eps}
     collection = {"burn_in": proto["burn_in"], "thin": proto["thin"]}
     init = {"std": potential.init_std()}
     config = {"iterations": proto["iterations"], "collection": collection, "init": init}
-    result = _sample(target, spec, config, seed, timing="off")
+    result = _sample(sampler, target, _run_options(spec, config), seed, timing="off")
     report = result.report.to_dict()
     # event-major, in the order the draws were collected
     particles = result.per_particle.transpose(1, 0, 2).reshape(-1, target.dim)

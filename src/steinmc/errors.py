@@ -39,10 +39,12 @@ class DegenerateChainError(SteinmcError):
 
 class ConfigError(SteinmcError, ValueError):
     """Invalid experiment configuration or argument value (hence also a
-    ValueError); `field` names the offending entry.  The CLI exits with 2."""
+    ValueError); `field` names the offending entry and `reason` is the message
+    without it.  The CLI exits with 2."""
 
     def __init__(self, message, field=None):
         self.field = field
+        self.reason = message
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)

@@ -26,6 +26,7 @@ settles on variance-underestimating configurations.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import math
 import time
 from dataclasses import dataclass, replace
@@ -387,6 +388,53 @@ _KINDS = {
 SAMPLER_KINDS = tuple(_KINDS)
 
 
+def _checked_start(
+    kind, dim, n_particles, iterations, policy, init_mean, init_std,
+    beta1, beta2, stabilizer, repulsion_cutoff,
+):
+    """The rules of :func:`run` for its arguments, checked before any draw.
+
+    Returns the (d,) initial mean and std and the zero momentum state.
+    """
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown sampler kind {kind!r}", field="sampler")
+    if n_particles < 1:
+        raise ConfigError("must be >= 1", field="particles")
+    if (iterations - policy.burn_in) // policy.thin < 1:
+        raise ConfigError("must exceed burn_in by at least thin", field="iterations")
+    for field, value in (("init.mean", init_mean), ("init.std", init_std)):
+        if np.ndim(value) > 1 or np.size(value) not in (1, dim):
+            raise ConfigError(f"expected a number or {dim} numbers", field=field)
+    mean = np.broadcast_to(np.asarray(init_mean, dtype=float), (dim,))
+    std = np.broadcast_to(np.asarray(init_std, dtype=float), (dim,))
+    if not np.isfinite(mean).all():
+        raise ConfigError("must be finite", field="init.mean")
+    if not ((std >= 0) & (std < math.inf)).all():
+        raise ConfigError("must be finite and >= 0", field="init.std")
+    if repulsion_cutoff is not None and repulsion_cutoff < 0:
+        raise ConfigError("must be >= 0", field="repulsion_cutoff")
+    momentum = MomentumState(
+        np.zeros((n_particles, dim)), beta1=beta1, beta2=beta2, stabilizer=stabilizer
+    )
+    return mean, std, momentum
+
+
+def check_run(kind: str, target: TargetModel, **options) -> None:
+    """Raise the ConfigError that ``run(kind, target, **options)`` raises for
+    one of its arguments, without drawing or stepping.
+
+    ``options`` are run's keyword arguments: ``seed`` may be left out, and
+    any other left out takes run's default.
+    """
+    args = _RUN_SIGNATURE.bind(kind, target, **{"seed": 0, **options})
+    args.apply_defaults()
+    a = args.arguments
+    _checked_start(
+        kind, target.dim, a["n_particles"], a["iterations"], a["policy"], a["init_mean"],
+        a["init_std"], a["beta1"], a["beta2"], a["stabilizer"], a["repulsion_cutoff"],
+    )
+
+
 def run(
     kind: str,
     target: TargetModel,
@@ -416,33 +464,16 @@ def run(
     discounts the pooled draw count by the autocorrelation of the per-event
     ensemble mean.
     """
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown sampler kind {kind!r}", field="sampler")
-    if n_particles < 1:
-        raise ConfigError("must be >= 1", field="particles")
-    if (iterations - policy.burn_in) // policy.thin < 1:
-        raise ConfigError("must exceed burn_in by at least thin", field="iterations")
+    dim = target.dim
+    mean, std, momentum = _checked_start(
+        kind, dim, n_particles, iterations, policy, init_mean, init_std,
+        beta1, beta2, stabilizer, repulsion_cutoff,
+    )
     kernel_cfg = kernel_cfg or KernelConfig()
     rng = np.random.default_rng(seed)
-
-    dim = target.dim
-    for field, value in (("init.mean", init_mean), ("init.std", init_std)):
-        if np.ndim(value) > 1 or np.size(value) not in (1, dim):
-            raise ConfigError(f"expected a number or {dim} numbers", field=field)
-    mean = np.broadcast_to(np.asarray(init_mean, dtype=float), (dim,))
-    std = np.broadcast_to(np.asarray(init_std, dtype=float), (dim,))
-    if not np.isfinite(mean).all():
-        raise ConfigError("must be finite", field="init.mean")
-    if not ((std >= 0) & (std < math.inf)).all():
-        raise ConfigError("must be finite and >= 0", field="init.std")
-    if repulsion_cutoff is not None and repulsion_cutoff < 0:
-        raise ConfigError("must be >= 0", field="repulsion_cutoff")
     ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))
 
     interacting, init_momentum, step = _KINDS[kind]
-    momentum = MomentumState(
-        np.zeros((n_particles, dim)), beta1=beta1, beta2=beta2, stabilizer=stabilizer
-    )
     if init_momentum is not None:
         momentum = init_momentum(rng, momentum)
 
@@ -492,3 +523,7 @@ def run(
         extra={"sampler": kind, "target": target.name, "seed": seed},
     )
     return RunResult(samples=pooled, per_particle=per_particle, report=report, final=ensemble)
+
+
+# taken once, so check_run reads run's own defaults even where run is wrapped
+_RUN_SIGNATURE = inspect.signature(run)

@@ -2,8 +2,12 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from steinmc import autodiff as ad
+from steinmc import refine, targets
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -335,3 +339,216 @@ class TestBackward:
         out1 = ad.reduce_sum(ad.exp(ad.mul(x, x)))
         out2 = ad.reduce_sum(ad.exp(ad.mul(x, x)))
         assert float(out1.value) == float(out2.value)
+
+
+def full_sweep(output):
+    """The reverse sweep without activity analysis: a zeros gradient for
+    every node reachable from ``output`` and a pull into every parent."""
+    order, seen, stack = [], set(), [(output, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node.parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    for node in order:
+        node.grad = np.zeros(node.value.shape)
+    output.grad = np.ones(())
+    for node in reversed(order):
+        for parent, pull in node.parents:
+            parent.grad = parent.grad + pull(node.grad)
+
+
+def assert_bitwise_equal(reference, pruned):
+    assert (reference is None) == (pruned is None)
+    if reference is not None:
+        reference = np.asarray(reference)
+        assert reference.shape == pruned.shape
+        assert reference.tobytes() == pruned.tobytes()
+
+
+# every shape broadcasts with every other; reduce_sum along axis 0 keeps that
+SHAPES = [(), (2,), (1, 2), (3, 1), (3, 2)]
+INPUT_KINDS = ("leaf", "frozen", "constant", "array")
+OPS = {
+    "add": lambda a, b: ad.add(a, b),
+    "mul": lambda a, b: ad.mul(a, b),
+    "sub": lambda a, b: ad.as_node(a) - b,
+    "neg": lambda a, b: ad.neg(a),
+    "tanh": lambda a, b: ad.tanh(a),
+    "exp_tanh": lambda a, b: ad.exp(ad.tanh(a)),
+    "stop_gradient": lambda a, b: ad.stop_gradient(a),
+    "reduce_sum": lambda a, b: ad.reduce_sum(a),
+    "reduce_sum_axis0": lambda a, b: ad.reduce_sum(a, axis=0 if np.ndim(ad.value(a)) else None),
+}
+
+
+@st.composite
+def graphs(draw):
+    """A recipe for a random graph: inputs of every kind, then 1-12 ops."""
+    inputs = []
+    for kind in draw(st.lists(st.sampled_from(INPUT_KINDS), min_size=1, max_size=5)):
+        shape = draw(st.sampled_from(SHAPES))
+        # signed zeros often: a -0.0 adjoint must still read +0.0 at a leaf
+        elements = st.floats(-2, 2) | st.sampled_from([0.0, -0.0])
+        values = draw(hnp.arrays(float, shape, elements=elements))
+        inputs.append((kind, values))
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(OPS)), st.integers(0, 99), st.integers(0, 99)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return inputs, steps
+
+
+def build(recipe):
+    """The graph of a recipe, built afresh: (scalar output, input nodes)."""
+    inputs, steps = recipe
+    make = {
+        "leaf": ad.leaf,
+        "frozen": lambda v: ad.leaf(v, requires_grad=False),
+        "constant": ad.constant,
+        "array": lambda v: v.copy(),
+    }
+    pool = [make[kind](values) for kind, values in inputs]
+    for name, i, j in steps:
+        pool.append(OPS[name](pool[i % len(pool)], pool[j % len(pool)]))
+    out = ad.reduce_sum(pool[-1])
+    for extra in pool[-3:-1]:
+        out = out + ad.reduce_sum(extra)
+    return out, pool[: len(inputs)]
+
+
+class TestPrunedSweep:
+    """``backward`` visits only nodes that lead to a requires_grad leaf and
+    gives every such leaf bitwise the gradient of the full sweep."""
+
+    @given(graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_leaf_gradients_equal_the_full_sweep(self, recipe):
+        ref_out, ref_inputs = build(recipe)
+        full_sweep(ref_out)
+        out, inputs = build(recipe)
+        ad.backward(out)
+        for (kind, _), ref_node, node in zip(recipe[0], ref_inputs, inputs):
+            if kind == "leaf":
+                assert_bitwise_equal(ref_node.grad, node.grad)
+            elif kind in ("frozen", "constant"):
+                assert node.grad is None
+
+    def test_negative_zero_adjoint_reads_as_in_the_full_sweep(self):
+        def graph():
+            x = ad.leaf(np.array([1.0, 2.0]))
+            return ad.reduce_sum(ad.neg(ad.mul(x, 0.0))), x
+
+        (ref_out, ref_x), (out, x) = graph(), graph()
+        full_sweep(ref_out)
+        ad.backward(out)
+        assert not np.signbit(x.grad).any()
+        assert_bitwise_equal(ref_x.grad, x.grad)
+
+    @pytest.mark.parametrize("ad_mode", refine.AD_MODES)
+    @pytest.mark.parametrize("steps", [0, 2])
+    @pytest.mark.parametrize("sampler", ["sgld", "svgd", "flow"])
+    @pytest.mark.parametrize("name", ["funnel", "mog"])
+    def test_elbo_gradients_equal_the_full_sweep(self, name, sampler, steps, ad_mode):
+        target = targets.make_target(name)
+        rg = refine.RefinedGuide(
+            guide=refine.DiagonalGaussianGuide(np.array([0.3, -0.2]), np.log([0.8, 1.2])),
+            inner_sampler=sampler,
+            log_eta=np.log(0.05),
+            steps_refine=steps,
+            ad_mode=ad_mode,
+        )
+        reference = refine.elbo(rg, target, 16, np.random.default_rng(5))
+        full_sweep(reference.objective)
+        tape = refine.elbo(rg, target, 16, np.random.default_rng(5))
+        ad.backward(tape.objective)
+        for leaf in ("mean", "log_scale", "log_eta"):
+            ref_leaf, leaf_node = getattr(reference, leaf), getattr(tape, leaf)
+            if leaf_node.requires_grad:
+                assert_bitwise_equal(ref_leaf.grad, leaf_node.grad)
+            else:
+                assert leaf_node.grad is None
+        assert reference.value == tape.value
+
+
+def raising_pull(g):
+    raise AssertionError("pull into a constant parent")
+
+
+class TestGradientContract:
+    def test_constant_parent_pull_is_never_called(self):
+        x = ad.leaf(np.array([1.0, 2.0]))
+        c = ad.constant(np.array([3.0, -1.0]))
+        via_c = ad.Node(c.value * 2.0, parents=((c, raising_pull),))
+        ad.backward(ad.reduce_sum(ad.mul(x, via_c)))
+        np.testing.assert_array_equal(x.grad, [6.0, -2.0])
+        assert via_c.grad is None and c.grad is None
+
+    def test_frozen_leaf_and_constants_keep_no_grad(self):
+        x = ad.leaf(np.array([0.5, -1.5]))
+        frozen = ad.leaf(np.array([2.0, 3.0]), requires_grad=False)
+        c = ad.constant(4.0)
+        blocked = ad.stop_gradient(ad.mul(x, x))
+        derived = ad.exp(ad.mul(frozen, c))
+        out = ad.reduce_sum(ad.mul(x, derived) + blocked + ad.mul(c, frozen))
+        ad.backward(out)
+        for node in (frozen, c, blocked, derived):
+            assert node.grad is None
+        np.testing.assert_array_equal(x.grad, np.exp(4.0 * frozen.value))
+
+    @pytest.mark.parametrize(
+        "build_out",
+        [
+            # reduce_sum's pull is a read-only broadcast view
+            lambda x, y: ad.reduce_sum(x) + ad.reduce_sum(ad.mul(2.0, y)),
+            # add passes the adjoint through unchanged, so both operands would share it
+            lambda x, y: ad.reduce_sum(ad.add(x, y)),
+            lambda x, y: ad.reduce_sum(ad.add(ad.add(x, y), ad.neg(x))),
+            lambda x, y: ad.reduce_sum(ad.reshape(ad.add(x, y), (6,))),
+        ],
+        ids=["reduce_sum_view", "add_alias", "add_chain", "reshape_view"],
+    )
+    def test_leaf_grads_are_own_writable_arrays(self, build_out):
+        x = ad.leaf(np.arange(6.0).reshape(3, 2))
+        y = ad.leaf(np.ones((3, 2)))
+        scalar = ad.leaf(1.5)
+        out = build_out(x, y) + ad.mul(scalar, scalar)
+        ad.backward(out)
+        leaves = (x, y, scalar)
+        for leaf in leaves:
+            assert isinstance(leaf.grad, np.ndarray)
+            assert leaf.grad.shape == leaf.value.shape
+            assert leaf.grad.flags.writeable
+        grads = [leaf.grad for leaf in leaves] + [out.grad]
+        for i, a in enumerate(grads):
+            for b in grads[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_second_backward_from_another_output_resets_grads(self):
+        x = ad.leaf(np.array([1.0, -2.0]))
+        y = ad.leaf(np.array([0.5, 0.25]))
+        shared = ad.mul(x, y)
+        ad.backward(ad.reduce_sum(ad.mul(3.0, shared)))
+        np.testing.assert_array_equal(x.grad, 3.0 * y.value)
+        ad.backward(ad.reduce_sum(ad.add(shared, x)))
+        np.testing.assert_array_equal(x.grad, y.value + 1.0)
+        np.testing.assert_array_equal(y.grad, x.value)
+
+    def test_nodes_leading_to_no_leaf_are_not_visited(self):
+        x = ad.leaf(np.array([1.0, 2.0]))
+        c = ad.constant(np.array([3.0, 4.0]))
+        derived = ad.exp(ad.tanh(c))
+        product = ad.mul(x, derived)
+        out = ad.reduce_sum(product)
+        assert x.live and not c.live and not derived.live and out.live
+        assert ad._topological_order(out) == [x, product, out]

@@ -167,33 +167,35 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "target, sampler, init, key",
         [
-            ({}, {"schedule": "robbins_monro", "gamma": 2.0}, {}, "gamma"),
-            ({}, {"name": "repulsive_sgdm", "beta1": 1.5}, {}, "beta1"),
-            ({}, {"kernel": {"bandwidth": -1, "bandwidth_mode": "fixed"}}, {}, "bandwidth"),
+            ({}, {"schedule": "robbins_monro", "gamma": 2.0}, {}, "samplers[0].gamma"),
+            ({}, {"name": "repulsive_sgdm", "beta1": 1.5}, {}, "samplers[0].beta1"),
+            ({}, {"kernel": {"bandwidth": -1, "bandwidth_mode": "fixed"}}, {},
+             "samplers[0].kernel.bandwidth"),
             ({"name": "gaussian", "params": {"dim": 2}}, {}, {"mean": [0, 0, 0]}, "init.mean"),
             ({"name": "gaussian", "params": {"dim": 0}}, {}, {}, "dim"),
             ({"name": "funnel", "params": {"scale_convention": "x"}}, {}, {}, "scale_convention"),
             ({"name": "funnel", "params": {"scale": 0}}, {}, {}, "scale"),
             ({"name": "funnel", "params": {"scale": -1}}, {}, {}, "scale"),
-            ({}, {"name": "repulsive_adam", "stabilizer": -1}, {}, "stabilizer"),
+            ({}, {"name": "repulsive_adam", "stabilizer": -1}, {}, "samplers[0].stabilizer"),
             # momentum and schedule keys are checked also where the kind ignores them
-            ({}, {"name": "sgld", "beta1": 1.5}, {}, "beta1"),
-            ({}, {"name": "svgd", "beta2": 1.0}, {}, "beta2"),
-            ({}, {"name": "sgld", "stabilizer": -1}, {}, "stabilizer"),
-            ({}, {"name": "svgd", "gamma": 7.0}, {}, "gamma"),
-            ({}, {"name": "sgld", "repulsion_cutoff": -5}, {}, "repulsion_cutoff"),
+            ({}, {"name": "sgld", "beta1": 1.5}, {}, "samplers[0].beta1"),
+            ({}, {"name": "svgd", "beta2": 1.0}, {}, "samplers[0].beta2"),
+            ({}, {"name": "sgld", "stabilizer": -1}, {}, "samplers[0].stabilizer"),
+            ({}, {"name": "svgd", "gamma": 7.0}, {}, "samplers[0].gamma"),
+            ({}, {"name": "sgld", "repulsion_cutoff": -5}, {}, "samplers[0].repulsion_cutoff"),
             ({}, {}, {"mean": ["a"]}, "$.init.mean[0]"),
             ({}, {}, {"std": [1, "b"]}, "$.init.std[1]"),
             ({}, {}, {"std": -1.0}, "init.std"),
             # non-finite numbers (JSON NaN / Infinity) are rejected where first checked
             (GAUSS2, {}, {"mean": float("nan")}, "init.mean"),
             (GAUSS2, {}, {"std": float("inf")}, "init.std"),
-            (GAUSS2, {"step_size": float("inf")}, {}, "step_size"),
-            (GAUSS2, {"kernel": {"jitter": float("inf")}}, {}, "jitter"),
+            (GAUSS2, {"step_size": float("inf")}, {}, "samplers[0].step_size"),
+            (GAUSS2, {"kernel": {"jitter": float("inf")}}, {}, "samplers[0].kernel.jitter"),
             (GAUSS2, {"kernel": {"bandwidth": float("inf"), "bandwidth_mode": "fixed"}}, {},
-             "bandwidth"),
-            (GAUSS2, {"name": "repulsive_adam", "stabilizer": float("inf")}, {}, "stabilizer"),
-            (GAUSS2, {"kernel": {"bandwidth": float("nan")}}, {}, "bandwidth"),
+             "samplers[0].kernel.bandwidth"),
+            (GAUSS2, {"name": "repulsive_adam", "stabilizer": float("inf")}, {},
+             "samplers[0].stabilizer"),
+            (GAUSS2, {"kernel": {"bandwidth": float("nan")}}, {}, "samplers[0].kernel.bandwidth"),
         ],
         ids=["gamma", "beta1", "bandwidth", "init_mean", "dim", "scale_convention",
              "scale_zero", "scale_negative", "stabilizer", "sgld_beta1", "svgd_beta2",
@@ -216,11 +218,12 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "change, key",
         [
-            ({"samplers": [{"name": "sgld", "step_size": -1}]}, "step_size"),
-            ({"samplers": [{"name": "sgld", "step_size": 0}]}, "step_size"),
-            ({"samplers": [{"name": "svgd", "kernel": {"jitter": -1e-6}}]}, "jitter"),
-            ({"samplers": [{"name": "sgld", "particles": 0}]}, "particles"),
-            ({"samplers": [{"name": "sgld", "particles": -3}]}, "particles"),
+            ({"samplers": [{"name": "sgld", "step_size": -1}]}, "samplers[0].step_size"),
+            ({"samplers": [{"name": "sgld", "step_size": 0}]}, "samplers[0].step_size"),
+            ({"samplers": [{"name": "svgd", "kernel": {"jitter": -1e-6}}]},
+             "samplers[0].kernel.jitter"),
+            ({"samplers": [{"name": "sgld", "particles": 0}]}, "samplers[0].particles"),
+            ({"samplers": [{"name": "sgld", "particles": -3}]}, "samplers[0].particles"),
             ({"collection": {"burn_in": -1, "thin": 10}}, "collection.burn_in"),
             ({"collection": {"burn_in": 100, "thin": 0}}, "collection.thin"),
             ({"iterations": 0}, "iterations"),
@@ -235,6 +238,25 @@ class TestRunCommand:
         validate_config(cfg)
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert f"config error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "bad, key",
+        [({"step_size": -1}, "step_size"), ({"particles": 0}, "particles"),
+         ({"kernel": {"jitter": -1.0}}, "kernel.jitter"), ({"beta2": 2.0}, "beta2")],
+        ids=["step_size", "particles", "jitter", "beta2"],
+    )
+    def test_bad_later_entry_exits_2_before_any_job(
+        self, tmp_path, capsys, monkeypatch, bad, key
+    ):
+        # every entry is checked before the first job, and the message names it
+        calls = []
+        monkeypatch.setattr(samplers, "run", lambda *a, **k: calls.append(a))
+        entries = [{"name": "sgld", "step_size": 0.1}, {"name": "svgd", "step_size": 0.1, **bad}]
+        cfg = moe_config(tmp_path / "out", samplers=entries)
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"config error: samplers[1].{key}: " in capsys.readouterr().err
+        assert not calls
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("iterations", [100, 105])

@@ -1,7 +1,9 @@
-"""The documented public surface: module import paths and the README's
-library examples."""
+"""The documented public surface: module import paths, the README's
+library examples and the entry points the benchmark's tracer wraps."""
 
+import importlib.util
 import re
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -9,7 +11,8 @@ import pytest
 
 import steinmc
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
 
 
@@ -28,3 +31,18 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_tracer_entry_points_resolve(monkeypatch):
+    # a renamed entry point is skipped by the tracer, so its per-layer
+    # metrics would read 0 instead of failing; the tracer is read, not cached
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = [
+        f"{owner}.{attr}"
+        for owner, attr, _ in tracer.ENTRY_POINTS
+        if not callable(vars(tracer._resolve(owner)).get(attr))
+    ]
+    assert not unresolved

@@ -549,6 +549,40 @@ class TestRunner:
             )
         assert exc.value.field == field
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"n_particles": 0}, "particles"),
+            ({"iterations": 5}, "iterations"),
+            ({"init_mean": [0.0, 0.0, 0.0]}, "init.mean"),
+            ({"init_std": -1.0}, "init.std"),
+            ({"repulsion_cutoff": -1}, "repulsion_cutoff"),
+            ({"beta1": 1.0}, "beta1"),
+            ({"stabilizer": -1.0}, "stabilizer"),
+        ],
+    )
+    def test_check_run_raises_what_run_raises(self, bad, field, monkeypatch):
+        options = {
+            "n_particles": 2, "iterations": 10, "schedule": StepSchedule(),
+            "policy": CollectionPolicy(burn_in=5), **bad,
+        }
+        target = std_gaussian(2)
+        with pytest.raises(ConfigError) as from_run:
+            samplers.run("sgld", target, seed=0, **options)
+        # check_run draws nothing and never steps
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ConfigError) as from_check:
+            samplers.check_run("sgld", target, **options)
+        assert from_check.value.field == from_run.value.field == field
+        assert str(from_check.value) == str(from_run.value)
+
+    def test_check_run_accepts_what_run_accepts(self):
+        options = dict(n_particles=2, iterations=10, schedule=StepSchedule(),
+                       policy=CollectionPolicy())
+        assert samplers.check_run("svgd", std_gaussian(2), **options) is None
+        with pytest.raises(TypeError):
+            samplers.check_run("svgd", std_gaussian(2), particles=2, **options)
+
     def test_same_seed_bitwise_identical(self):
         kwargs = dict(
             n_particles=4,
