@@ -175,56 +175,40 @@ def _build_target(spec: dict):
         raise ConfigError(str(err), field="target.params")
 
 
-# sampler-entry keys of a run config -> StepSchedule fields and run() options
-_SCHEDULE_KEYS = {"schedule": "kind", "step_size": "eps0", "gamma": "gamma"}
-_RUN_KEYS = ("beta1", "beta2", "stabilizer", "repulsion_cutoff")
-# library ConfigError fields that name a sampler-entry key -> that key's path
-_ENTRY = CONFIG_SCHEMA["properties"]["samplers"]["items"]["properties"]
-_ENTRY_FIELDS = {key: key for key in _ENTRY} | {
-    key: f"kernel.{key}" for key in _ENTRY["kernel"]["properties"]
-}
-
-
-def _run_options(spec: dict, config: dict) -> dict:
-    """Keyword arguments of :func:`samplers.run` for one sampler entry.
-
-    ``spec`` is a sampler entry of a run config and ``config`` holds its
-    "iterations", "collection" and "init".  A key left out is not passed, so
-    the library's defaults are the only ones.
-    """
-    schedule = {field: spec[key] for key, field in _SCHEDULE_KEYS.items() if key in spec}
-    options = {key: spec[key] for key in _RUN_KEYS if key in spec}
-    options.update({f"init_{key}": value for key, value in config.get("init", {}).items()})
-    if "kernel" in spec:
-        options["kernel_cfg"] = kernels.KernelConfig(**spec["kernel"])
-    return {
-        "n_particles": spec.get("particles", 10),
-        "iterations": config["iterations"],
-        "schedule": samplers.StepSchedule(**schedule),
-        "policy": samplers.CollectionPolicy(**config.get("collection", {})),
-        **options,
-    }
-
-
-def _entry_options(index: int, spec: dict, config: dict, target) -> dict:
-    """:func:`_run_options` of ``samplers[index]``, checked by the library
-    before any job runs; a rejected key is named ``samplers[index].<key>``."""
+def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
+    """The run spec of ``config["samplers"][index]`` for a target of dimension
+    ``dim``, with every rule checked; a rejected sampler-entry key is named
+    ``samplers[index].<key>``.  A key left out takes the library's default."""
+    entry = dict(config["samplers"][index])
+    schedule = {field: entry.pop(key) for key, field in
+                (("schedule", "kind"), ("step_size", "eps0"), ("gamma", "gamma")) if key in entry}
     try:
-        options = _run_options(spec, config)
-        samplers.check_run(spec["name"], target, **options)
+        kernel_cfg = kernels.KernelConfig(**entry.pop("kernel", {}))
+        spec = samplers.RunSpec(
+            entry.pop("name"),
+            entry.pop("particles", 10),
+            config["iterations"],
+            samplers.StepSchedule(**schedule),
+            samplers.CollectionPolicy(**config.get("collection", {})),
+            kernel_cfg=kernel_cfg,
+            **{f"init_{key}": value for key, value in config.get("init", {}).items()},
+            **entry,  # beta1, beta2, stabilizer, repulsion_cutoff
+        )
+        spec.initial(dim)
     except ConfigError as err:
-        if err.field not in _ENTRY_FIELDS:
-            raise
-        field = f"samplers[{index}].{_ENTRY_FIELDS[err.field]}"
-        raise ConfigError(err.reason, field=field) from None
-    return options
+        keys = CONFIG_SCHEMA["properties"]["samplers"]["items"]["properties"]
+        if err.field in keys["kernel"]["properties"]:
+            raise ConfigError(err.reason, field=f"samplers[{index}].kernel.{err.field}") from None
+        if err.field in keys:
+            raise ConfigError(err.reason, field=f"samplers[{index}].{err.field}") from None
+        raise
+    return spec
 
 
-def _sample(kind: str, target, options: dict, seed: int, timing: str) -> samplers.RunResult:
-    """The CLI's one call of :func:`samplers.run`, with ``options`` from
-    :func:`_run_options`.  Timing fields are zeroed unless ``timing`` is
-    "wall", which keeps artifacts byte-reproducible."""
-    result = samplers.run(kind, target, seed=seed, **options)
+def _sample(spec: samplers.RunSpec, target, seed: int, timing: str) -> samplers.RunResult:
+    """The CLI's one call of :func:`samplers.run`.  Timing fields are zeroed
+    unless ``timing`` is "wall", which keeps artifacts byte-reproducible."""
+    result = samplers.run(spec, target, seed)
     if timing != "wall":
         result.report.wall_clock = 0.0
         result.report.ess_per_second = 0.0
@@ -249,21 +233,18 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     out_dir = _resolve_out(args, config.get("output_dir"))
     seeds = _resolve_seeds(args, config["seeds"])
-    policy = samplers.CollectionPolicy(**config.get("collection", {}))
     chash = config_hash(config)
 
+    # built-in targets are stateless, so every job, on any thread, shares one
     target = _build_target(config["target"])
-    entries = [
-        (spec["name"], _entry_options(i, spec, config, target))
-        for i, spec in enumerate(config["samplers"])
-    ]
-    jobs = [(entry, seed) for entry in entries for seed in seeds]
+    specs = [_entry_spec(i, config, target.dim) for i in range(len(config["samplers"]))]
+    jobs = [(spec, seed) for spec in specs for seed in seeds]
 
-    def job(entry_seed):
-        (kind, options), seed = entry_seed
-        result = _sample(kind, _build_target(config["target"]), options, seed, args.timing)
+    def job(spec_seed):
+        spec, seed = spec_seed
+        result = _sample(spec, target, seed, args.timing)
         report = {**result.report.to_dict(), "config_hash": chash}
-        return kind, seed, report, _trajectory_csv(result.per_particle, policy)
+        return spec.kind, seed, report, _trajectory_csv(result.per_particle, spec.policy)
 
     results = _map_jobs(job, jobs, args.threads)
     tname = config["target"]["name"]
@@ -303,11 +284,11 @@ def bench_rows(seeds, timing: str = "off", threads: int = 1):
     def job(item):
         dist, kind, seed, proto = item
         eps = _step_size(kind, proto["per_particle_step"], proto["particles"])
-        spec = {"particles": proto["particles"], "step_size": eps}
-        init = {"std": proto["init_std"]}
-        config = {"iterations": BENCH_ITERATIONS, "collection": BENCH_POLICY, "init": init}
-        target = targets.make_target(dist)
-        report = _sample(kind, target, _run_options(spec, config), seed, timing).report
+        spec = samplers.RunSpec(
+            kind, proto["particles"], BENCH_ITERATIONS, samplers.StepSchedule(eps0=eps),
+            samplers.CollectionPolicy(**BENCH_POLICY), init_std=proto["init_std"],
+        )
+        report = _sample(spec, targets.make_target(dist), seed, timing).report
         errs = dict(report.moment_errors)
         row = (dist, kind, seed, report.ess, report.ess_per_second)
         return (*row, errs["mean"], errs["second_moment"])
@@ -416,11 +397,11 @@ def bnn_report(
     target = bnn_mod.BnnTarget.create(potential, dataset, proto["batch_size"])
     step = proto["step_scale"] / dataset.n_train
     eps = _step_size(sampler, step, proto["particles"])
-    spec = {"particles": proto["particles"], "step_size": eps}
-    collection = {"burn_in": proto["burn_in"], "thin": proto["thin"]}
-    init = {"std": potential.init_std()}
-    config = {"iterations": proto["iterations"], "collection": collection, "init": init}
-    result = _sample(sampler, target, _run_options(spec, config), seed, timing="off")
+    spec = samplers.RunSpec(
+        sampler, proto["particles"], proto["iterations"], samplers.StepSchedule(eps0=eps),
+        samplers.CollectionPolicy(proto["burn_in"], proto["thin"]), init_std=potential.init_std(),
+    )
+    result = _sample(spec, target, seed, timing="off")
     report = result.report.to_dict()
     # event-major, in the order the draws were collected
     particles = result.per_particle.transpose(1, 0, 2).reshape(-1, target.dim)

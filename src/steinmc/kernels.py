@@ -173,7 +173,11 @@ def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
         raise ValueError("positions must be an L x d matrix with L >= 1")
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
+    return _kernel_matrix(positions, cfg)
 
+
+def _kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
+    """:func:`kernel_matrix` of an (L, d) float array known to be finite."""
     entries, h, degenerate = rbf(positions, cfg)
     return KernelMatrix(
         entries=entries,

@@ -330,18 +330,15 @@ def optimize(
     """
     if outer_iterations < 1:
         raise ValueError("outer_iterations must be >= 1")
-    params = {
-        "mean": rg.guide.mean.copy(),
-        "log_scale": rg.guide.log_scale.copy(),
-        "log_eta": np.asarray(float(rg.log_eta)),
-    }
+    # one flat Adam state over [mean, log_scale, log_eta], in elbo_grad's order
+    shape, size = rg.guide.mean.shape, rg.guide.mean.size
+    x = np.concatenate([rg.guide.mean.ravel(), rg.guide.log_scale.ravel(), [float(rg.log_eta)]])
 
     def current():
-        guide = DiagonalGaussianGuide(params["mean"], params["log_scale"])
-        return replace(rg, guide=guide, log_eta=float(params["log_eta"]))
+        guide = DiagonalGaussianGuide(x[:size].reshape(shape), x[size:-1].reshape(shape))
+        return replace(rg, guide=guide, log_eta=float(x[-1]))
 
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(v) for k, v in params.items()}
+    m, v = np.zeros_like(x), np.zeros_like(x)
     b1, b2, stab = 0.9, 0.999, 1e-8
 
     trace = []
@@ -351,17 +348,16 @@ def optimize(
         except (ad.NonFiniteError, DivergenceError) as err:
             particle = getattr(err, "particle", -1)
             raise DivergenceError(it, particle, snapshot=np.array(trace)) from err
+        g = np.concatenate([grads[key].ravel() for key in ("mean", "log_scale", "log_eta")])
         with np.errstate(over="ignore"):  # an inf second moment would zero its step
-            for key, g in grads.items():
-                m[key] = b1 * m[key] + (1 - b1) * g
-                v[key] = b2 * v[key] + (1 - b2) * g * g
-        if not all(np.isfinite(x).all() for x in (value, *grads.values(), *v.values())):
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+        if not (np.isfinite(value) and np.isfinite(g).all() and np.isfinite(v).all()):
             raise DivergenceError(iteration=it, particle=-1, snapshot=np.array(trace))
         trace.append(-value)
-        for key in params:
-            mhat = m[key] / (1 - b1 ** (it + 1))
-            vhat = v[key] / (1 - b2 ** (it + 1))
-            params[key] = params[key] + learning_rate * mhat / (np.sqrt(vhat) + stab)
+        mhat = m / (1 - b1 ** (it + 1))
+        vhat = v / (1 - b2 ** (it + 1))
+        x = x + learning_rate * mhat / (np.sqrt(vhat) + stab)
 
     trained = current()
     inferred = None

@@ -21,15 +21,21 @@ preconditioned momenta (repulsive_sgdm, repulsive_adam).  Adding correlated
 noise with covariance (2 eps / L) K to an eps * phi step makes the product
 target stationary; omitting the noise gives the deterministic flow, which
 settles on variance-underestimating configurations.
+
+A run is a :class:`RunSpec`, whose constructor checks every rule of the
+run's settings before anything is drawn, handed to :func:`run`, the one
+sampling loop, with a target and a seed.  The loop's per-step states skip
+their constructors' checks: :func:`_advance` has checked the positions, so
+the kernel is assembled by :func:`kernels._kernel_matrix` without checking
+them again.
 """
 
 from __future__ import annotations
 
 import contextlib
-import inspect
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -180,7 +186,16 @@ def _advance(
     if noise is not None:
         new = new + noise
     _check_finite(new, ensemble.step_index + 1, snapshot=z)
-    return ParticleEnsemble(new, ensemble.step_index + 1)
+    return _evolved(ensemble, positions=new, step_index=ensemble.step_index + 1)
+
+
+def _evolved(state, **changes):
+    """:func:`dataclasses.replace` without ``__post_init__``, for a step's new
+    state: its arrays are built by the step itself, which checks what may go
+    wrong in them, so the constructor's rules need not run again."""
+    new = object.__new__(type(state))
+    new.__dict__.update(vars(state), **changes)
+    return new
 
 
 def _pooled_ess(collected: np.ndarray) -> float:
@@ -298,7 +313,7 @@ def repulsive_sgdm_step(
             raise ValueError("position_noise requires an rng")
         noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
     new = _advance(ensemble, _interaction_drift(-m, km), eps, noise)
-    return new, replace(momentum, momenta=new_m)
+    return new, _evolved(momentum, momenta=new_m)
 
 
 def repulsive_adam_step(
@@ -337,7 +352,7 @@ def repulsive_adam_step(
     drift = _interaction_drift(-new_m / np.sqrt(new_v + momentum.stabilizer), km)
     noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
     new = _advance(ensemble, drift, eps, noise)
-    return new, replace(momentum, momenta=new_m, second_moments=new_v)
+    return new, _evolved(momentum, momenta=new_m, second_moments=new_v)
 
 
 def momentum_block_matrix(km: KernelMatrix) -> np.ndarray:
@@ -388,92 +403,79 @@ _KINDS = {
 SAMPLER_KINDS = tuple(_KINDS)
 
 
-def _checked_start(
-    kind, dim, n_particles, iterations, policy, init_mean, init_std,
-    beta1, beta2, stabilizer, repulsion_cutoff,
-):
-    """The rules of :func:`run` for its arguments, checked before any draw.
+@dataclass(frozen=True)
+class RunSpec:
+    """One sampler run of :func:`run`, checked when it is built.
 
-    Returns the (d,) initial mean and std and the zero momentum state.
+    The schedule, collection policy and kernel config have checked their own
+    fields; the momentum settings are checked here by building a
+    :class:`MomentumState`, for every kind, also where unused.  `init_mean`
+    and `init_std` may each be one number or one per coordinate, a rule
+    that needs the target and lives in :meth:`initial`.
+    `repulsion_cutoff` switches the interacting samplers to the identity
+    kernel (no interaction) from that iteration on.
     """
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown sampler kind {kind!r}", field="sampler")
-    if n_particles < 1:
-        raise ConfigError("must be >= 1", field="particles")
-    if (iterations - policy.burn_in) // policy.thin < 1:
-        raise ConfigError("must exceed burn_in by at least thin", field="iterations")
-    for field, value in (("init.mean", init_mean), ("init.std", init_std)):
-        if np.ndim(value) > 1 or np.size(value) not in (1, dim):
-            raise ConfigError(f"expected a number or {dim} numbers", field=field)
-    mean = np.broadcast_to(np.asarray(init_mean, dtype=float), (dim,))
-    std = np.broadcast_to(np.asarray(init_std, dtype=float), (dim,))
-    if not np.isfinite(mean).all():
-        raise ConfigError("must be finite", field="init.mean")
-    if not ((std >= 0) & (std < math.inf)).all():
-        raise ConfigError("must be finite and >= 0", field="init.std")
-    if repulsion_cutoff is not None and repulsion_cutoff < 0:
-        raise ConfigError("must be >= 0", field="repulsion_cutoff")
-    momentum = MomentumState(
-        np.zeros((n_particles, dim)), beta1=beta1, beta2=beta2, stabilizer=stabilizer
-    )
-    return mean, std, momentum
+
+    kind: str
+    n_particles: int
+    iterations: int
+    schedule: StepSchedule
+    policy: CollectionPolicy
+    init_mean: np.typing.ArrayLike = 0.0
+    init_std: np.typing.ArrayLike = 1.0
+    kernel_cfg: KernelConfig = field(default_factory=KernelConfig)
+    beta1: float = 0.9
+    beta2: float = 0.999
+    stabilizer: float = 1e-8
+    repulsion_cutoff: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown sampler kind {self.kind!r}", field="sampler")
+        if self.n_particles < 1:
+            raise ConfigError("must be >= 1", field="particles")
+        if (self.iterations - self.policy.burn_in) // self.policy.thin < 1:
+            raise ConfigError("must exceed burn_in by at least thin", field="iterations")
+        if not np.isfinite(np.asarray(self.init_mean, dtype=float)).all():
+            raise ConfigError("must be finite", field="init.mean")
+        std = np.asarray(self.init_std, dtype=float)
+        if not ((std >= 0) & (std < math.inf)).all():
+            raise ConfigError("must be finite and >= 0", field="init.std")
+        if self.repulsion_cutoff is not None and self.repulsion_cutoff < 0:
+            raise ConfigError("must be >= 0", field="repulsion_cutoff")
+        self._zero_momentum(0)
+
+    def initial(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (dim,) mean and std of the initial particles."""
+        for name, value in (("init.mean", self.init_mean), ("init.std", self.init_std)):
+            if np.ndim(value) > 1 or np.size(value) not in (1, dim):
+                raise ConfigError(f"expected a number or {dim} numbers", field=name)
+        mean = np.broadcast_to(np.asarray(self.init_mean, dtype=float), (dim,))
+        return mean, np.broadcast_to(np.asarray(self.init_std, dtype=float), (dim,))
+
+    def _zero_momentum(self, dim: int) -> MomentumState:
+        return MomentumState(
+            np.zeros((self.n_particles, dim)),
+            beta1=self.beta1, beta2=self.beta2, stabilizer=self.stabilizer,
+        )
 
 
-def check_run(kind: str, target: TargetModel, **options) -> None:
-    """Raise the ConfigError that ``run(kind, target, **options)`` raises for
-    one of its arguments, without drawing or stepping.
-
-    ``options`` are run's keyword arguments: ``seed`` may be left out, and
-    any other left out takes run's default.
-    """
-    args = _RUN_SIGNATURE.bind(kind, target, **{"seed": 0, **options})
-    args.apply_defaults()
-    a = args.arguments
-    _checked_start(
-        kind, target.dim, a["n_particles"], a["iterations"], a["policy"], a["init_mean"],
-        a["init_std"], a["beta1"], a["beta2"], a["stabilizer"], a["repulsion_cutoff"],
-    )
-
-
-def run(
-    kind: str,
-    target: TargetModel,
-    *,
-    n_particles: int,
-    iterations: int,
-    schedule: StepSchedule,
-    policy: CollectionPolicy,
-    seed: int,
-    init_mean=0.0,
-    init_std=1.0,
-    kernel_cfg: KernelConfig | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    stabilizer: float = 1e-8,
-    repulsion_cutoff: int | None = None,
-) -> RunResult:
+def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     """Evolve an ensemble and collect draws under the thinning policy.
 
     The one sampling loop of the package: every kind advances through its
-    row of the step table.  Deterministic given the seed.  `init_std` may be
-    a scalar or one std per coordinate.  `repulsion_cutoff` switches the
-    interacting samplers to the identity kernel (no interaction) from that
-    iteration on.  `beta1`, `beta2` and `stabilizer` are checked for every
-    kind, also where unused.  Collected draws are mapped through the
-    target's moment transform and pooled over particles; the reported ESS
-    discounts the pooled draw count by the autocorrelation of the per-event
-    ensemble mean.
+    row of the step table.  Deterministic given the seed.  Collected draws
+    are mapped through the target's moment transform and pooled over
+    particles; the reported ESS discounts the pooled draw count by the
+    autocorrelation of the per-event ensemble mean.
     """
-    dim = target.dim
-    mean, std, momentum = _checked_start(
-        kind, dim, n_particles, iterations, policy, init_mean, init_std,
-        beta1, beta2, stabilizer, repulsion_cutoff,
-    )
-    kernel_cfg = kernel_cfg or KernelConfig()
+    dim, n_particles, cutoff = target.dim, spec.n_particles, spec.repulsion_cutoff
+    mean, std = spec.initial(dim)
+    momentum = spec._zero_momentum(dim)
     rng = np.random.default_rng(seed)
     ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))
 
-    interacting, init_momentum, step = _KINDS[kind]
+    interacting, init_momentum, step = _KINDS[spec.kind]
     if init_momentum is not None:
         momentum = init_momentum(rng, momentum)
 
@@ -481,19 +483,19 @@ def run(
     collected: list[np.ndarray] = []
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # each step checks finiteness
-        for t in range(iterations):
-            eps = schedule.eps(t)
+        for t in range(spec.iterations):
+            eps = spec.schedule.eps(t)
             if refresh is not None:
                 refresh(rng)
             km = None
             if interacting:
-                if repulsion_cutoff is not None and t >= repulsion_cutoff:
+                if cutoff is not None and t >= cutoff:
                     km = kernels.identity_kernel(n_particles, dim)
-                else:
-                    km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
-            ensemble, momentum = step(ensemble, momentum, target, kernel_cfg, eps, rng, km)
+                else:  # _advance has checked the positions
+                    km = kernels._kernel_matrix(ensemble.positions, spec.kernel_cfg)
+            ensemble, momentum = step(ensemble, momentum, target, spec.kernel_cfg, eps, rng, km)
 
-            if policy.collect_at(t + 1):
+            if spec.policy.collect_at(t + 1):
                 collected.append(ensemble.positions.copy())
     wall = time.perf_counter() - start
 
@@ -503,8 +505,8 @@ def run(
     pooled = per_particle.reshape(-1, dim)
 
     errors = [
-        (spec.label, moment_error(pooled, spec.order, spec.exact))
-        for spec in target.reference_moments
+        (ref.label, moment_error(pooled, ref.order, ref.exact))
+        for ref in target.reference_moments
     ]
     pooled_ess = _pooled_ess(transformed)
     # R-hat needs two chains of ten events; a chain with zero variance has none
@@ -520,10 +522,6 @@ def run(
         moment_errors=errors,
         wall_clock=wall,
         collected_count=pooled.shape[0],
-        extra={"sampler": kind, "target": target.name, "seed": seed},
+        extra={"sampler": spec.kind, "target": target.name, "seed": seed},
     )
     return RunResult(samples=pooled, per_particle=per_particle, report=report, final=ensemble)
-
-
-# taken once, so check_run reads run's own defaults even where run is wrapped
-_RUN_SIGNATURE = inspect.signature(run)

@@ -87,15 +87,19 @@ class TestCriterion04VarianceUnderestimation:
         svgd_stds, rep_stds = [], []
         for seed in SEEDS:
             svgd = samplers.run(
-                "svgd", t, n_particles=6, iterations=200,
-                schedule=StepSchedule(eps0=0.1),
-                policy=CollectionPolicy(burn_in=199, thin=1), seed=seed,
-                init_mean=[3.0, 3.0], init_std=0.5,
+                samplers.RunSpec(
+                    "svgd", n_particles=6, iterations=200, schedule=StepSchedule(eps0=0.1),
+                    policy=CollectionPolicy(burn_in=199, thin=1), init_mean=[3.0, 3.0],
+                    init_std=0.5,
+                ),
+                t, seed,
             )
             rep = samplers.run(
-                "repulsive_sgld", t, n_particles=6, iterations=3000,
-                schedule=StepSchedule(eps0=0.3),
-                policy=CollectionPolicy(burn_in=500, thin=5), seed=seed,
+                samplers.RunSpec(
+                    "repulsive_sgld", n_particles=6, iterations=3000,
+                    schedule=StepSchedule(eps0=0.3), policy=CollectionPolicy(burn_in=500, thin=5),
+                ),
+                t, seed,
             )
             svgd_stds.append(svgd.samples.std(axis=0).mean())
             rep_stds.append(rep.samples.std(axis=0).mean())
@@ -127,10 +131,10 @@ class TestCriterion06ReductionIdentities:
         kwargs = dict(
             n_particles=1, iterations=300,
             schedule=StepSchedule(eps0=0.01),
-            policy=CollectionPolicy(burn_in=100, thin=1), seed=42,
+            policy=CollectionPolicy(burn_in=100, thin=1),
         )
-        a = samplers.run("sgld", std_gaussian(3), **kwargs)
-        b = samplers.run("repulsive_sgld", std_gaussian(3), **kwargs)
+        a = samplers.run(samplers.RunSpec("sgld", **kwargs), std_gaussian(3), 42)
+        b = samplers.run(samplers.RunSpec("repulsive_sgld", **kwargs), std_gaussian(3), 42)
         assert np.array_equal(a.samples, b.samples)
 
     def test_unit_mass_adaptive_step_matches_momentum_step(self):

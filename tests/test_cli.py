@@ -291,13 +291,11 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
         result = samplers.run(
-            kind,
-            targets.mog_grid(),
-            n_particles=10,
-            iterations=30,
-            schedule=samplers.StepSchedule(),
-            policy=samplers.CollectionPolicy(),
-            seed=0,
+            samplers.RunSpec(
+                kind, n_particles=10, iterations=30, schedule=samplers.StepSchedule(),
+                policy=samplers.CollectionPolicy(),
+            ),
+            targets.mog_grid(), 0,
         )
         rows = np.loadtxt(out / f"mog_{kind}_seed0.trajectory.csv", delimiter=",", skiprows=2)
         expected = result.per_particle.transpose(1, 0, 2).reshape(-1, 2)

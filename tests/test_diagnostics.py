@@ -137,13 +137,12 @@ class TestGelmanRubin:
         from steinmc import samplers, targets
 
         result = samplers.run(
-            "svgd",
-            targets.make_target("gaussian", dim=1),
-            n_particles=particles,
-            iterations=3000,
-            schedule=samplers.StepSchedule(kind="constant", eps0=0.05),
-            policy=samplers.CollectionPolicy(burn_in=2000, thin=10),
-            seed=0,
+            samplers.RunSpec(
+                "svgd", n_particles=particles, iterations=3000,
+                schedule=samplers.StepSchedule(kind="constant", eps0=0.05),
+                policy=samplers.CollectionPolicy(burn_in=2000, thin=10),
+            ),
+            targets.make_target("gaussian", dim=1), 0,
         )
         assert np.ptp(result.per_particle[:, :, 0].mean(axis=1)) > 0.1
         assert result.report.to_dict()["rhat"] == [None]

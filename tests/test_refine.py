@@ -546,6 +546,26 @@ class TestOptimize:
         assert info.value.iteration == 1
         np.testing.assert_array_equal(info.value.snapshot, [1.0])
 
+    @pytest.mark.parametrize(
+        "target, sampler, steps, ad_mode",
+        [(FUNNEL, "sgld", 0, "full"), (FUNNEL, "sgld", 2, "full"),
+         (FUNNEL, "sgld", 0, "fast"), (FUNNEL, "sgld", 2, "fast"),
+         (targets.std_gaussian(3), "svgd", 2, "full")],
+        ids=["funnel-T0-full", "funnel-T2-full", "funnel-T0-fast", "funnel-T2-fast",
+             "gaussian3-svgd"],
+    )
+    def test_flat_adam_state_matches_per_key_loop_bitwise(self, target, sampler, steps, ad_mode):
+        rg = RefinedGuide(
+            guide=DiagonalGaussianGuide(np.linspace(-0.5, 0.5, target.dim), np.zeros(target.dim)),
+            inner_sampler=sampler, steps_refine=steps, ad_mode=ad_mode, log_eta=np.log(0.05),
+        )
+        res = optimize(rg, target, 20, np.random.default_rng(3), n_samples=16, learning_rate=0.08)
+        trace, guide = per_key_adam(rg, target, 20, np.random.default_rng(3), 16, 0.08)
+        assert np.array_equal(res.loss_trace, trace)
+        assert np.array_equal(res.guide.guide.mean, guide.guide.mean)
+        assert np.array_equal(res.guide.guide.scale, guide.guide.scale)
+        assert res.guide.eta == guide.eta
+
     def test_inference_phase_runs_tuned_sampler(self):
         rg = RefinedGuide(
             guide=unit_guide(), inner_sampler="sgld", steps_refine=1, steps_infer=4
@@ -555,3 +575,33 @@ class TestOptimize:
         )
         assert res.inference_samples.shape == (32, 2)
         assert np.all(np.isfinite(res.inference_samples))
+
+
+def per_key_adam(rg, target, outer_iterations, rng, n_samples, learning_rate):
+    """Reference: optimize's Adam loop with one state per parameter, as it was
+    written before the state became one flat vector.  Returns (trace, guide)."""
+    params = {
+        "mean": rg.guide.mean.copy(),
+        "log_scale": rg.guide.log_scale.copy(),
+        "log_eta": np.asarray(float(rg.log_eta)),
+    }
+
+    def current():
+        guide = DiagonalGaussianGuide(params["mean"], params["log_scale"])
+        return dataclasses.replace(rg, guide=guide, log_eta=float(params["log_eta"]))
+
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(v) for k, v in params.items()}
+    b1, b2, stab = 0.9, 0.999, 1e-8
+    trace = []
+    for it in range(outer_iterations):
+        value, grads = elbo_grad(current(), target, n_samples, rng)
+        for key, g in grads.items():
+            m[key] = b1 * m[key] + (1 - b1) * g
+            v[key] = b2 * v[key] + (1 - b2) * g * g
+        trace.append(-value)
+        for key in params:
+            mhat = m[key] / (1 - b1 ** (it + 1))
+            vhat = v[key] / (1 - b2 ** (it + 1))
+            params[key] = params[key] + learning_rate * mhat / (np.sqrt(vhat) + stab)
+    return np.asarray(trace), current()

@@ -215,13 +215,11 @@ class TestRepulsiveSgld:
 
     def test_long_run_marginal_stds(self):
         res = samplers.run(
-            "repulsive_sgld",
-            std_gaussian(2),
-            n_particles=6,
-            iterations=20_000,
-            schedule=StepSchedule(eps0=6e-3),
-            policy=CollectionPolicy(burn_in=1000, thin=2),
-            seed=1,
+            samplers.RunSpec(
+                "repulsive_sgld", n_particles=6, iterations=20_000,
+                schedule=StepSchedule(eps0=6e-3), policy=CollectionPolicy(burn_in=1000, thin=2),
+            ),
+            std_gaussian(2), 1,
         )
         stds = res.samples.std(axis=0)
         assert np.all(stds > 0.85) and np.all(stds < 1.15)
@@ -483,13 +481,11 @@ class TestRunner:
     def test_empty_collection_rejected(self):
         with pytest.raises(ConfigError):
             samplers.run(
-                "sgld",
-                std_gaussian(1),
-                n_particles=1,
-                iterations=100,
-                schedule=StepSchedule(eps0=1e-3),
-                policy=CollectionPolicy(burn_in=100, thin=1),
-                seed=0,
+                samplers.RunSpec(
+                    "sgld", n_particles=1, iterations=100, schedule=StepSchedule(eps0=1e-3),
+                    policy=CollectionPolicy(burn_in=100, thin=1),
+                ),
+                std_gaussian(1), 0,
             )
 
     @pytest.mark.parametrize("iterations, burn_in, thin", [(100, 100, 1), (100, 95, 10)])
@@ -498,15 +494,19 @@ class TestRunner:
         # so it wins over the also-bad init.std
         with pytest.raises(ConfigError) as exc:
             samplers.run(
-                "sgld", std_gaussian(1), n_particles=1, iterations=iterations,
-                schedule=StepSchedule(eps0=1e-3),
-                policy=CollectionPolicy(burn_in=burn_in, thin=thin), seed=0, init_std=-1.0,
+                samplers.RunSpec(
+                    "sgld", n_particles=1, iterations=iterations, schedule=StepSchedule(eps0=1e-3),
+                    policy=CollectionPolicy(burn_in=burn_in, thin=thin), init_std=-1.0,
+                ),
+                std_gaussian(1), 0,
             )
         assert exc.value.field == "iterations"
         res = samplers.run(
-            "sgld", std_gaussian(1), n_particles=1, iterations=burn_in + thin,
-            schedule=StepSchedule(eps0=1e-3),
-            policy=CollectionPolicy(burn_in=burn_in, thin=thin), seed=0,
+            samplers.RunSpec(
+                "sgld", n_particles=1, iterations=burn_in + thin, schedule=StepSchedule(eps0=1e-3),
+                policy=CollectionPolicy(burn_in=burn_in, thin=thin),
+            ),
+            std_gaussian(1), 0,
         )
         assert res.report.collected_count == 1
 
@@ -514,21 +514,22 @@ class TestRunner:
     def test_particle_count_checked(self, n_particles):
         with pytest.raises(ConfigError) as exc:
             samplers.run(
-                "sgld", std_gaussian(1), n_particles=n_particles, iterations=100,
-                schedule=StepSchedule(eps0=1e-3), policy=CollectionPolicy(), seed=0,
+                samplers.RunSpec(
+                    "sgld", n_particles=n_particles, iterations=100,
+                    schedule=StepSchedule(eps0=1e-3), policy=CollectionPolicy(),
+                ),
+                std_gaussian(1), 0,
             )
         assert exc.value.field == "particles"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             samplers.run(
-                "mala",
-                std_gaussian(1),
-                n_particles=1,
-                iterations=100,
-                schedule=StepSchedule(eps0=1e-3),
-                policy=CollectionPolicy(),
-                seed=0,
+                samplers.RunSpec(
+                    "mala", n_particles=1, iterations=100, schedule=StepSchedule(eps0=1e-3),
+                    policy=CollectionPolicy(),
+                ),
+                std_gaussian(1), 0,
             )
 
     @pytest.mark.parametrize(
@@ -544,44 +545,54 @@ class TestRunner:
     def test_init_must_be_finite(self, init, field):
         with pytest.raises(ConfigError) as exc:
             samplers.run(
-                "sgld", std_gaussian(2), n_particles=2, iterations=10,
-                schedule=StepSchedule(), policy=CollectionPolicy(), seed=0, **init,
+                samplers.RunSpec(
+                    "sgld", n_particles=2, iterations=10, schedule=StepSchedule(),
+                    policy=CollectionPolicy(), **init,
+                ),
+                std_gaussian(2), 0,
             )
         assert exc.value.field == field
 
     @pytest.mark.parametrize(
-        "bad, field",
+        "bad, field, message",
         [
-            ({"n_particles": 0}, "particles"),
-            ({"iterations": 5}, "iterations"),
-            ({"init_mean": [0.0, 0.0, 0.0]}, "init.mean"),
-            ({"init_std": -1.0}, "init.std"),
-            ({"repulsion_cutoff": -1}, "repulsion_cutoff"),
-            ({"beta1": 1.0}, "beta1"),
-            ({"stabilizer": -1.0}, "stabilizer"),
+            ({"n_particles": 0}, "particles", "must be >= 1"),
+            ({"iterations": 5}, "iterations", "must exceed burn_in by at least thin"),
+            ({"init_mean": [0.0, 0.0, 0.0]}, "init.mean", "expected a number or 2 numbers"),
+            ({"init_std": [[1.0, 1.0]]}, "init.std", "expected a number or 2 numbers"),
+            ({"init_mean": np.nan}, "init.mean", "must be finite"),
+            ({"init_std": -1.0}, "init.std", "must be finite and >= 0"),
+            ({"repulsion_cutoff": -1}, "repulsion_cutoff", "must be >= 0"),
+            ({"beta1": 1.0}, "beta1", "beta1 must lie in (0, 1)"),
+            ({"beta2": 0.0}, "beta2", "beta2 must lie in (0, 1)"),
+            ({"stabilizer": -1.0}, "stabilizer", "stabilizer must be finite and >= 0"),
+            ({"kind": "mala"}, "sampler", "unknown sampler kind 'mala'"),
         ],
+        ids=["particles", "iterations", "init_mean_size", "init_std_size", "init_mean_nan",
+             "init_std", "repulsion_cutoff", "beta1", "beta2", "stabilizer", "kind"],
     )
-    def test_check_run_raises_what_run_raises(self, bad, field, monkeypatch):
+    def test_spec_raises_what_run_raised(self, bad, field, message, monkeypatch):
+        # the field and message run gave when it took these as keywords;
+        # building the spec and sizing its init draws nothing
         options = {
-            "n_particles": 2, "iterations": 10, "schedule": StepSchedule(),
+            "kind": "sgld", "n_particles": 2, "iterations": 10, "schedule": StepSchedule(),
             "policy": CollectionPolicy(burn_in=5), **bad,
         }
-        target = std_gaussian(2)
-        with pytest.raises(ConfigError) as from_run:
-            samplers.run("sgld", target, seed=0, **options)
-        # check_run draws nothing and never steps
         monkeypatch.setattr(np.random, "default_rng", None)
-        with pytest.raises(ConfigError) as from_check:
-            samplers.check_run("sgld", target, **options)
-        assert from_check.value.field == from_run.value.field == field
-        assert str(from_check.value) == str(from_run.value)
+        with pytest.raises(ConfigError) as exc:
+            samplers.RunSpec(**options).initial(2)
+        assert exc.value.field == field
+        assert str(exc.value) == f"{field}: {message}"
 
-    def test_check_run_accepts_what_run_accepts(self):
+    def test_spec_accepts_what_run_accepts(self):
         options = dict(n_particles=2, iterations=10, schedule=StepSchedule(),
-                       policy=CollectionPolicy())
-        assert samplers.check_run("svgd", std_gaussian(2), **options) is None
+                       policy=CollectionPolicy(), init_std=[1.0, 2.0])
+        spec = samplers.RunSpec("svgd", **options)
+        mean, std = spec.initial(2)
+        assert mean.tolist() == [0.0, 0.0] and std.tolist() == [1.0, 2.0]
+        assert spec.kernel_cfg == KernelConfig()
         with pytest.raises(TypeError):
-            samplers.check_run("svgd", std_gaussian(2), particles=2, **options)
+            samplers.RunSpec("svgd", particles=2, **options)
 
     def test_same_seed_bitwise_identical(self):
         kwargs = dict(
@@ -589,21 +600,18 @@ class TestRunner:
             iterations=300,
             schedule=StepSchedule(eps0=0.01),
             policy=CollectionPolicy(burn_in=100, thin=5),
-            seed=11,
         )
-        a = samplers.run("repulsive_sgld", std_gaussian(2), **kwargs)
-        b = samplers.run("repulsive_sgld", std_gaussian(2), **kwargs)
+        a = samplers.run(samplers.RunSpec("repulsive_sgld", **kwargs), std_gaussian(2), 11)
+        b = samplers.run(samplers.RunSpec("repulsive_sgld", **kwargs), std_gaussian(2), 11)
         assert np.array_equal(a.samples, b.samples)
 
     def test_collection_count_follows_protocol(self):
         res = samplers.run(
-            "sgld",
-            std_gaussian(1),
-            n_particles=10,
-            iterations=1000,
-            schedule=StepSchedule(eps0=1e-3),
-            policy=CollectionPolicy(burn_in=500, thin=10),
-            seed=0,
+            samplers.RunSpec(
+                "sgld", n_particles=10, iterations=1000, schedule=StepSchedule(eps0=1e-3),
+                policy=CollectionPolicy(burn_in=500, thin=10),
+            ),
+            std_gaussian(1), 0,
         )
         assert res.report.collected_count == 500
         assert res.per_particle.shape == (10, 50, 1)
@@ -614,24 +622,27 @@ class TestRunner:
             iterations=200,
             schedule=StepSchedule(eps0=0.01),
             policy=CollectionPolicy(burn_in=50, thin=2),
-            seed=3,
         )
-        a = samplers.run("sgld", std_gaussian(2), **kwargs)
-        b = samplers.run("repulsive_sgld", std_gaussian(2), **kwargs)
+        a = samplers.run(samplers.RunSpec("sgld", **kwargs), std_gaussian(2), 3)
+        b = samplers.run(samplers.RunSpec("repulsive_sgld", **kwargs), std_gaussian(2), 3)
         assert np.array_equal(a.samples, b.samples)
 
     def test_long_run_stationarity_bands(self):
         # the ensemble pooled mean and variance settle into the target's
         t = std_gaussian(1)
         rs = samplers.run(
-            "sgld", t, n_particles=8, iterations=100_000,
-            schedule=StepSchedule(eps0=1e-3),
-            policy=CollectionPolicy(burn_in=2000, thin=2), seed=1,
+            samplers.RunSpec(
+                "sgld", n_particles=8, iterations=100_000, schedule=StepSchedule(eps0=1e-3),
+                policy=CollectionPolicy(burn_in=2000, thin=2),
+            ),
+            t, 1,
         )
         rr = samplers.run(
-            "repulsive_sgld", t, n_particles=8, iterations=100_000,
-            schedule=StepSchedule(eps0=8e-3),
-            policy=CollectionPolicy(burn_in=2000, thin=2), seed=1,
+            samplers.RunSpec(
+                "repulsive_sgld", n_particles=8, iterations=100_000,
+                schedule=StepSchedule(eps0=8e-3), policy=CollectionPolicy(burn_in=2000, thin=2),
+            ),
+            t, 1,
         )
         for res in (rs, rr):
             assert abs(res.samples.mean()) < 0.05
@@ -639,9 +650,11 @@ class TestRunner:
 
     def test_single_chain_variance_band(self):
         res = samplers.run(
-            "sgld", std_gaussian(1), n_particles=1, iterations=100_000,
-            schedule=StepSchedule(eps0=1e-3),
-            policy=CollectionPolicy(burn_in=1000, thin=1), seed=123,
+            samplers.RunSpec(
+                "sgld", n_particles=1, iterations=100_000, schedule=StepSchedule(eps0=1e-3),
+                policy=CollectionPolicy(burn_in=1000, thin=1),
+            ),
+            std_gaussian(1), 123,
         )
         assert 0.9 < res.samples.var() < 1.1
 
@@ -649,9 +662,11 @@ class TestRunner:
         t = std_gaussian(1)
         with pytest.raises(DivergenceError) as exc:
             samplers.run(
-                "sgld", t, n_particles=2, iterations=500,
-                schedule=StepSchedule(eps0=1e8),
-                policy=CollectionPolicy(burn_in=10, thin=1), seed=0,
+                samplers.RunSpec(
+                    "sgld", n_particles=2, iterations=500, schedule=StepSchedule(eps0=1e8),
+                    policy=CollectionPolicy(burn_in=10, thin=1),
+                ),
+                t, 0,
             )
         assert exc.value.snapshot is not None
 
@@ -662,9 +677,12 @@ class TestRunner:
         for kind in ("svgd", "repulsive_sgld", "repulsive_sgdm", "repulsive_adam"):
             for cutoff in (0, 40):
                 res = samplers.run(
-                    kind, t, n_particles=n, iterations=iterations,
-                    schedule=StepSchedule(eps0=eps), policy=CollectionPolicy(), seed=seed,
-                    repulsion_cutoff=cutoff,
+                    samplers.RunSpec(
+                        kind, n_particles=n, iterations=iterations,
+                        schedule=StepSchedule(eps0=eps), policy=CollectionPolicy(),
+                        repulsion_cutoff=cutoff,
+                    ),
+                    t, seed,
                 )
                 kept = hand_loop(kind, t, n, iterations, eps, seed, cutoff)
                 assert np.array_equal(res.per_particle, kept.transpose(1, 0, 2)), (kind, cutoff)
@@ -672,9 +690,11 @@ class TestRunner:
     @pytest.mark.parametrize("kind", ["repulsive_sgdm", "repulsive_adam"])
     def test_momentum_kinds_run_to_completion(self, kind):
         res = samplers.run(
-            kind, std_gaussian(2), n_particles=5, iterations=2000,
-            schedule=StepSchedule(eps0=0.05),
-            policy=CollectionPolicy(burn_in=500, thin=5), seed=2,
+            samplers.RunSpec(
+                kind, n_particles=5, iterations=2000, schedule=StepSchedule(eps0=0.05),
+                policy=CollectionPolicy(burn_in=500, thin=5),
+            ),
+            std_gaussian(2), 2,
         )
         assert res.report.collected_count == 300 * 5
         assert np.all(np.isfinite(res.samples))
@@ -683,15 +703,18 @@ class TestRunner:
     def test_svgd_underestimates_spread_versus_langevin(self):
         t = std_gaussian(2)
         svgd = samplers.run(
-            "svgd", t, n_particles=6, iterations=200,
-            schedule=StepSchedule(eps0=0.1),
-            policy=CollectionPolicy(burn_in=199, thin=1), seed=1,
-            init_mean=[3.0, 3.0], init_std=0.5,
+            samplers.RunSpec(
+                "svgd", n_particles=6, iterations=200, schedule=StepSchedule(eps0=0.1),
+                policy=CollectionPolicy(burn_in=199, thin=1), init_mean=[3.0, 3.0], init_std=0.5,
+            ),
+            t, 1,
         )
         langevin = samplers.run(
-            "repulsive_sgld", t, n_particles=6, iterations=3000,
-            schedule=StepSchedule(eps0=0.3),
-            policy=CollectionPolicy(burn_in=500, thin=5), seed=1,
+            samplers.RunSpec(
+                "repulsive_sgld", n_particles=6, iterations=3000, schedule=StepSchedule(eps0=0.3),
+                policy=CollectionPolicy(burn_in=500, thin=5),
+            ),
+            t, 1,
         )
         assert svgd.samples.std(axis=0).mean() < langevin.samples.std(axis=0).mean()
 
@@ -701,8 +724,11 @@ class TestStepTable:
     def test_run_equals_hand_loop_of_public_step(self, kind):
         t, n, iterations, eps, seed = std_gaussian(2), 4, 30, 0.05, 9
         res = samplers.run(
-            kind, t, n_particles=n, iterations=iterations,
-            schedule=StepSchedule(eps0=eps), policy=CollectionPolicy(), seed=seed,
+            samplers.RunSpec(
+                kind, n_particles=n, iterations=iterations, schedule=StepSchedule(eps0=eps),
+                policy=CollectionPolicy(),
+            ),
+            t, seed,
         )
         kept = hand_loop(kind, t, n, iterations, eps, seed)
         assert np.array_equal(res.per_particle, kept.transpose(1, 0, 2))
@@ -721,7 +747,10 @@ class TestStepTable:
 
         monkeypatch.setattr(samplers, name, counting)
         samplers.run(
-            kind, std_gaussian(1), n_particles=3, iterations=12,
-            schedule=StepSchedule(eps0=0.01), policy=CollectionPolicy(), seed=0,
+            samplers.RunSpec(
+                kind, n_particles=3, iterations=12, schedule=StepSchedule(eps0=0.01),
+                policy=CollectionPolicy(),
+            ),
+            std_gaussian(1), 0,
         )
         assert len(calls) == 12
