@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .targets import TargetModel
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_PREDICT_BLOCK = 64  # particles per forward pass in predict; bounds its (block, h, B) tensor
 
 
 @dataclass
@@ -327,7 +328,8 @@ def predict(
     mixture components.
     """
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
-    preds_std = potential.forward(particles, x_std)  # (K, B)
+    preds_std = np.concatenate([potential.forward(particles[i:i + _PREDICT_BLOCK], x_std)
+                                for i in range(0, len(particles), _PREDICT_BLOCK)])  # (K, B)
     preds = dataset.destandardize_targets(preds_std)
     comp_std = potential.noise_std * dataset.target_std
 

@@ -24,6 +24,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -50,11 +51,16 @@ def _fmt(x) -> str:
 
 def write_atomic(path: Path, text: str) -> None:
     """Write via a temp file in the same directory plus rename."""
+    write_blocks_atomic(path, (text,))
+
+
+def write_blocks_atomic(path: Path, blocks) -> None:
+    """:func:`write_atomic` of text streamed as an iterable of blocks."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -167,14 +173,6 @@ def load_config(path: str) -> dict:
     return validate_config(payload)
 
 
-def _build_target(spec: dict):
-    params = dict(spec.get("params", {}))
-    try:
-        return targets.make_target(spec["name"], **params)
-    except TypeError as err:
-        raise ConfigError(str(err), field="target.params")
-
-
 def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
     """The run spec of ``config["samplers"][index]`` for a target of dimension
     ``dim``, with every rule checked; a rejected sampler-entry key is named
@@ -215,18 +213,18 @@ def _sample(spec: samplers.RunSpec, target, seed: int, timing: str) -> samplers.
     return result
 
 
-def _trajectory_csv(per_particle: np.ndarray, policy: samplers.CollectionPolicy) -> str:
-    """CSV text of an (L, events, d) trajectory, one row per event and particle."""
+def _trajectory_csv(per_particle: np.ndarray, policy: samplers.CollectionPolicy):
+    """CSV text of an (L, events, d) trajectory, one row per event and particle,
+    yielded as the header block and then one block per collection event."""
     dim = per_particle.shape[2]
     header = "iteration,particle," + ",".join(f"z{j+1}" for j in range(dim))
-    lines = [f"# schema_version={SCHEMA_VERSION}", header]
+    yield f"# schema_version={SCHEMA_VERSION}\n{header}\n"
     # '%.17g' % x is format(x, ".17g"), so these are _fmt's bytes, one format per row
-    row_fmt = "%d,%d," + ",".join(["%.17g"] * dim)
+    row_fmt = "%d,%d," + ",".join(["%.17g"] * dim) + "\n"
     for e in range(per_particle.shape[1]):
         iteration = policy.burn_in + (e + 1) * policy.thin
-        for p, coords in enumerate(per_particle[:, e].tolist()):
-            lines.append(row_fmt % (iteration, p, *coords))
-    return "\n".join(lines) + "\n"
+        yield "".join([row_fmt % (iteration, p, *coords)
+                       for p, coords in enumerate(per_particle[:, e].tolist())])
 
 
 def cmd_run(args) -> int:
@@ -236,23 +234,36 @@ def cmd_run(args) -> int:
     chash = config_hash(config)
 
     # built-in targets are stateless, so every job, on any thread, shares one
-    target = _build_target(config["target"])
+    try:
+        target = targets.make_target(config["target"]["name"], **config["target"].get("params", {}))
+    except TypeError as err:
+        raise ConfigError(str(err), field="target.params")
     specs = [_entry_spec(i, config, target.dim) for i in range(len(config["samplers"]))]
-    jobs = [(spec, seed) for spec in specs for seed in seeds]
+    jobs = list(enumerate((spec, seed) for spec in specs for seed in seeds))
+    tname = config["target"]["name"]
+    # each job writes its files here as it finishes; they are published only
+    # after the last job succeeds, so a failed run publishes nothing
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
 
-    def job(spec_seed):
-        spec, seed = spec_seed
+    def job(index_job):
+        index, (spec, seed) = index_job
         result = _sample(spec, target, seed, args.timing)
         report = {**result.report.to_dict(), "config_hash": chash}
-        return spec.kind, seed, report, _trajectory_csv(result.per_particle, spec.policy)
+        write_atomic(staging / f"{index}.report.json", dump_json(report))
+        write_blocks_atomic(
+            staging / f"{index}.trajectory.csv", _trajectory_csv(result.per_particle, spec.policy)
+        )
+        return index, f"{tname}_{spec.kind}_seed{seed}"
 
-    results = _map_jobs(job, jobs, args.threads)
-    tname = config["target"]["name"]
-    for name, seed, report, csv_text in results:
-        stem = f"{tname}_{name}_seed{seed}"
-        write_atomic(out_dir / f"{stem}.report.json", dump_json(report))
-        write_atomic(out_dir / f"{stem}.trajectory.csv", csv_text)
-    print(f"wrote {2 * len(results)} artifacts to {out_dir}")
+    try:
+        # in job order, so a later job with the same file name wins, with any --threads
+        for index, stem in _map_jobs(job, jobs, args.threads):
+            for suffix in (".report.json", ".trajectory.csv"):
+                os.replace(staging / f"{index}{suffix}", out_dir / f"{stem}{suffix}")
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    print(f"wrote {2 * len(jobs)} artifacts to {out_dir}")
     return EXIT_OK
 
 

@@ -368,7 +368,7 @@ def momentum_block_matrix(km: KernelMatrix) -> np.ndarray:
 class RunResult:
     """Collected draws plus diagnostics for one sampler run."""
 
-    samples: np.ndarray  # pooled chain-major, (n_events * L, d), moment space
+    samples: np.ndarray  # chain-major (L * n_events, d) view of per_particle, not a copy
     per_particle: np.ndarray  # (L, n_events, d), moment space
     report: RunReport
     final: ParticleEnsemble
@@ -434,7 +434,7 @@ class RunSpec:
             raise ConfigError(f"unknown sampler kind {self.kind!r}", field="sampler")
         if self.n_particles < 1:
             raise ConfigError("must be >= 1", field="particles")
-        if (self.iterations - self.policy.burn_in) // self.policy.thin < 1:
+        if self.n_events < 1:
             raise ConfigError("must exceed burn_in by at least thin", field="iterations")
         if not np.isfinite(np.asarray(self.init_mean, dtype=float)).all():
             raise ConfigError("must be finite", field="init.mean")
@@ -444,6 +444,10 @@ class RunSpec:
         if self.repulsion_cutoff is not None and self.repulsion_cutoff < 0:
             raise ConfigError("must be >= 0", field="repulsion_cutoff")
         self._zero_momentum(0)
+
+    @property
+    def n_events(self) -> int:
+        return (self.iterations - self.policy.burn_in) // self.policy.thin
 
     def initial(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """The (dim,) mean and std of the initial particles."""
@@ -480,7 +484,8 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
         momentum = init_momentum(rng, momentum)
 
     refresh = getattr(target, "resample_batch", None)
-    collected: list[np.ndarray] = []
+    draws = np.empty((n_particles, spec.n_events, dim))  # chain-major
+    event = 0
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # each step checks finiteness
         for t in range(spec.iterations):
@@ -496,22 +501,23 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
             ensemble, momentum = step(ensemble, momentum, target, spec.kernel_cfg, eps, rng, km)
 
             if spec.policy.collect_at(t + 1):
-                collected.append(ensemble.positions.copy())
+                draws[:, event] = ensemble.positions
+                event += 1
     wall = time.perf_counter() - start
 
-    stacked = np.stack(collected)  # (n_events, L, d)
-    transformed = target.moment_transform(stacked)
-    per_particle = np.transpose(transformed, (1, 0, 2))
-    pooled = per_particle.reshape(-1, dim)
+    per_particle = target.moment_transform(draws)
+    pooled = per_particle.reshape(-1, dim)  # a view
 
     errors = [
         (ref.label, moment_error(pooled, ref.order, ref.exact))
         for ref in target.reference_moments
     ]
-    pooled_ess = _pooled_ess(transformed)
+    # event-major and contiguous: with d = 1 numpy sums a contiguous particle
+    # axis pairwise and a strided one in sequence, which rounds differently
+    pooled_ess = _pooled_ess(np.ascontiguousarray(per_particle.transpose(1, 0, 2)))
     # R-hat needs two chains of ten events; a chain with zero variance has none
     rhat = np.full(dim, np.nan)
-    if n_particles >= 2 and stacked.shape[0] >= 10:
+    if n_particles >= 2 and spec.n_events >= 10:
         with contextlib.suppress(DegenerateChainError):
             rhat = gelman_rubin(per_particle)
 

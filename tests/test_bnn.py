@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steinmc import cli
-from steinmc.bnn import BnnPotential, BnnTarget, load_arrays, load_csv, predict
+from steinmc.bnn import _PREDICT_BLOCK, BnnPotential, BnnTarget, load_arrays, load_csv, predict
 from steinmc.errors import ConfigError, DivergenceError
 
 
@@ -342,6 +342,22 @@ class TestPredict:
         np.testing.assert_allclose(mean1, mean5, rtol=1e-12)
         np.testing.assert_allclose(std1, std5, rtol=1e-12)
         np.testing.assert_allclose(ll1(y), ll5(y), rtol=1e-12)
+
+    def test_blocked_forward_matches_one_pass_bitwise(self):
+        # more particles than two blocks, the last one partial
+        pot, ds = self._setup()
+        particles = np.random.default_rng(8).normal(size=(2 * _PREDICT_BLOCK + 7, pot.n_params))
+        mean, std, loglik = predict(pot, particles, ds, ds.features_test)
+        y = ds.destandardize_targets(ds.targets_test)
+
+        preds = ds.destandardize_targets(pot.forward(particles, ds.features_test))
+        comp_std = pot.noise_std * ds.target_std
+        z = (y[None, :] - preds) / comp_std
+        logs = -0.5 * z * z - np.log(comp_std) - 0.5 * np.log(2.0 * np.pi)
+        m = logs.max(axis=0)
+        assert np.array_equal(mean, preds.mean(axis=0))
+        assert np.array_equal(std, np.sqrt(comp_std**2 + preds.var(axis=0)))
+        assert np.array_equal(loglik(y), m + np.log(np.mean(np.exp(logs - m), axis=0)))
 
     def test_mixture_log_likelihood_matches_direct_summation(self):
         # direct density-summation oracle, no log-sum-exp

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,47 @@ class TestRunCommand:
             path_b = tmp_path / "b" / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bad_first", [False, True], ids=["good_then_bad", "bad_then_good"])
+    def test_failing_run_publishes_nothing(self, tmp_path, threads, bad_first):
+        # the good entry's jobs finish, on this or another thread, before or
+        # while the diverging entry's jobs fail; none of their files is left
+        entries = [{"name": "sgld", "particles": 2, "step_size": 0.1},
+                   {"name": "repulsive_sgld", "particles": 2, "step_size": 1e9}]
+        out = tmp_path / "out"
+        cfg = moe_config(out, samplers=entries[::-1] if bad_first else entries, iterations=150)
+        argv = ["run", "--config", write_config(tmp_path, cfg), "--seed", "0,1",
+                "--threads", str(threads)]
+        assert main(argv) == EXIT_DIVERGENCE
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == []
+
+    def test_peak_memory_does_not_grow_with_jobs(self, tmp_path):
+        # each trajectory is about 1 MB of text; a run holds one job's at a time
+        cfg = {
+            "schema_version": 1,
+            "target": {"name": "gaussian", "params": {"dim": 50}},
+            "samplers": [{"name": "repulsive_sgld", "particles": 100, "step_size": 0.05}],
+            "iterations": 10,
+            "collection": {"burn_in": 0, "thin": 1},
+            "seeds": [0],
+        }
+        path = write_config(tmp_path, cfg)
+
+        def peak(seeds, out):
+            tracemalloc.start()
+            try:
+                assert main(["run", "--config", path, "--seed", seeds, "--out", str(out)]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("0", tmp_path / "warm-up")  # imports and first-call caches
+        one = peak("0", tmp_path / "one")
+        four = peak("0,1,2,3", tmp_path / "four")
+        size = (tmp_path / "one" / "gaussian_repulsive_sgld_seed0.trajectory.csv").stat().st_size
+        assert size > 900_000
+        assert four - one < size / 2
+
     @pytest.mark.parametrize(
         "target, sampler, init, key",
         [
@@ -324,7 +366,7 @@ class TestTrajectoryCsv:
             for p in range(3):
                 coords = ",".join(_fmt(v) for v in per_particle[p, e])
                 lines.append(f"{100 + (e + 1) * 10},{p},{coords}")
-        assert _trajectory_csv(per_particle, policy) == "\n".join(lines) + "\n"
+        assert "".join(_trajectory_csv(per_particle, policy)) == "\n".join(lines) + "\n"
 
 
 class TestBenchCommand:

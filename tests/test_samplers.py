@@ -22,7 +22,7 @@ from steinmc.samplers import (
     svgd_direction,
     svgd_step,
 )
-from steinmc.targets import TargetModel, std_gaussian
+from steinmc.targets import TargetModel, mixture_of_exponentials, std_gaussian
 
 FIXED = KernelConfig(bandwidth=1.0, bandwidth_mode="fixed")
 
@@ -615,6 +615,29 @@ class TestRunner:
         )
         assert res.report.collected_count == 500
         assert res.per_particle.shape == (10, 50, 1)
+
+    def test_samples_are_a_view_of_per_particle(self):
+        spec = samplers.RunSpec(
+            "repulsive_sgld", n_particles=4, iterations=60, schedule=StepSchedule(eps0=0.01),
+            policy=CollectionPolicy(burn_in=10, thin=5),
+        )
+        res = samplers.run(spec, std_gaussian(2), 0)
+        assert np.shares_memory(res.samples, res.per_particle)
+        assert np.array_equal(res.samples, res.per_particle.reshape(-1, 2))
+
+    @pytest.mark.parametrize("kind, eps", [("sgld", 0.1), ("repulsive_sgld", 1.0)])
+    def test_ess_sums_the_event_major_mean_series(self, kind, eps):
+        # the report's ESS is that of the per-event particle means summed over
+        # the draws stacked event-major and contiguous; with d = 1 a sum along
+        # the strided particle axis of (L, events, d) rounds differently
+        spec = samplers.RunSpec(
+            kind, n_particles=10, iterations=1000, schedule=StepSchedule(eps0=eps),
+            policy=CollectionPolicy(burn_in=500, thin=10),
+        )
+        for seed in range(5):
+            res = samplers.run(spec, mixture_of_exponentials(), seed)
+            stacked = np.stack([res.per_particle[:, e] for e in range(res.per_particle.shape[1])])
+            assert res.report.ess == samplers._pooled_ess(stacked), seed
 
     def test_single_particle_reduction_through_runner(self):
         kwargs = dict(
