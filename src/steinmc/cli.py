@@ -144,6 +144,7 @@ CONFIG_SCHEMA = {
         "seeds": {
             "type": "array",
             "minItems": 1,
+            "uniqueItems": True,
             "items": {"type": "integer", "minimum": 0},
         },
         "output_dir": {"type": "string"},
@@ -232,6 +233,11 @@ def cmd_run(args) -> int:
     out_dir = _resolve_out(args, config.get("output_dir"))
     seeds = _resolve_seeds(args, config["seeds"])
     chash = config_hash(config)
+    # a job's files are named by its kind and seed, so a repeated kind would overwrite
+    kinds = [entry["name"] for entry in config["samplers"]]
+    for j, kind in enumerate(kinds):
+        if kind in kinds[:j]:
+            raise ConfigError(f"sampler {kind!r} is listed twice", field=f"samplers[{j}].name")
 
     # built-in targets are stateless, so every job, on any thread, shares one
     try:
@@ -239,28 +245,27 @@ def cmd_run(args) -> int:
     except TypeError as err:
         raise ConfigError(str(err), field="target.params")
     specs = [_entry_spec(i, config, target.dim) for i in range(len(config["samplers"]))]
-    jobs = list(enumerate((spec, seed) for spec in specs for seed in seeds))
+    jobs = [(spec, seed) for spec in specs for seed in seeds]
     tname = config["target"]["name"]
     # each job writes its files here as it finishes; they are published only
     # after the last job succeeds, so a failed run publishes nothing
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
 
-    def job(index_job):
-        index, (spec, seed) = index_job
+    def job(spec_seed):
+        spec, seed = spec_seed
         result = _sample(spec, target, seed, args.timing)
         report = {**result.report.to_dict(), "config_hash": chash}
-        write_atomic(staging / f"{index}.report.json", dump_json(report))
+        stem = f"{tname}_{spec.kind}_seed{seed}"
+        write_atomic(staging / f"{stem}.report.json", dump_json(report))
         write_blocks_atomic(
-            staging / f"{index}.trajectory.csv", _trajectory_csv(result.per_particle, spec.policy)
+            staging / f"{stem}.trajectory.csv", _trajectory_csv(result.per_particle, spec.policy)
         )
-        return index, f"{tname}_{spec.kind}_seed{seed}"
 
     try:
-        # in job order, so a later job with the same file name wins, with any --threads
-        for index, stem in _map_jobs(job, jobs, args.threads):
-            for suffix in (".report.json", ".trajectory.csv"):
-                os.replace(staging / f"{index}{suffix}", out_dir / f"{stem}{suffix}")
+        _map_jobs(job, jobs, args.threads)
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out_dir / path.name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     print(f"wrote {2 * len(jobs)} artifacts to {out_dir}")
@@ -442,6 +447,8 @@ def bnn_report(
 def cmd_bnn(args) -> int:
     out_dir = _resolve_out(args, None)
     seeds = _resolve_seeds(args, [0])
+    if args.split_seed < 0:
+        raise ConfigError("split seed must be non-negative", field="split-seed")
     try:
         dataset = bnn_mod.load_csv(args.data, args.target_column, seed=args.split_seed)
     except (OSError, ValueError) as err:
@@ -477,6 +484,8 @@ def _resolve_seeds(args, default):
         raise ConfigError("seed list is empty", field="seed")
     if any(s < 0 for s in seeds):
         raise ConfigError("seeds must be non-negative", field="seed")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must not repeat: {args.seed!r}", field="seed")
     return seeds
 
 

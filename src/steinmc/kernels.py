@@ -173,11 +173,6 @@ def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
         raise ValueError("positions must be an L x d matrix with L >= 1")
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
-    return _kernel_matrix(positions, cfg)
-
-
-def _kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
-    """:func:`kernel_matrix` of an (L, d) float array known to be finite."""
     entries, h, degenerate = rbf(positions, cfg)
     return KernelMatrix(
         entries=entries,
@@ -211,18 +206,18 @@ def _jittered_cholesky(matrix: np.ndarray, base_jitter: float) -> np.ndarray:
 
 
 def sample_repulsive_noise(
-    kernel: KernelMatrix, eps: float, rng: np.random.Generator, dim: int
+    kernel: KernelMatrix, eps: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw L x d Gaussian noise with covariance (2 eps / L) K across particles.
 
-    Coordinates are independent across the d dimensions; correlation across
-    particles follows the kernel matrix.  Implemented as one lower-triangular
-    solve of the L x L matrix applied to each dimension, exploiting the
-    Kronecker structure K (x) I_d.
+    d is the width of the kernel's repulsion rows.  Coordinates are
+    independent across the d dimensions; correlation across particles follows
+    the kernel matrix.  Implemented as one lower-triangular solve of the L x L
+    matrix applied to each dimension, exploiting the Kronecker structure
+    K (x) I_d.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    n = kernel.n_particles
     chol = kernel.cholesky()
-    white = rng.standard_normal((n, dim))
-    return np.sqrt(2.0 * eps / n) * (chol @ white)
+    white = rng.standard_normal(kernel.grad_terms.shape)
+    return np.sqrt(2.0 * eps / kernel.n_particles) * (chol @ white)

@@ -7,9 +7,9 @@ H = -log pi.  Every sampler moves its positions by the one update
     z <- z + eps * drift (+ noise),
 
 written once in :func:`_advance`; the samplers differ only in their drift
-and their noise.  Finiteness is checked twice per step: the scores in
-:func:`_scores` and the new positions in :func:`_advance`, each by one pass
-over the whole array, with the per-row scan that names the diverged
+and their noise.  Every step checks the finiteness of the scores in
+:func:`_scores` and of the new positions in :func:`_advance`, each by one
+pass over the whole array, with the per-row scan that names the diverged
 particle run only when that pass fails.  The interacting samplers take their
 drift from
 
@@ -24,10 +24,10 @@ settles on variance-underestimating configurations.
 
 A run is a :class:`RunSpec`, whose constructor checks every rule of the
 run's settings before anything is drawn, handed to :func:`run`, the one
-sampling loop, with a target and a seed.  The loop's per-step states skip
-their constructors' checks: :func:`_advance` has checked the positions, so
-the kernel is assembled by :func:`kernels._kernel_matrix` without checking
-them again.
+sampling loop, with a target and a seed.  The loop alone builds each step's
+kernel, through :func:`kernels.kernel_matrix` or, from the repulsion cutoff
+on, :func:`kernels.identity_kernel`, and the interacting step functions take
+that kernel.  The loop's per-step states skip their constructors' checks.
 """
 
 from __future__ import annotations
@@ -241,26 +241,19 @@ def svgd_direction(
 
 
 def svgd_step(
-    ensemble: ParticleEnsemble,
-    target: TargetModel,
-    kernel_cfg: KernelConfig,
-    eps: float,
-    km: KernelMatrix | None = None,
+    ensemble: ParticleEnsemble, target: TargetModel, km: KernelMatrix, eps: float
 ) -> ParticleEnsemble:
     """Deterministic interacting step (no noise)."""
     _check_eps(eps)
-    if km is None:
-        km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
     return _advance(ensemble, -svgd_direction(ensemble, target, km), eps)
 
 
 def repulsive_sgld_step(
     ensemble: ParticleEnsemble,
     target: TargetModel,
-    kernel_cfg: KernelConfig,
+    km: KernelMatrix,
     eps: float,
     rng: np.random.Generator,
-    km: KernelMatrix | None = None,
 ) -> ParticleEnsemble:
     """Interacting Langevin step: eps * drift plus kernel-correlated noise.
 
@@ -268,10 +261,8 @@ def repulsive_sgld_step(
     bitwise identical to :func:`sgld_step`.
     """
     _check_eps(eps)
-    if km is None:
-        km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
     drift = _interaction_drift(_scores(target, ensemble), km)
-    noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
+    noise = kernels.sample_repulsive_noise(km, eps, rng)
     return _advance(ensemble, drift, eps, noise)
 
 
@@ -279,11 +270,10 @@ def repulsive_sgdm_step(
     ensemble: ParticleEnsemble,
     momentum: MomentumState,
     target: TargetModel,
-    kernel_cfg: KernelConfig,
+    km: KernelMatrix,
     eps: float,
     rng: np.random.Generator | None = None,
     position_noise: bool = False,
-    km: KernelMatrix | None = None,
 ) -> tuple[ParticleEnsemble, MomentumState]:
     """Momentum-augmented interacting step.
 
@@ -304,14 +294,12 @@ def repulsive_sgdm_step(
     m = momentum.momenta
     if m.shape != ensemble.positions.shape:
         raise ValueError("momentum state shape must match ensemble")
-    if km is None:
-        km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
     new_m = m + eps * _interaction_drift(-_scores(target, ensemble), km)
     noise = None
     if position_noise:
         if rng is None:
             raise ValueError("position_noise requires an rng")
-        noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
+        noise = kernels.sample_repulsive_noise(km, eps, rng)
     new = _advance(ensemble, _interaction_drift(-m, km), eps, noise)
     return new, _evolved(momentum, momenta=new_m)
 
@@ -320,10 +308,9 @@ def repulsive_adam_step(
     ensemble: ParticleEnsemble,
     momentum: MomentumState,
     target: TargetModel,
-    kernel_cfg: KernelConfig,
+    km: KernelMatrix,
     eps: float,
     rng: np.random.Generator,
-    km: KernelMatrix | None = None,
 ) -> tuple[ParticleEnsemble, MomentumState]:
     """Adaptively preconditioned interacting step with noise.
 
@@ -343,14 +330,11 @@ def repulsive_adam_step(
         raise ValueError("adaptive step requires second_moments in the momentum state")
     if m.shape != ensemble.positions.shape or v.shape != m.shape:
         raise ValueError("momentum state shape must match ensemble")
-    if km is None:
-        km = kernels.kernel_matrix(ensemble.positions, kernel_cfg)
-
     grad_h = -_scores(target, ensemble)
     new_m = momentum.beta1 * m + (1.0 - momentum.beta1) * grad_h
     new_v = momentum.beta2 * v + (1.0 - momentum.beta2) * grad_h**2
     drift = _interaction_drift(-new_m / np.sqrt(new_v + momentum.stabilizer), km)
-    noise = kernels.sample_repulsive_noise(km, eps, rng, ensemble.dim)
+    noise = kernels.sample_repulsive_noise(km, eps, rng)
     new = _advance(ensemble, drift, eps, noise)
     return new, _evolved(momentum, momenta=new_m, second_moments=new_v)
 
@@ -376,28 +360,29 @@ class RunResult:
 
 # The step table: kind -> (interacting, momentum initializer or None, one
 # step).  An initializer maps (rng, zero-momentum state) to the kind's
-# initial state.  A step maps (ensemble, momentum, target, kernel_cfg, eps,
-# rng, km) to (ensemble, momentum) and looks its update rule up in this
-# module's globals at call time, so a wrapper installed on, say,
-# ``samplers.sgld_step`` sees every runner step.
+# initial state.  A step maps (ensemble, momentum, target, km, eps, rng) to
+# (ensemble, momentum), where km is the kernel that :func:`run` built for
+# this step (None for a kind that does not interact).  It looks its update
+# rule up in this module's globals at call time, so a wrapper installed on,
+# say, ``samplers.sgld_step`` sees every runner step.
 _KINDS = {
-    "sgld": (False, None, lambda e, m, t, c, eps, rng, km: (sgld_step(e, t, eps, rng), m)),
-    "svgd": (True, None, lambda e, m, t, c, eps, rng, km: (svgd_step(e, t, c, eps, km), m)),
+    "sgld": (False, None, lambda e, m, t, km, eps, rng: (sgld_step(e, t, eps, rng), m)),
+    "svgd": (True, None, lambda e, m, t, km, eps, rng: (svgd_step(e, t, km, eps), m)),
     "repulsive_sgld": (
         True,
         None,
-        lambda e, m, t, c, eps, rng, km: (repulsive_sgld_step(e, t, c, eps, rng, km), m),
+        lambda e, m, t, km, eps, rng: (repulsive_sgld_step(e, t, km, eps, rng), m),
     ),
     "repulsive_sgdm": (
         True,
         # momenta start from their standard-Gaussian stationary law
         lambda rng, m: replace(m, momenta=rng.standard_normal(m.momenta.shape)),
-        lambda e, m, t, c, eps, rng, km: repulsive_sgdm_step(e, m, t, c, eps, rng, km=km),
+        lambda e, m, t, km, eps, rng: repulsive_sgdm_step(e, m, t, km, eps, rng),
     ),
     "repulsive_adam": (
         True,
         lambda rng, m: replace(m, second_moments=np.zeros_like(m.momenta)),
-        lambda e, m, t, c, eps, rng, km: repulsive_adam_step(e, m, t, c, eps, rng, km),
+        lambda e, m, t, km, eps, rng: repulsive_adam_step(e, m, t, km, eps, rng),
     ),
 }
 SAMPLER_KINDS = tuple(_KINDS)
@@ -496,9 +481,9 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
             if interacting:
                 if cutoff is not None and t >= cutoff:
                     km = kernels.identity_kernel(n_particles, dim)
-                else:  # _advance has checked the positions
-                    km = kernels._kernel_matrix(ensemble.positions, spec.kernel_cfg)
-            ensemble, momentum = step(ensemble, momentum, target, spec.kernel_cfg, eps, rng, km)
+                else:
+                    km = kernels.kernel_matrix(ensemble.positions, spec.kernel_cfg)
+            ensemble, momentum = step(ensemble, momentum, target, km, eps, rng)
 
             if spec.policy.collect_at(t + 1):
                 draws[:, event] = ensemble.positions

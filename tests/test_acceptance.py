@@ -154,11 +154,11 @@ class TestCriterion06ReductionIdentities:
             ParticleEnsemble(z.copy()),
             MomentumState(m0.copy(), second_moments=np.ones((4, dim)),
                           beta1=beta1, beta2=0.4, stabilizer=0.0),
-            t, fixed, eps, np.random.default_rng(7),
+            t, kernel_matrix(z, fixed), eps, np.random.default_rng(7),
         )
         m1 = beta1 * m0 + (1 - beta1) * np.ones((4, dim))
         sgdm_ens, _ = repulsive_sgdm_step(
-            ParticleEnsemble(z.copy()), MomentumState(m1), t, fixed, eps,
+            ParticleEnsemble(z.copy()), MomentumState(m1), t, kernel_matrix(z, fixed), eps,
             rng=np.random.default_rng(7), position_noise=True,
         )
         assert np.max(np.abs(adam_ens.positions - sgdm_ens.positions)) < 1e-12

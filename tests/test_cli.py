@@ -179,6 +179,27 @@ class TestRunCommand:
         assert main(argv) == EXIT_DIVERGENCE
         assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == []
 
+    @pytest.mark.parametrize(
+        "change, argv, field",
+        [
+            ({"samplers": [{"name": "sgld", "step_size": 0.1},
+                           {"name": "sgld", "step_size": 0.01}]}, [], "samplers[1].name"),
+            ({}, ["--seed", "0,0"], "seed"),
+            ({"seeds": [1, 1]}, [], "$.seeds"),
+        ],
+        ids=["sampler", "seed_flag", "config_seeds"],
+    )
+    def test_repeated_file_name_exits_2_writing_nothing(
+        self, tmp_path, capsys, change, argv, field
+    ):
+        # a job's files are named by target, kind and seed, so two jobs of
+        # one name would overwrite each other
+        out = tmp_path / "out"
+        cfg = {**moe_config(out), **change}
+        assert main(["run", "--config", write_config(tmp_path, cfg), *argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not out.exists()
+
     def test_peak_memory_does_not_grow_with_jobs(self, tmp_path):
         # each trajectory is about 1 MB of text; a run holds one job's at a time
         cfg = {
@@ -446,6 +467,15 @@ class TestBnnCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_negative_split_seed_exits_2_naming_it(self, tmp_path, capsys, data_csv):
+        code = main(
+            ["bnn", "--data", data_csv, "--target-column", "y", "--split-seed", "-1",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: split-seed: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "text, problem",
         [
@@ -466,3 +496,18 @@ class TestBnnCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: data: ") and problem in err
         assert "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["bench-synthetic"], ["vis-funnel"], ["bnn", "--target-column", "y", "--sampler", "sgld"]],
+    ids=["bench-synthetic", "vis-funnel", "bnn"],
+)
+def test_repeated_seed_flag_exits_2_writing_nothing(tmp_path, capsys, data_csv, command):
+    # each seed names its output, so a repeated one would be run and written twice
+    argv = [*command, "--seed", "0,0", "--out", str(tmp_path / "out")]
+    if command[0] == "bnn":
+        argv += ["--data", data_csv]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert not (tmp_path / "out").exists()

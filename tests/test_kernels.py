@@ -302,7 +302,7 @@ class TestRepulsiveNoise:
         n, d, eps = 4, 2, 0.3
         km = kernel_matrix(np.array([[9.0, 0.0], [-9.0, 0.0], [0.0, 9.0], [0.0, -9.0]]), FIXED)
         draws = np.stack(
-            [sample_repulsive_noise(km, eps, rng, d) for _ in range(100_000)]
+            [sample_repulsive_noise(km, eps, rng) for _ in range(100_000)]
         )
         target = 2 * eps / n * km.entries
         for j in range(d):
@@ -316,7 +316,7 @@ class TestRepulsiveNoise:
         km = kernel_matrix(pos, KernelConfig())
         eps = 0.12
         draws = np.stack(
-            [sample_repulsive_noise(km, eps, rng, 3) for _ in range(100_000)]
+            [sample_repulsive_noise(km, eps, rng) for _ in range(100_000)]
         )
         target = 2 * eps / 5 * km.entries
         for j in range(3):
@@ -327,19 +327,19 @@ class TestRepulsiveNoise:
     def test_noise_scales_with_eps(self):
         rng = np.random.default_rng(8)
         km = kernel_matrix(rng.normal(size=(3, 2)), KernelConfig())
-        small = sample_repulsive_noise(km, 1e-12, np.random.default_rng(0), 2)
+        small = sample_repulsive_noise(km, 1e-12, np.random.default_rng(0))
         assert np.max(np.abs(small)) < 1e-4
 
     def test_coincident_particles_share_noise(self):
         km = kernel_matrix(np.zeros((4, 2)), KernelConfig())
-        noise = sample_repulsive_noise(km, 0.5, np.random.default_rng(9), 2)
+        noise = sample_repulsive_noise(km, 0.5, np.random.default_rng(9))
         # rank-1 covariance: every particle receives the same vector
         np.testing.assert_allclose(noise, np.broadcast_to(noise[0], noise.shape), atol=1e-4)
 
     def test_eps_must_be_positive(self):
         km = kernel_matrix(np.zeros((1, 1)), FIXED)
         with pytest.raises(ValueError):
-            sample_repulsive_noise(km, 0.0, np.random.default_rng(0), 1)
+            sample_repulsive_noise(km, 0.0, np.random.default_rng(0))
 
     def test_factorization_failure_reports_jitter_ladder(self):
         bad = KernelMatrix(
@@ -348,7 +348,7 @@ class TestRepulsiveNoise:
             bandwidth=1.0,
         )
         with pytest.raises(FactorizationError) as exc:
-            sample_repulsive_noise(bad, 0.1, np.random.default_rng(0), 1)
+            sample_repulsive_noise(bad, 0.1, np.random.default_rng(0))
         assert 1e-4 in exc.value.jitters
 
 

@@ -10,6 +10,7 @@ from types import ModuleType
 import pytest
 
 import steinmc
+from steinmc import samplers, targets
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -33,16 +34,35 @@ def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
 
 
-def test_tracer_entry_points_resolve(monkeypatch):
-    # a renamed entry point is skipped by the tracer, so its per-layer
-    # metrics would read 0 instead of failing; the tracer is read, not cached
+def load_tracer(monkeypatch):
+    """The benchmark's tracer module, read from its file and not cached."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_entry_points_resolve(monkeypatch):
+    # a renamed entry point is skipped by the tracer, so its per-layer
+    # metrics would read 0 instead of failing
+    tracer = load_tracer(monkeypatch)
     unresolved = [
         f"{owner}.{attr}"
         for owner, attr, _ in tracer.ENTRY_POINTS
         if not callable(vars(tracer._resolve(owner)).get(attr))
     ]
     assert not unresolved
+
+
+def test_tracer_sees_every_runner_kernel(monkeypatch):
+    # a kernel built through an entry point the tracer does not wrap would
+    # leave the kernel counters at 0 while the steps still count
+    tracer = load_tracer(monkeypatch).Tracer()
+    spec = samplers.RunSpec(
+        "repulsive_sgld", 5, 20, samplers.StepSchedule(eps0=0.01), samplers.CollectionPolicy()
+    )
+    with tracer.installed():
+        samplers.run(spec, targets.std_gaussian(2), 0)
+    _, calls, _ = tracer.durations()
+    assert calls["kernels.kernel_matrix"] == calls["samplers.step"] == 20

@@ -27,6 +27,11 @@ from steinmc.targets import TargetModel, mixture_of_exponentials, std_gaussian
 FIXED = KernelConfig(bandwidth=1.0, bandwidth_mode="fixed")
 
 
+def fixed_kernel(ens):
+    """The fixed-bandwidth kernel of an ensemble's current positions."""
+    return kernels.kernel_matrix(ens.positions, FIXED)
+
+
 def linear_potential(dim, slope=1.0):
     """Improper target with constant H-gradient `slope` (score = -slope)."""
     return TargetModel(
@@ -53,17 +58,20 @@ def hand_loop(kind, t, n, iterations, eps, seed, cutoff=None):
         mom = MomentumState(np.zeros((n, t.dim)), second_moments=np.zeros((n, t.dim)))
     kept = []
     for i in range(iterations):
-        km = kernels.identity_kernel(n, t.dim) if cutoff is not None and i >= cutoff else None
+        if cutoff is not None and i >= cutoff:
+            km = kernels.identity_kernel(n, t.dim)
+        else:
+            km = kernels.kernel_matrix(ens.positions, cfg)
         if kind == "sgld":
             ens = sgld_step(ens, t, eps, rng)
         elif kind == "svgd":
-            ens = svgd_step(ens, t, cfg, eps, km)
+            ens = svgd_step(ens, t, km, eps)
         elif kind == "repulsive_sgld":
-            ens = repulsive_sgld_step(ens, t, cfg, eps, rng, km)
+            ens = repulsive_sgld_step(ens, t, km, eps, rng)
         elif kind == "repulsive_sgdm":
-            ens, mom = repulsive_sgdm_step(ens, mom, t, cfg, eps, rng=rng, km=km)
+            ens, mom = repulsive_sgdm_step(ens, mom, t, km, eps, rng=rng)
         else:
-            ens, mom = repulsive_adam_step(ens, mom, t, cfg, eps, rng, km)
+            ens, mom = repulsive_adam_step(ens, mom, t, km, eps, rng)
         kept.append(ens.positions)
     return np.stack(kept)
 
@@ -189,14 +197,14 @@ class TestSvgd:
     def test_zero_direction_is_fixed_point(self):
         t = std_gaussian(1)
         ens = ParticleEnsemble(np.zeros((1, 1)))
-        stepped = svgd_step(ens, t, FIXED, 0.5)
+        stepped = svgd_step(ens, t, fixed_kernel(ens), 0.5)
         np.testing.assert_array_equal(stepped.positions, ens.positions)
 
     def test_single_particle_converges_to_mode(self):
         t = std_gaussian(2)
         ens = ParticleEnsemble(np.array([[4.0, -3.0]]))
         for _ in range(300):
-            ens = svgd_step(ens, t, FIXED, 0.1)
+            ens = svgd_step(ens, t, fixed_kernel(ens), 0.1)
         assert np.max(np.abs(ens.positions)) < 1e-8
 
 
@@ -210,7 +218,7 @@ class TestRepulsiveSgld:
         rng_b = np.random.default_rng(42)
         for _ in range(50):
             a = sgld_step(a, t, 0.01, rng_a)
-            b = repulsive_sgld_step(b, t, KernelConfig(), 0.01, rng_b)
+            b = repulsive_sgld_step(b, t, kernels.kernel_matrix(b.positions, KernelConfig()), 0.01, rng_b)
         assert np.array_equal(a.positions, b.positions)
 
     def test_long_run_marginal_stds(self):
@@ -234,7 +242,7 @@ class TestRepulsiveSgdm:
         z0, m0, eps = 1.3, -0.4, 0.01
         ens = ParticleEnsemble(np.array([[z0]]))
         mom = MomentumState(np.array([[m0]]))
-        new_ens, new_mom = repulsive_sgdm_step(ens, mom, t, FIXED, eps)
+        new_ens, new_mom = repulsive_sgdm_step(ens, mom, t, fixed_kernel(ens), eps)
         assert new_ens.positions[0, 0] == pytest.approx(z0 - eps * m0, rel=1e-15)
         # grad H = z for the standard Gaussian
         assert new_mom.momenta[0, 0] == pytest.approx(m0 + eps * z0, rel=1e-15)
@@ -248,7 +256,7 @@ class TestRepulsiveSgdm:
         mom = MomentumState(np.array([[0.5]]))
         for _ in range(100):
             energy = 0.5 * ens.positions[0, 0] ** 2 + 0.5 * mom.momenta[0, 0] ** 2
-            ens, mom = repulsive_sgdm_step(ens, mom, t, FIXED, eps)
+            ens, mom = repulsive_sgdm_step(ens, mom, t, fixed_kernel(ens), eps)
             new_energy = 0.5 * ens.positions[0, 0] ** 2 + 0.5 * mom.momenta[0, 0] ** 2
             assert abs(new_energy - energy) <= 2 * eps**2 * energy
 
@@ -272,7 +280,7 @@ class TestRepulsiveSgdm:
                 ParticleEnsemble(np.zeros((2, 2))),
                 MomentumState(np.zeros((3, 2))),
                 t,
-                FIXED,
+                kernels.kernel_matrix(np.zeros((2, 2)), FIXED),
                 0.1,
             )
 
@@ -289,7 +297,7 @@ class TestRepulsiveAdam:
         rng = np.random.default_rng(0)
         gaps = []
         for step in range(20):
-            ens, mom = repulsive_adam_step(ens, mom, t, FIXED, 1e-6, rng)
+            ens, mom = repulsive_adam_step(ens, mom, t, fixed_kernel(ens), 1e-6, rng)
             gaps.append(abs(mom.momenta[0, 0] - 1.0))
         for step, gap in enumerate(gaps, start=1):
             assert gap == pytest.approx(beta1**step, rel=1e-12)
@@ -315,7 +323,7 @@ class TestRepulsiveAdam:
                 stabilizer=0.0,
             ),
             t,
-            FIXED,
+            kernels.kernel_matrix(z, FIXED),
             eps,
             np.random.default_rng(77),
         )
@@ -324,7 +332,7 @@ class TestRepulsiveAdam:
             ParticleEnsemble(z.copy()),
             MomentumState(m1, beta2=0.3),
             t,
-            FIXED,
+            kernels.kernel_matrix(z, FIXED),
             eps,
             rng=np.random.default_rng(77),
             position_noise=True,
@@ -337,7 +345,7 @@ class TestRepulsiveAdam:
         mom = MomentumState(np.zeros((2, 2)), second_moments=np.zeros((2, 2)))
         rng = np.random.default_rng(1)
         for _ in range(5):
-            ens, mom = repulsive_adam_step(ens, mom, t, FIXED, 1e-3, rng)
+            ens, mom = repulsive_adam_step(ens, mom, t, fixed_kernel(ens), 1e-3, rng)
         assert not np.allclose(mom.second_moments[0], mom.second_moments[1])
 
     def test_requires_second_moments(self):
@@ -347,7 +355,7 @@ class TestRepulsiveAdam:
                 ParticleEnsemble(np.zeros((1, 1))),
                 MomentumState(np.zeros((1, 1))),
                 t,
-                FIXED,
+                kernels.kernel_matrix(np.zeros((1, 1)), FIXED),
                 0.1,
                 np.random.default_rng(0),
             )
@@ -361,16 +369,17 @@ class TestUpdateLaw:
         # rejected before eps is used: a negative eps must not reach np.sqrt
         # (a RuntimeWarning is an error in this suite)
         t, ens, rng = std_gaussian(1), ParticleEnsemble(np.zeros((2, 1))), np.random.default_rng(0)
+        km = fixed_kernel(ens)
         step = {
             "sgld": lambda eps: sgld_step(ens, t, eps, rng),
-            "svgd": lambda eps: svgd_step(ens, t, FIXED, eps),
-            "repulsive_sgld": lambda eps: repulsive_sgld_step(ens, t, FIXED, eps, rng),
+            "svgd": lambda eps: svgd_step(ens, t, km, eps),
+            "repulsive_sgld": lambda eps: repulsive_sgld_step(ens, t, km, eps, rng),
             "repulsive_sgdm": lambda eps: repulsive_sgdm_step(
-                ens, MomentumState(np.zeros((2, 1))), t, FIXED, eps
+                ens, MomentumState(np.zeros((2, 1))), t, km, eps
             ),
             "repulsive_adam": lambda eps: repulsive_adam_step(
                 ens, MomentumState(np.zeros((2, 1)), second_moments=np.zeros((2, 1))),
-                t, FIXED, eps, rng,
+                t, km, eps, rng,
             ),
         }[kind]
         for eps in (0.0, -0.1):
@@ -391,17 +400,17 @@ class TestUpdateLaw:
             return x + eps * ((km.entries @ v + km.grad_terms) / 3)
 
         grad_h = -t.grad_log_density(z)
-        ens, mom = repulsive_sgdm_step(ParticleEnsemble(z), MomentumState(m0), t, cfg, eps, km=km)
+        ens, mom = repulsive_sgdm_step(ParticleEnsemble(z), MomentumState(m0), t, km, eps)
         assert np.array_equal(ens.positions, law(z, -m0))
         assert np.array_equal(mom.momenta, law(m0, grad_h))
 
         state = MomentumState(m0, second_moments=v0, beta1=0.8, beta2=0.9, stabilizer=1e-3)
         ens, mom = repulsive_adam_step(
-            ParticleEnsemble(z), state, t, cfg, eps, np.random.default_rng(7), km=km
+            ParticleEnsemble(z), state, t, km, eps, np.random.default_rng(7)
         )
         m1 = 0.8 * m0 + (1.0 - 0.8) * grad_h
         v1 = 0.9 * v0 + (1.0 - 0.9) * grad_h**2
-        noise = kernels.sample_repulsive_noise(km, eps, np.random.default_rng(7), 2)
+        noise = kernels.sample_repulsive_noise(km, eps, np.random.default_rng(7))
         assert np.array_equal(ens.positions, law(z, -m1 / np.sqrt(v1 + 1e-3)) + noise)
         assert np.array_equal(mom.momenta, m1) and np.array_equal(mom.second_moments, v1)
 
