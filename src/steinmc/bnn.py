@@ -17,12 +17,10 @@ from __future__ import annotations
 import csv
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .errors import ConfigError
 from .targets import TargetModel
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -139,6 +137,9 @@ def load_csv(
         header = next(reader, None)
         if not header:
             raise ValueError("missing header row")
+        repeated = [name for c, name in enumerate(header) if name in header[:c]]
+        if repeated:
+            raise ValueError(f"header repeats column {repeated[0]!r}")
         if target_column not in header:
             raise ValueError(f"target column {target_column!r} not in header {header}")
         rows = []
@@ -258,61 +259,29 @@ class BnnPotential:
         return grad[0] if single else grad
 
 
-@dataclass
-class BnnTarget(TargetModel):
-    """Sampler-facing adapter: score is the negative minibatch potential gradient.
+def minibatch_target(
+    potential: BnnPotential, dataset: RegressionDataset, batch_size: int
+) -> TargetModel:
+    """Sampler-facing target: the score is the negative minibatch potential
+    gradient.  The batch starts as the first ``batch_size`` training rows;
+    ``resample_batch(rng)`` draws a fresh one without replacement.  The
+    functions take ``theta`` alone, as the gradient has no tape form."""
+    x, y, n_train = dataset.features_train, dataset.targets_train, dataset.n_train
+    size = min(batch_size, n_train)
+    batch = np.arange(size)
 
-    ``resample_batch`` draws fresh batch indices; the ensemble runner calls it
-    once per iteration so all particles share a batch.
-    """
+    def resample_batch(rng: np.random.Generator) -> None:
+        nonlocal batch
+        batch = rng.choice(n_train, size=size, replace=False)
 
-    potential: BnnPotential = None
-    dataset: RegressionDataset = None
-    batch_size: int = 100
-    _batch: np.ndarray = field(default=None, init=False, repr=False)
+    def log_density(theta):
+        return -potential.potential(np.atleast_2d(theta), x[batch], y[batch], n_train)
 
-    @classmethod
-    def create(cls, potential: BnnPotential, dataset: RegressionDataset, batch_size: int):
-        batch_size = min(batch_size, dataset.n_train)
-        obj = cls(
-            name=f"bnn-{dataset.name}",
-            dim=potential.n_params,
-            log_density=None,
-            grad_log_density=None,
-            potential=potential,
-            dataset=dataset,
-            batch_size=batch_size,
-        )
-        obj._batch = np.arange(batch_size)
-        obj.log_density = obj._log_density
-        obj.grad_log_density = obj._score
-        return obj
+    def grad_log_density(theta):
+        return -potential.potential_grad(theta, x[batch], y[batch], n_train)
 
-    def resample_batch(self, rng: np.random.Generator):
-        self._batch = rng.choice(self.dataset.n_train, size=self.batch_size, replace=False)
-
-    def _batch_xy(self):
-        return (
-            self.dataset.features_train[self._batch],
-            self.dataset.targets_train[self._batch],
-        )
-
-    def _numpy_only(self, ops):
-        if ops is not ad.numpy_ops:
-            raise ConfigError(
-                f"target {self.name!r} has a hand-written gradient and no tape form",
-                field="target",
-            )
-
-    def _log_density(self, theta, ops=ad.numpy_ops):
-        self._numpy_only(ops)
-        x, y = self._batch_xy()
-        return -self.potential.potential(np.atleast_2d(theta), x, y, self.dataset.n_train)
-
-    def _score(self, theta, ops=ad.numpy_ops):
-        self._numpy_only(ops)
-        x, y = self._batch_xy()
-        return -self.potential.potential_grad(theta, x, y, self.dataset.n_train)
+    return TargetModel(f"bnn-{dataset.name}", potential.n_params, log_density,
+                       grad_log_density, resample_batch=resample_batch)
 
 
 def predict(

@@ -177,7 +177,8 @@ def load_config(path: str) -> dict:
 def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
     """The run spec of ``config["samplers"][index]`` for a target of dimension
     ``dim``, with every rule checked; a rejected sampler-entry key is named
-    ``samplers[index].<key>``.  A key left out takes the library's default."""
+    ``samplers[index].<key>``.  A key left out takes the library's default,
+    except ``particles``, which defaults to 10 here: RunSpec has none."""
     entry = dict(config["samplers"][index])
     schedule = {field: entry.pop(key) for key, field in
                 (("schedule", "kind"), ("step_size", "eps0"), ("gamma", "gamma")) if key in entry}
@@ -410,7 +411,7 @@ def bnn_report(
         raise ConfigError(f"unknown bnn protocol keys {sorted(unknown)}", field="protocol")
     proto = {**BNN_PROTOCOL, **(protocol or {})}
     potential = bnn_mod.BnnPotential(input_dim=dataset.n_features)
-    target = bnn_mod.BnnTarget.create(potential, dataset, proto["batch_size"])
+    target = bnn_mod.minibatch_target(potential, dataset, proto["batch_size"])
     step = proto["step_scale"] / dataset.n_train
     eps = _step_size(sampler, step, proto["particles"])
     spec = samplers.RunSpec(

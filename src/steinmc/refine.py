@@ -40,7 +40,7 @@ from . import autodiff as ad
 from . import kernels, samplers
 from .errors import ConfigError, DivergenceError
 from .kernels import KernelConfig
-from .targets import TargetModel
+from .targets import TargetModel, check_scores
 
 ENTROPY_MODES = ("dirac", "markov")
 INNER_SAMPLERS = ("sgd", "sgld", "svgd", "flow")
@@ -187,12 +187,7 @@ def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
     path = [z]
     for step in range(rg.steps_refine):
         scores = _call_target(target, "grad_log_density", z, ops)
-        if ops.value(scores).shape != (m, d):
-            raise ConfigError(
-                f"target {target.name!r} returned scores of shape "
-                f"{ops.value(scores).shape}; expected {(m, d)}",
-                field="target",
-            )
+        check_scores(target, ops.value(scores), (m, d))
         if rg.inner_sampler in ("sgd", "sgld"):
             delta = eta * scores
             if rg.inner_sampler == "sgld":

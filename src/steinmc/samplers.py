@@ -43,7 +43,7 @@ from . import kernels
 from .diagnostics import RunReport, ess_multivariate, gelman_rubin, moment_error
 from .errors import ConfigError, DegenerateChainError, DivergenceError
 from .kernels import KernelConfig, KernelMatrix
-from .targets import TargetModel
+from .targets import TargetModel, check_scores
 
 @dataclass
 class ParticleEnsemble:
@@ -145,12 +145,7 @@ def _scores(target: TargetModel, ensemble: ParticleEnsemble) -> np.ndarray:
     """
     positions = ensemble.positions
     out = np.asarray(target.grad_log_density(positions), dtype=float)
-    if out.shape != positions.shape:
-        raise ConfigError(
-            f"target {target.name!r} returned scores of shape {out.shape} for "
-            f"positions of shape {positions.shape}; expected (L, d) -> (L, d)",
-            field="target",
-        )
+    check_scores(target, out, positions.shape)
     _check_finite(out, ensemble.step_index + 1, snapshot=positions)
     return out
 
@@ -468,15 +463,14 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     if init_momentum is not None:
         momentum = init_momentum(rng, momentum)
 
-    refresh = getattr(target, "resample_batch", None)
     draws = np.empty((n_particles, spec.n_events, dim))  # chain-major
     event = 0
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # each step checks finiteness
         for t in range(spec.iterations):
             eps = spec.schedule.eps(t)
-            if refresh is not None:
-                refresh(rng)
+            if target.resample_batch is not None:
+                target.resample_batch(rng)
             km = None
             if interacting:
                 if cutoff is not None and t >= cutoff:

@@ -45,7 +45,9 @@ class TargetModel:
     :data:`autodiff.numpy_ops` when omitted, or the :mod:`autodiff` module
     for tape nodes.  ``moment_transform`` maps sampling-space
     draws into the space where the reference moments live (identity for most
-    targets; exp for the log-reparameterized ones).
+    targets; exp for the log-reparameterized ones).  ``resample_batch``, when
+    set, is called with the run's rng before each iteration of
+    :func:`samplers.run`, as a minibatch target draws its next batch.
     """
 
     name: str
@@ -54,9 +56,17 @@ class TargetModel:
     grad_log_density: Callable[..., np.ndarray]
     reference_moments: list[MomentSpec] = field(default_factory=list)
     moment_transform: Callable[[np.ndarray], np.ndarray] = lambda z: z
+    resample_batch: Callable[[np.random.Generator], None] | None = None
     # Not a constructor field: only the benchmark tracer (perfbench/tracer.py)
     # reads it; nothing in the library sets or reads it.
     grad_log_density_batch = None
+
+
+def check_scores(target: TargetModel, scores, shape: tuple) -> None:
+    """The score-shape rule: the scores of an (n, d) batch are (n, d)."""
+    if scores.shape != shape:
+        raise ConfigError(f"target {target.name!r} returned scores of shape {scores.shape} "
+                          f"for points of shape {shape}; expected (n, d) -> (n, d)", field="target")
 
 
 def finite_difference_grad(f, points, step: float = 1e-5) -> np.ndarray:
@@ -234,9 +244,12 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
     """
     if scale_convention not in ("std", "var"):
         raise ConfigError("must be 'std' or 'var'", field="scale_convention")
-    if not scale > 0:
-        raise ConfigError("scale must be > 0", field="scale")
+    if not 0 < scale < math.inf:
+        raise ConfigError("scale must be finite and > 0", field="scale")
     s1 = scale if scale_convention == "std" else float(np.sqrt(scale))
+    var = float(s1) * float(s1)
+    if not (var > 0 and 1.0 / var < math.inf):
+        raise ConfigError("scale is too small: its precision 1/s1^2 overflows", field="scale")
     # exponent multiplier: log-std of z2 is z1 (std convention) or z1/2 (var)
     a = 1.0 if scale_convention == "std" else 0.5
 

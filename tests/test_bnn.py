@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from steinmc import cli
-from steinmc.bnn import _PREDICT_BLOCK, BnnPotential, BnnTarget, load_arrays, load_csv, predict
+from steinmc.bnn import (
+    _PREDICT_BLOCK, BnnPotential, load_arrays, load_csv, minibatch_target, predict,
+)
 from steinmc.errors import ConfigError, DivergenceError
 
 
@@ -135,6 +137,11 @@ class TestMalformedTables:
     def test_fewer_than_20_data_rows(self, tmp_path, n):
         with pytest.raises(ValueError, match=f"need at least 20 data rows, got {n}"):
             load_csv(write_table(tmp_path / "t.csv", table_rows()[:n]), "y")
+
+    def test_repeated_header_name(self, tmp_path):
+        # a second "y" would otherwise be kept as a feature equal to the target
+        with pytest.raises(ValueError, match="header repeats column 'y'"):
+            load_csv(write_table(tmp_path / "t.csv", table_rows(), header="a,y,y"), "y")
 
     def test_no_varying_feature_column(self, tmp_path):
         rows = [["1.0", "2.0", t] for _, _, t in table_rows()]
@@ -381,32 +388,33 @@ class TestBnnTarget:
         x, y = linear_data(n=120, p=3, seed=8)
         ds = load_arrays(x, y, seed=0)
         pot = BnnPotential(input_dim=3, hidden_dim=4)
-        target = BnnTarget.create(pot, ds, batch_size=50)
+        target = minibatch_target(pot, ds, batch_size=50)
         theta = np.random.default_rng(9).normal(size=(3, pot.n_params)) * 0.3
-        xs, ys = ds.features_train[target._batch], ds.targets_train[target._batch]
+        # the first batch is the first batch_size training rows
+        xs, ys = ds.features_train[:50], ds.targets_train[:50]
         np.testing.assert_allclose(
             target.grad_log_density(theta),
             -pot.potential_grad(theta, xs, ys, ds.n_train),
             rtol=1e-14,
         )
 
-    def test_batch_is_no_constructor_field(self):
+    def test_batch_is_at_most_the_training_rows(self):
         ds = load_arrays(*linear_data(n=40, p=2), seed=0)
         pot = BnnPotential(input_dim=2, hidden_dim=3)
-        with pytest.raises(TypeError):
-            BnnTarget(
-                name="b", dim=pot.n_params, log_density=None, grad_log_density=None,
-                potential=pot, dataset=ds, _batch=np.arange(5),
-            )
-        assert BnnTarget.create(pot, ds, batch_size=10)._batch.tolist() == list(range(10))
+        target = minibatch_target(pot, ds, batch_size=500)
+        theta = np.random.default_rng(2).normal(size=(2, pot.n_params))
+        full = pot.potential(theta, ds.features_train, ds.targets_train, ds.n_train)
+        np.testing.assert_array_equal(target.log_density(theta), -full)
+        target.resample_batch(np.random.default_rng(0))
+        np.testing.assert_allclose(target.log_density(theta), -full, rtol=1e-12)
 
     def test_log_density_is_one_batched_potential_call(self):
         x, y = linear_data(n=120, p=3, seed=8)
         ds = load_arrays(x, y, seed=0)
         pot = BnnPotential(input_dim=3, hidden_dim=4)
-        target = BnnTarget.create(pot, ds, batch_size=50)
+        target = minibatch_target(pot, ds, batch_size=50)
         theta = np.random.default_rng(9).normal(size=(5, pot.n_params)) * 0.3
-        xs, ys = ds.features_train[target._batch], ds.targets_train[target._batch]
+        xs, ys = ds.features_train[:50], ds.targets_train[:50]
         batched = pot.potential(theta, xs, ys, ds.n_train)
         assert batched.shape == (5,)
         single = [pot.potential(t, xs, ys, ds.n_train) for t in theta]
@@ -417,11 +425,20 @@ class TestBnnTarget:
     def test_resample_batch_changes_batch(self):
         x, y = linear_data(n=120, p=3, seed=8)
         ds = load_arrays(x, y, seed=0)
-        target = BnnTarget.create(BnnPotential(input_dim=3), ds, batch_size=50)
-        before = target._batch.copy()
+        pot = BnnPotential(input_dim=3)
+        target = minibatch_target(pot, ds, batch_size=50)
         target.resample_batch(np.random.default_rng(1))
-        assert not np.array_equal(before, target._batch)
-        assert len(set(target._batch.tolist())) == 50
+        # the same draw on an identically seeded Generator
+        batch = np.random.default_rng(1).choice(ds.n_train, size=50, replace=False)
+        assert not np.array_equal(batch, np.arange(50))
+        assert len(set(batch.tolist())) == 50
+        theta = np.random.default_rng(9).normal(size=(3, pot.n_params)) * 0.3
+        xs, ys = ds.features_train[batch], ds.targets_train[batch]
+        np.testing.assert_allclose(
+            target.grad_log_density(theta),
+            -pot.potential_grad(theta, xs, ys, ds.n_train),
+            rtol=1e-14,
+        )
 
 
 class TestEvaluate:

@@ -279,6 +279,26 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "scale, convention",
+        [(float("inf"), "std"), (float("inf"), "var"), (1e-160, "std"), (1e-200, "std")],
+        ids=["inf_std", "inf_var", "1e-160_std", "1e-200_std"],
+    )
+    def test_funnel_scale_without_finite_precision_exits_2(
+        self, tmp_path, capsys, scale, convention
+    ):
+        # the funnel's first coordinate needs a finite positive precision 1/s1^2
+        cfg = moe_config(tmp_path / "out")
+        cfg["target"] = {"name": "funnel", "params": {"scale": scale, "scale_convention": convention}}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "config error: scale: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("convention", ["std", "var"])
+    @pytest.mark.parametrize("scale", [1e-150, 1e300])
+    def test_funnel_scale_with_finite_precision_builds(self, scale, convention):
+        assert targets.make_target("funnel", scale=scale, scale_convention=convention).dim == 2
+
+    @pytest.mark.parametrize(
         "change, key",
         [
             ({"samplers": [{"name": "sgld", "step_size": -1}]}, "samplers[0].step_size"),
@@ -484,6 +504,7 @@ class TestBnnCommand:
             ("f1,y\n1.0,2.0,x\n", "row 2 has 3 cells"),
             ("f1,y\n" + "1.0,2.0\n" * 19 + "nan,2.0\n", "row 21, column 'f1': nan"),
             ("f1,y\n" + "1.0,2.0\n1.0,3.0\n" * 10, "no feature column varies"),
+            ("f1,y,y\n" + "1.0,2.0,2.0\n" * 20, "header repeats column 'y'"),
         ],
     )
     def test_malformed_table_exits_2_naming_the_problem(self, tmp_path, capsys, text, problem):

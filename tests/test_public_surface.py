@@ -66,3 +66,16 @@ def test_tracer_sees_every_runner_kernel(monkeypatch):
         samplers.run(spec, targets.std_gaussian(2), 0)
     _, calls, _ = tracer.durations()
     assert calls["kernels.kernel_matrix"] == calls["samplers.step"] == 20
+
+
+def test_tracer_counts_the_scores_of_a_built_target(monkeypatch):
+    # the targets.build hook wraps each built target's score; a target it
+    # could not wrap would leave targets.score at 0 while the steps still count
+    tracer = load_tracer(monkeypatch).Tracer()
+    spec = samplers.RunSpec(
+        "sgld", 5, 20, samplers.StepSchedule(eps0=0.01), samplers.CollectionPolicy()
+    )
+    with tracer.installed():
+        samplers.run(spec, targets.make_target("gaussian", dim=2), 0)
+    _, calls, _ = tracer.durations()
+    assert calls["targets.score"] == calls["samplers.step"] == 20

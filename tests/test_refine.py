@@ -462,7 +462,7 @@ class TestOneLoop:
     def test_bnn_target_refuses_the_tape(self, steps):
         x = np.random.default_rng(0).normal(size=(20, 2))
         data = bnn.load_arrays(x, x[:, 0] - x[:, 1], seed=0)
-        target = bnn.BnnTarget.create(bnn.BnnPotential(input_dim=2, hidden_dim=3), data, 5)
+        target = bnn.minibatch_target(bnn.BnnPotential(input_dim=2, hidden_dim=3), data, 5)
         rg = RefinedGuide(
             guide=unit_guide(target.dim), inner_sampler="sgd", steps_refine=steps
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -749,6 +750,35 @@ class TestRunner:
             t, 1,
         )
         assert svgd.samples.std(axis=0).mean() < langevin.samples.std(axis=0).mean()
+
+
+    def test_resample_batch_is_called_before_each_iterations_score(self, monkeypatch):
+        # the minibatch hook runs once per iteration, with the run's Generator,
+        # before that iteration's score
+        base, sgld = std_gaussian(2), samplers.sgld_step
+        events, step_rngs = [], []
+
+        def hook(rng):
+            assert len(events) % 2 == 0, "the previous hook call had no score"
+            events.append(rng)
+
+        def score(z):
+            assert len(events) % 2 == 1, "a score came before its iteration's hook"
+            events.append("score")
+            return base.grad_log_density(z)
+
+        def step(ensemble, target, eps, rng):
+            step_rngs.append(rng)
+            return sgld(ensemble, target, eps, rng)
+
+        monkeypatch.setattr(samplers, "sgld_step", step)
+        target = dataclasses.replace(base, grad_log_density=score, resample_batch=hook)
+        spec = samplers.RunSpec("sgld", 3, 20, StepSchedule(eps0=0.01), CollectionPolicy())
+        samplers.run(spec, target, 0)
+        assert len(events) == 40 and events[1::2] == ["score"] * 20
+        assert len(step_rngs) == 20
+        assert all(isinstance(rng, np.random.Generator) for rng in step_rngs)
+        assert all(rng is run_rng for rng, run_rng in zip(events[::2], step_rngs))
 
 
 class TestStepTable:
