@@ -152,14 +152,52 @@ CONFIG_SCHEMA = {
 }
 
 
-def validate_config(payload: dict) -> dict:
-    import jsonschema
+# the Python types json.load gives each JSON type; a bool (true, false) is none of them
+_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "null": (type(None),),
+               "integer": (int,), "number": (int, float)}
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(payload), key=lambda e: e.json_path)
-    if errors:
-        first = errors[0]
-        raise ConfigError(first.message, field=first.json_path)
+
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _schema_errors(value, schema: dict, path: str):
+    """Yield (JSON path, message) for each rule of ``schema`` that ``value``
+    breaks, reading the keywords CONFIG_SCHEMA uses as JSON Schema 2020-12 does,
+    except that an integer is a JSON integer literal (200, not 200.0 or 2e2) and
+    two values are equal when their JSON texts are (1 differs from 1.0 and true)."""
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    if types and not any(type(value) in _JSON_TYPES[name] for name in types):
+        yield path, f"{value!r} is not of type {' or '.join(types)}"
+    if "const" in schema and _json_text(value) != _json_text(schema["const"]):
+        yield path, f"{schema['const']!r} was expected, got {value!r}"
+    if "enum" in schema and _json_text(value) not in map(_json_text, schema["enum"]):
+        yield path, f"{value!r} is not one of {schema['enum']}"
+    if "minimum" in schema and type(value) in _JSON_TYPES["number"] and value < schema["minimum"]:
+        yield path, f"{value!r} is less than the minimum of {schema['minimum']}"
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        if missing := [key for key in schema.get("required", ()) if key not in value]:
+            yield path, f"missing required keys {missing}"
+        if schema.get("additionalProperties", True) is False and not value.keys() <= props.keys():
+            yield path, f"unknown keys {[key for key in value if key not in props]}"
+        for key in [key for key in props if key in value]:
+            yield from _schema_errors(value[key], props[key], f"{path}.{key}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"needs at least {schema['minItems']} items, got {len(value)}"
+        if schema.get("uniqueItems") and len(set(map(_json_text, value))) < len(value):
+            yield path, f"{value!r} has repeated items"
+        for i, item in enumerate(value if "items" in schema else ()):
+            yield from _schema_errors(item, schema["items"], f"{path}[{i}]")
+
+
+def validate_config(payload: dict) -> dict:
+    """``payload`` if it matches CONFIG_SCHEMA, else a ConfigError naming the
+    smallest JSON path of an error, such as ``$.seeds[0]``."""
+    first = min(_schema_errors(payload, CONFIG_SCHEMA, "$"), key=lambda e: e[0], default=None)
+    if first is not None:
+        raise ConfigError(first[1], field=first[0])
     return payload
 
 
@@ -243,7 +281,7 @@ def cmd_run(args) -> int:
     # built-in targets are stateless, so every job, on any thread, shares one
     try:
         target = targets.make_target(config["target"]["name"], **config["target"].get("params", {}))
-    except TypeError as err:
+    except (TypeError, AssertionError) as err:  # AssertionError: a failed gradient audit
         raise ConfigError(str(err), field="target.params")
     specs = [_entry_spec(i, config, target.dim) for i in range(len(config["samplers"]))]
     jobs = [(spec, seed) for spec in specs for seed in seeds]

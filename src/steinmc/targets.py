@@ -84,6 +84,7 @@ def finite_difference_grad(f, points, step: float = 1e-5) -> np.ndarray:
     return g
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite error fails the audit
 def audit_gradient(target: TargetModel, points: np.ndarray, rel_tol: float = 1e-5):
     """Check grad_log_density against central differences at the given points.
 

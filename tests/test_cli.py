@@ -1,8 +1,11 @@
+import copy
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinmc.cli import (
     BENCH_HEADER,
@@ -12,6 +15,7 @@ from steinmc.cli import (
     EXIT_FACTORIZATION,
     EXIT_OK,
     OUTPUT_DIR_ENV,
+    _JSON_TYPES,
     _fmt,
     _trajectory_csv,
     main,
@@ -61,6 +65,140 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
         assert "samplers" in str(exc.value)
+
+
+# every key CONFIG_SCHEMA can hold, each with a value the schema accepts
+FULL_CONFIG = {
+    "schema_version": 1,
+    "target": {"name": "gaussian", "params": {"dim": 2}},
+    "samplers": [
+        {"name": "repulsive_adam", "particles": 5, "step_size": 0.1, "schedule": "robbins_monro",
+         "gamma": 0.55, "beta1": 0.9, "beta2": 0.999, "stabilizer": 1e-8, "repulsion_cutoff": 3,
+         "kernel": {"bandwidth": 0.5, "bandwidth_mode": "fixed", "jitter": 1e-6}},
+        {"name": "sgld", "repulsion_cutoff": None},
+    ],
+    "iterations": 200,
+    "collection": {"burn_in": 100, "thin": 10},
+    "init": {"mean": [0.5, -0.5], "std": 1.5},
+    "seeds": [0, 3],
+    "output_dir": "out",
+}
+
+# JSON values of every type.  No float is integer-valued: there, and only
+# there, validate_config and JSON Schema 2020-12 part (see _schema_errors).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.floats(allow_nan=False).filter(lambda x: not x.is_integer()),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _containers(value):
+    """Every object and array in ``value``, itself included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in (value.values() if isinstance(value, dict) else value):
+            yield from _containers(item)
+
+
+NAMED = ("name", "schedule", "bandwidth_mode")  # the keys whose values are enums
+
+
+def _mutate(data, cfg):
+    """``cfg`` changed by one drawn edit: a key dropped or added, a value of
+    another type or name, a seed list or sampler list broken, or a top level
+    that is no object."""
+    edit = data.draw(st.sampled_from(["drop", "add", "replace", "name", "list", "top"]))
+    containers = list(_containers(cfg))
+    objects = [c for c in containers if isinstance(c, dict)]
+    slots = [(c, key) for c in containers for key in (c if isinstance(c, dict) else range(len(c)))]
+    if edit == "drop" and any(objects):
+        obj, key = data.draw(st.sampled_from([(c, key) for c in objects for key in c]))
+        del obj[key]
+    elif edit == "add" and objects:
+        data.draw(st.sampled_from(objects))["knob"] = 1
+    elif edit == "name" and any(key in obj for obj in objects for key in NAMED):
+        named = [(c, key) for c in objects for key in NAMED if key in c]
+        obj, key = data.draw(st.sampled_from(named))
+        obj[key] = "mala"
+    elif edit == "list" and isinstance(cfg, dict):
+        change = data.draw(st.sampled_from(["repeat", "negative", "no_seeds", "no_samplers"]))
+        seeds = cfg.get("seeds")
+        if change in ("repeat", "negative") and isinstance(seeds, list) and seeds:
+            seeds.append(seeds[0] if change == "repeat" else -1)
+        else:
+            cfg["seeds" if change == "no_seeds" else "samplers"] = []
+    elif edit == "replace" and slots:
+        container, key = data.draw(st.sampled_from(slots))
+        container[key] = data.draw(st.sampled_from([True, None, "x", [0]]) | JSON_VALUES)
+    else:
+        return data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    return cfg
+
+
+def _schemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schemas(sub)
+    if "items" in schema:
+        yield from _schemas(schema["items"])
+
+
+class TestSchemaInterpreter:
+    def test_schema_uses_only_interpreted_keywords(self):
+        # validate_config reads these keywords and no other, so a schema edit
+        # that used another would be ignored in silence
+        implemented = {"type", "const", "enum", "minimum", "required", "properties",
+                       "additionalProperties", "items", "minItems", "uniqueItems"}
+        for schema in _schemas(CONFIG_SCHEMA):
+            assert schema.keys() <= implemented
+            assert schema.get("additionalProperties", False) is False
+            types = schema.get("type", [])
+            assert set([types] if isinstance(types, str) else types) <= _JSON_TYPES.keys()
+
+    def test_agrees_with_reference_validator(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        reference = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+        def first_path(payload):
+            try:
+                validate_config(payload)
+            except ConfigError as err:
+                return err.field
+            return None
+
+        @given(st.data())
+        @settings(max_examples=400, deadline=None)
+        def check(data):
+            cfg = copy.deepcopy(FULL_CONFIG)
+            for _ in range(data.draw(st.integers(0, 3))):
+                cfg = _mutate(data, cfg)
+            errors = sorted(reference.iter_errors(cfg), key=lambda e: e.json_path)
+            assert first_path(cfg) == (errors[0].json_path if errors else None), cfg
+
+        check()
+
+    @pytest.mark.parametrize(
+        "payload, path",
+        [
+            ({"iterations": True}, "$.iterations"),
+            ({"schema_version": True}, "$.schema_version"),
+            ({"seeds": [0, False]}, "$.seeds[1]"),
+            ({"init": {"mean": [0.5, True]}}, "$.init.mean[1]"),
+            ({"samplers": [{"name": "sgld", "step_size": False}]}, "$.samplers[0].step_size"),
+        ],
+        ids=["iterations", "schema_version", "seed", "init_mean", "step_size"],
+    )
+    def test_bool_is_no_number_and_not_one(self, payload, path):
+        with pytest.raises(ConfigError) as exc:
+            validate_config({**FULL_CONFIG, **payload})
+        assert exc.value.field == path
+
+    def test_full_config_accepted(self):
+        assert validate_config(FULL_CONFIG) is FULL_CONFIG
 
 
 class TestRunCommand:
@@ -298,6 +436,31 @@ class TestRunCommand:
     def test_funnel_scale_with_finite_precision_builds(self, scale, convention):
         assert targets.make_target("funnel", scale=scale, scale_convention=convention).dim == 2
 
+    def test_funnel_scale_failing_the_gradient_audit_exits_2(self, tmp_path, capsys):
+        # 1/s1^2 is finite, but -z1/s1^2 overflows at the audit points
+        cfg = moe_config(tmp_path / "out")
+        cfg["target"] = {"name": "funnel", "params": {"scale": 8e-155}}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: target.params: gradient audit failed for funnel")
+        assert "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scale", [1.1e-154, 1e-150])
+    def test_funnel_scale_passing_the_gradient_audit_builds(self, tmp_path, monkeypatch, scale):
+        # so narrow a funnel may diverge when sampled, but its target is built
+        built, make = [], targets.make_target
+
+        def recording_make(*args, **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(targets, "make_target", recording_make)
+        cfg = moe_config(tmp_path / "out", samplers=[{"name": "sgld", "particles": 2}])
+        cfg["target"] = {"name": "funnel", "params": {"scale": scale}}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) != EXIT_CONFIG
+        assert [target.dim for target in built] == [2]
+
     @pytest.mark.parametrize(
         "change, key",
         [
@@ -340,6 +503,25 @@ class TestRunCommand:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert f"config error: samplers[1].{key}: " in capsys.readouterr().err
         assert not calls
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"iterations": 200.0}, "$.iterations"),
+            ({"samplers": [{"name": "sgld", "particles": 5.0}]}, "$.samplers[0].particles"),
+            ({"seeds": [0.0]}, "$.seeds[0]"),
+            ({"collection": {"burn_in": 100, "thin": 10.0}}, "$.collection.thin"),
+            ({"samplers": [{"name": "repulsive_sgld", "repulsion_cutoff": 5.0}]},
+             "$.samplers[0].repulsion_cutoff"),
+        ],
+        ids=["iterations", "particles", "seed", "thin", "repulsion_cutoff"],
+    )
+    def test_integer_valued_float_exits_2(self, tmp_path, capsys, change, key):
+        # an integer key takes a JSON integer literal: 200, not 200.0 or 2e2
+        cfg = {**moe_config(tmp_path / "out"), **change}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("iterations", [100, 105])

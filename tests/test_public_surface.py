@@ -2,7 +2,10 @@
 library examples and the entry points the benchmark's tracer wraps."""
 
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -79,3 +82,45 @@ def test_tracer_counts_the_scores_of_a_built_target(monkeypatch):
         samplers.run(spec, targets.make_target("gaussian", dim=2), 0)
     _, calls, _ = tracer.durations()
     assert calls["targets.score"] == calls["samplers.step"] == 20
+
+
+# Run in a fresh interpreter: the modules loaded by `python -m steinmc run`,
+# by top-level name, apart from those loaded before steinmc was imported.
+IMPORT_PROBE = """
+import json, runpy, sys
+before = set(sys.modules)
+sys.argv = ["steinmc", "run", "--config", sys.argv[1]]
+code = None
+try:
+    runpy.run_module("steinmc", run_name="__main__")
+except SystemExit as done:
+    code = done.code
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({"exit": code, "loaded": sorted(loaded)}))
+"""
+
+
+def test_run_command_imports_only_numpy_and_the_standard_library(tmp_path):
+    # numpy is the one runtime dependency; pytest's own process has loaded
+    # hypothesis, scipy and jsonschema already, so this needs a new process
+    config = {
+        "schema_version": 1,
+        "target": {"name": "gaussian", "params": {"dim": 1}},
+        "samplers": [{"name": "repulsive_sgld", "particles": 2}],
+        "iterations": 5,
+        "collection": {"burn_in": 0, "thin": 1},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["exit"] == 0
+    # numpy's compiled Cython extensions register cython_runtime and _cython_<version>
+    foreign = [name for name in probe["loaded"]
+               if name not in sys.stdlib_module_names and name not in ("numpy", "steinmc")
+               and name != "cython_runtime" and not name.startswith("_cython_")]
+    assert foreign == []
