@@ -35,8 +35,6 @@ class RegressionDataset:
     targets_train: np.ndarray
     features_test: np.ndarray
     targets_test: np.ndarray
-    feature_mean: np.ndarray
-    feature_std: np.ndarray
     target_mean: float
     target_std: float
     split_seed: int
@@ -115,8 +113,6 @@ def _split(table, t_idx, columns, first_row, split_fraction, seed, name) -> Regr
         targets_train=(y_train - t_mean) / t_std,
         features_test=(x_test - f_mean) / f_std,
         targets_test=(y_test - t_mean) / t_std,
-        feature_mean=f_mean,
-        feature_std=f_std,
         target_mean=t_mean,
         target_std=t_std,
         split_seed=seed,

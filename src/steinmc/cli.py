@@ -192,13 +192,17 @@ def _schema_errors(value, schema: dict, path: str):
             yield from _schema_errors(item, schema["items"], f"{path}[{i}]")
 
 
-def validate_config(payload: dict) -> dict:
-    """``payload`` if it matches CONFIG_SCHEMA, else a ConfigError naming the
-    smallest JSON path of an error, such as ``$.seeds[0]``."""
-    first = min(_schema_errors(payload, CONFIG_SCHEMA, "$"), key=lambda e: e[0], default=None)
+def _check_schema(value, schema: dict, path: str):
+    """``value``, or a ConfigError naming its error at the smallest JSON path."""
+    first = min(_schema_errors(value, schema, path), key=lambda e: e[0], default=None)
     if first is not None:
         raise ConfigError(first[1], field=first[0])
-    return payload
+    return value
+
+
+def validate_config(payload: dict) -> dict:
+    """``payload`` if it matches CONFIG_SCHEMA; see :func:`_check_schema`."""
+    return _check_schema(payload, CONFIG_SCHEMA, "$")
 
 
 def load_config(path: str) -> dict:
@@ -281,7 +285,7 @@ def cmd_run(args) -> int:
     # built-in targets are stateless, so every job, on any thread, shares one
     try:
         target = targets.make_target(config["target"]["name"], **config["target"].get("params", {}))
-    except (TypeError, AssertionError) as err:  # AssertionError: a failed gradient audit
+    except AssertionError as err:  # a failed gradient audit
         raise ConfigError(str(err), field="target.params")
     specs = [_entry_spec(i, config, target.dim) for i in range(len(config["samplers"]))]
     jobs = [(spec, seed) for spec in specs for seed in seeds]
@@ -441,13 +445,8 @@ BNN_PROTOCOL = {
 }
 
 
-def bnn_report(
-    dataset: bnn_mod.RegressionDataset, sampler: str, seed: int, protocol=None
-) -> dict:
-    unknown = set(protocol or ()) - set(BNN_PROTOCOL)
-    if unknown:
-        raise ConfigError(f"unknown bnn protocol keys {sorted(unknown)}", field="protocol")
-    proto = {**BNN_PROTOCOL, **(protocol or {})}
+def bnn_report(dataset: bnn_mod.RegressionDataset, sampler: str, seed: int) -> dict:
+    proto = BNN_PROTOCOL
     potential = bnn_mod.BnnPotential(input_dim=dataset.n_features)
     target = bnn_mod.minibatch_target(potential, dataset, proto["batch_size"])
     step = proto["step_scale"] / dataset.n_train
@@ -486,8 +485,7 @@ def bnn_report(
 def cmd_bnn(args) -> int:
     out_dir = _resolve_out(args, None)
     seeds = _resolve_seeds(args, [0])
-    if args.split_seed < 0:
-        raise ConfigError("split seed must be non-negative", field="split-seed")
+    _check_schema(args.split_seed, CONFIG_SCHEMA["properties"]["seeds"]["items"], "split-seed")
     try:
         dataset = bnn_mod.load_csv(args.data, args.target_column, seed=args.split_seed)
     except (OSError, ValueError) as err:
@@ -519,13 +517,7 @@ def _resolve_seeds(args, default):
         seeds = [int(s) for s in args.seed.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"seeds must be integers: {args.seed!r}", field="seed")
-    if not seeds:
-        raise ConfigError("seed list is empty", field="seed")
-    if any(s < 0 for s in seeds):
-        raise ConfigError("seeds must be non-negative", field="seed")
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError(f"seeds must not repeat: {args.seed!r}", field="seed")
-    return seeds
+    return _check_schema(seeds, CONFIG_SCHEMA["properties"]["seeds"], "seed")
 
 
 def _resolve_out(args, config_dir) -> Path:

@@ -20,7 +20,7 @@ K (x) I_d, so factorizations and noise draws reduce to the L x L matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,17 +74,10 @@ class KernelMatrix:
     bandwidth: float
     jitter: float = 0.0
     degenerate_bandwidth: bool = False
-    _chol: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_particles(self) -> int:
         return self.entries.shape[0]
-
-    def cholesky(self) -> np.ndarray:
-        """Lower-triangular factor of entries (+ jitter), escalating jitter on failure."""
-        if self._chol is None:
-            self._chol = _jittered_cholesky(self.entries, self.jitter)
-        return self._chol
 
 
 def squared_distances(positions: np.ndarray) -> np.ndarray:
@@ -218,6 +211,6 @@ def sample_repulsive_noise(
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    chol = kernel.cholesky()
+    chol = _jittered_cholesky(kernel.entries, kernel.jitter)
     white = rng.standard_normal(kernel.grad_terms.shape)
     return np.sqrt(2.0 * eps / kernel.n_particles) * (chol @ white)

@@ -17,10 +17,10 @@ drift from
 
 where repulsion_i is the kernel-gradient row from :mod:`steinmc.kernels` and
 v is the scores (svgd, repulsive_sgld) or the negated, possibly
-preconditioned momenta (repulsive_sgdm, repulsive_adam).  Adding correlated
-noise with covariance (2 eps / L) K to an eps * phi step makes the product
-target stationary; omitting the noise gives the deterministic flow, which
-settles on variance-underestimating configurations.
+preconditioned momenta (repulsive_sgdm, repulsive_adam).  svgd adds no noise
+and is the deterministic flow, which underestimates spread.  Only sgld is exact
+to O(eps): repulsive_sgld's drift omits the median bandwidth's gradient, and
+the momentum kinds, as run drives them, do not sample their target (README).
 
 A run is a :class:`RunSpec`, whose constructor checks every rule of the
 run's settings before anything is drawn, handed to :func:`run`, the one
@@ -56,14 +56,6 @@ class ParticleEnsemble:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[0] < 1:
             raise ValueError("positions must be an L x d matrix with L >= 1")
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
 
 
 SCHEDULE_KINDS = ("constant", "robbins_monro")

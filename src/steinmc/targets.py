@@ -13,6 +13,7 @@ score before handing the target out.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -298,4 +299,12 @@ BUILTIN_TARGETS = {
 def make_target(name: str, **params) -> TargetModel:
     if name not in BUILTIN_TARGETS:
         raise ValueError(f"unknown target {name!r}; choose from {sorted(BUILTIN_TARGETS)}")
+    parameters = inspect.signature(BUILTIN_TARGETS[name], eval_str=True).parameters
+    # a required parameter left out keeps its default, Parameter.empty, which fits no type
+    for key, value in {**{k: p.default for k, p in parameters.items()}, **params}.items():
+        kind = parameters[key].annotation if key in parameters else None
+        # read as JSON: a float parameter takes an integer too, and a bool fits none
+        if not (type(value) is kind or kind is float and type(value) is int):
+            raise ConfigError(f"{name} takes ({', '.join(map(str, parameters.values()))}), "
+                              f"got {params}", field=f"target.params.{key}")
     return BUILTIN_TARGETS[name](**params)

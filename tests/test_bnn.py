@@ -7,7 +7,7 @@ from steinmc import cli
 from steinmc.bnn import (
     _PREDICT_BLOCK, BnnPotential, load_arrays, load_csv, minibatch_target, predict,
 )
-from steinmc.errors import ConfigError, DivergenceError
+from steinmc.errors import DivergenceError
 
 
 def linear_data(n=500, p=4, noise=0.1, seed=0):
@@ -442,50 +442,46 @@ class TestBnnTarget:
 
 
 class TestEvaluate:
-    def test_linear_dataset_recovery(self):
+    def test_linear_dataset_recovery(self, monkeypatch):
         # generate-and-fit oracle: a sampled ensemble must track a noiseless
         # linear map to within a small multiple of the injected noise
-        from steinmc.cli import bnn_report
-
         x, y = linear_data(n=500, p=4, noise=0.1, seed=0)
         ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
-        report = bnn_report(ds, "sgld", seed=0, protocol={"iterations": 800, "burn_in": 400})
+        short = {**cli.BNN_PROTOCOL, "iterations": 800, "burn_in": 400}
+        monkeypatch.setattr(cli, "BNN_PROTOCOL", short)
+        report = cli.bnn_report(ds, "sgld", seed=0)
         assert report["rmse"] < 2 * 0.1
         assert np.isfinite(report["test_ll"])
 
 
 class TestBnnReport:
     @pytest.mark.parametrize("sampler", ["sgld", "repulsive_sgld"])
-    def test_divergence_names_iteration_and_snapshot(self, sampler):
+    def test_divergence_names_iteration_and_snapshot(self, sampler, monkeypatch):
         # a per-particle step of 0.1 (step_scale 45 at 450 training rows), far
         # above the protocol's 1e-4, blows the network weights up within a
         # few iterations; the first non-finite value is a score
         x, y = linear_data()
         ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
         protocol = {"step_scale": 45.0, "iterations": 50, "burn_in": 10}
+        monkeypatch.setattr(cli, "BNN_PROTOCOL", {**cli.BNN_PROTOCOL, **protocol})
         with pytest.raises(DivergenceError) as exc:
-            cli.bnn_report(ds, sampler, seed=0, protocol=protocol)
+            cli.bnn_report(ds, sampler, seed=0)
         assert exc.value.iteration >= 1
         assert exc.value.snapshot is not None
         assert np.all(np.isfinite(exc.value.snapshot))
 
     @pytest.mark.parametrize("sampler", ["sgld", "repulsive_sgld"])
-    def test_step_scales_with_training_rows(self, sampler):
+    def test_step_scales_with_training_rows(self, sampler, monkeypatch):
         # the minibatch score grows with the N training rows; a fixed 1e-4
         # step diverges within ten iterations at 1,000 rows, step_scale / N
         # does not
         x, y = linear_data(n=1000)
         ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
-        short = {"iterations": 100, "burn_in": 50}
-        report = cli.bnn_report(ds, sampler, seed=0, protocol=short)
+        short = {**cli.BNN_PROTOCOL, "iterations": 100, "burn_in": 50}
+        monkeypatch.setattr(cli, "BNN_PROTOCOL", short)
+        report = cli.bnn_report(ds, sampler, seed=0)
         assert np.isfinite(report["rmse"])
         assert report["config"]["step_size"] == report["config"]["step_scale"] / 900
-        fixed = {**short, "step_scale": 1e-4 * ds.n_train}
+        monkeypatch.setattr(cli, "BNN_PROTOCOL", {**short, "step_scale": 1e-4 * ds.n_train})
         with pytest.raises(DivergenceError):
-            cli.bnn_report(ds, sampler, seed=0, protocol=fixed)
-
-    def test_unknown_protocol_key_is_rejected(self):
-        x, y = linear_data(n=100)
-        ds = load_arrays(x, y, seed=0)
-        with pytest.raises(ConfigError, match="step_size"):
-            cli.bnn_report(ds, "sgld", seed=0, protocol={"step_size": 1e-4})
+            cli.bnn_report(ds, sampler, seed=0)

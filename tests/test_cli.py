@@ -21,7 +21,7 @@ from steinmc.cli import (
     main,
     validate_config,
 )
-from steinmc import kernels, samplers, targets
+from steinmc import cli, kernels, refine, samplers, targets
 from steinmc.errors import ConfigError, FactorizationError
 
 
@@ -48,6 +48,18 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def record_calls(monkeypatch, module, name):
+    """The calls of ``module.name``, still made, as (args, kwargs, result)."""
+    calls, fn = [], getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, fn(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 class TestConfigValidation:
@@ -449,17 +461,56 @@ class TestRunCommand:
     @pytest.mark.parametrize("scale", [1.1e-154, 1e-150])
     def test_funnel_scale_passing_the_gradient_audit_builds(self, tmp_path, monkeypatch, scale):
         # so narrow a funnel may diverge when sampled, but its target is built
-        built, make = [], targets.make_target
-
-        def recording_make(*args, **kwargs):
-            built.append(make(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(targets, "make_target", recording_make)
+        built = record_calls(monkeypatch, targets, "make_target")
         cfg = moe_config(tmp_path / "out", samplers=[{"name": "sgld", "particles": 2}])
         cfg["target"] = {"name": "funnel", "params": {"scale": scale}}
         assert main(["run", "--config", write_config(tmp_path, cfg)]) != EXIT_CONFIG
-        assert [target.dim for target in built] == [2]
+        assert [target.dim for _, _, target in built] == [2]
+
+    @pytest.mark.parametrize(
+        "target, key",
+        [
+            ({"name": "funnel", "params": {"scale": True}}, "scale"),
+            ({"name": "gaussian", "params": {"dim": True}}, "dim"),
+            ({"name": "gaussian", "params": {"dim": 2.0}}, "dim"),
+            ({"name": "funnel", "params": {"scale": "2"}}, "scale"),
+            ({"name": "gaussian", "params": {"dim": 2, "scale": 1.0}}, "scale"),
+            ({"name": "funnel", "params": {"scale_convention": 1}}, "scale_convention"),
+            ({"name": "moe", "params": {"scale": 1.0}}, "scale"),
+            ({"name": "gaussian"}, "dim"),
+        ],
+        ids=["scale_bool", "dim_bool", "dim_float", "scale_string", "gaussian_scale",
+             "convention_int", "moe_scale", "dim_missing"],
+    )
+    def test_target_param_outside_the_constructor_signature_exits_2(
+        self, tmp_path, capsys, target, key
+    ):
+        # names and JSON types come from the constructor's own signature
+        cfg = moe_config(tmp_path / "out")
+        cfg["target"] = target
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: target.params.{key}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, params, reference",
+        [*[(name, {"dim": 2} if name == "gaussian" else {}, {}) for name in
+           sorted(targets.BUILTIN_TARGETS)],
+         ("funnel", {"scale": 2}, {"scale": 2.0})],
+        ids=[*sorted(targets.BUILTIN_TARGETS), "funnel_integer_scale"],
+    )
+    def test_target_params_fitting_the_signature_build(
+        self, tmp_path, monkeypatch, name, params, reference
+    ):
+        built = record_calls(monkeypatch, targets, "make_target")
+        entry = {"name": "sgld", "particles": 2, "step_size": 0.01}
+        cfg = moe_config(tmp_path / "out", samplers=[entry])
+        cfg["target"] = {"name": name, "params": params}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        [(_, _, target)] = built
+        z = np.random.default_rng(0).normal(size=(4, target.dim))
+        expected = targets.BUILTIN_TARGETS[name](**{**params, **reference})
+        assert np.array_equal(target.log_density(z), expected.log_density(z))
 
     @pytest.mark.parametrize(
         "change, key",
@@ -714,3 +765,56 @@ def test_repeated_seed_flag_exits_2_writing_nothing(tmp_path, capsys, data_csv, 
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: seed: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", [[0, -1], [], [3, 3], [1, 1, -2]],
+                         ids=["negative", "empty", "repeated", "repeated_and_negative"])
+def test_seed_flag_errors_read_like_config_seeds_errors(tmp_path, capsys, seeds):
+    # --seed is checked against the config's own seeds schema
+    cfg = moe_config(tmp_path / "out")
+    flag = ["--seed", ",".join(map(str, seeds))]
+    assert main(["run", "--config", write_config(tmp_path, cfg), *flag]) == EXIT_CONFIG
+    from_flag = capsys.readouterr().err
+    assert main(["run", "--config", write_config(tmp_path, {**cfg, "seeds": seeds})]) == EXIT_CONFIG
+    from_config = capsys.readouterr().err
+    assert from_flag.replace("config error: seed", "config error: $.seeds") == from_config
+    assert not (tmp_path / "out").exists()
+
+
+class TestProtocolConstants:
+    """perfbench/workloads.py shortens its runs by replacing these module
+    constants, so each command must read them when it runs, not when the
+    module is imported."""
+
+    def test_vis_funnel_reads_outer_iterations_and_samples(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "FUNNEL_OUTER_ITERATIONS", 3)
+        monkeypatch.setattr(cli, "FUNNEL_SAMPLES", 4)
+        calls = record_calls(monkeypatch, refine, "optimize")
+        assert main(["vis-funnel", "--out", str(tmp_path), "--seed", "0,1"]) == EXIT_OK
+        # T = 0, 1, 2 for each seed
+        assert [(args[2], kwargs["n_samples"]) for args, kwargs, _ in calls] == [(3, 4)] * 6
+        for t in (0, 1, 2):
+            rows = (tmp_path / f"vis_funnel_T{t}.csv").read_text().splitlines()[2:]
+            assert [row.split(",")[:2] for row in rows] == [
+                [str(seed), str(i)] for seed in (0, 1) for i in range(3)
+            ]
+
+    def test_bench_synthetic_reads_iterations_and_policy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "BENCH_ITERATIONS", 120)
+        monkeypatch.setattr(cli, "BENCH_POLICY", {"burn_in": 20, "thin": 1})
+        calls = record_calls(monkeypatch, samplers, "run")
+        assert main(["bench-synthetic", "--out", str(tmp_path), "--seed", "0"]) == EXIT_OK
+        specs = [args[0] for args, _, _ in calls]
+        assert len(specs) == 4  # 2 distributions x 2 samplers
+        assert {(s.iterations, s.policy.burn_in, s.policy.thin) for s in specs} == {(120, 20, 1)}
+
+    def test_bnn_reads_protocol(self, tmp_path, monkeypatch, data_csv):
+        short = {**cli.BNN_PROTOCOL, "iterations": 40, "burn_in": 10}
+        monkeypatch.setattr(cli, "BNN_PROTOCOL", short)
+        calls = record_calls(monkeypatch, samplers, "run")
+        argv = ["bnn", "--data", data_csv, "--target-column", "y", "--sampler", "sgld",
+                "--out", str(tmp_path), "--seed", "0"]
+        assert main(argv) == EXIT_OK
+        config = json.loads((tmp_path / "bnn_linear_sgld_seed0.json").read_text())["config"]
+        assert (config["iterations"], config["burn_in"]) == (40, 10)
+        assert [(spec.iterations, spec.policy.burn_in) for (spec, *_), _, _ in calls] == [(40, 10)]
