@@ -186,9 +186,7 @@ def tanh(a) -> Node:
 
 def relu(a) -> Node:
     """max(0, x); the subgradient at 0 is taken as 0."""
-    a = as_node(a)
-    mask = (a.value > 0).astype(float)
-    return Node(a.value * mask, parents=((a, lambda g: g * mask),))
+    return mul(a, (value(a) > 0).astype(float))
 
 
 def reduce_sum(a, axis=None) -> Node:
@@ -221,33 +219,17 @@ def reshape(a, shape) -> Node:
 
 
 def dot(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    if a.value.ndim != 1 or b.value.ndim != 1:
+    if value(a).ndim != 1 or value(b).ndim != 1:
         raise ValueError("dot expects two vectors")
-    return Node(
-        np.dot(a.value, b.value),
-        parents=((a, lambda g: g * b.value), (b, lambda g: g * a.value)),
-    )
+    return reduce_sum(mul(a, b))
 
 
 def gaussian_log_pdf(x, mean, std) -> Node:
     """Elementwise log N(x; mean, std^2); callers reduce_sum as needed."""
-    x, mean, std = as_node(x), as_node(mean), as_node(std)
-    if (std.value <= 0).any():
+    if (value(std) <= 0).any():
         raise ValueError("gaussian_log_pdf: std must be positive")
-    z = (x.value - mean.value) / std.value
-    val = -0.5 * z * z - np.log(std.value) - 0.5 * _LOG_2PI
-
-    def pull_x(g):
-        return _reduce_to(-g * z / std.value, x.value.shape)
-
-    def pull_mean(g):
-        return _reduce_to(g * z / std.value, mean.value.shape)
-
-    def pull_std(g):
-        return _reduce_to(g * (z * z - 1.0) / std.value, std.value.shape)
-
-    return Node(val, parents=((x, pull_x), (mean, pull_mean), (std, pull_std)))
+    z = (as_node(x) - mean) / std
+    return -0.5 * z * z - log(std) - 0.5 * _LOG_2PI
 
 
 def stop_gradient(a) -> Node:

@@ -118,7 +118,6 @@ CONFIG_SCHEMA = {
                         "properties": {
                             "bandwidth": {"type": "number"},
                             "bandwidth_mode": {"enum": list(kernels.BANDWIDTH_MODES)},
-                            "jitter": {"type": "number"},
                         },
                     },
                 },

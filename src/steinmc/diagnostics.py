@@ -129,7 +129,7 @@ class RunReport:
 
     ess: float
     ess_per_second: float
-    rhat: np.ndarray
+    rhat: np.ndarray | None  # None where the sampler's particles are no chains
     moment_errors: list[tuple[str, float]]
     wall_clock: float
     collected_count: int
@@ -142,7 +142,7 @@ class RunReport:
             "ess_per_second": None
             if not np.isfinite(self.ess_per_second)
             else self.ess_per_second,
-            "rhat": [
+            "rhat": None if self.rhat is None else [
                 float(r) if np.isfinite(r) else None for r in np.atleast_1d(self.rhat)
             ],
             "wall_clock_seconds": self.wall_clock,

@@ -27,33 +27,29 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, FactorizationError
 
-# Diagonal jitter ladder used when a Cholesky factorization fails.
-_JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+# Diagonal jitters tried in turn until the kernel matrix factorizes.
+_JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 BANDWIDTH_MODES = ("fixed", "median")
 
 
 @dataclass
 class KernelConfig:
-    """Bandwidth and factorization settings for the RBF kernel.
+    """Bandwidth settings for the RBF kernel.
 
     bandwidth_mode "median" recomputes the bandwidth from the current
     particles on every call; "fixed" uses `bandwidth` as given.  `bandwidth`
     is checked in both modes, also where the median heuristic ignores it.
-    `jitter` is added to the kernel matrix diagonal before factorization.
     """
 
     bandwidth: float = 1.0
     bandwidth_mode: str = "median"
-    jitter: float = 0.0
 
     def __post_init__(self):
         if self.bandwidth_mode not in BANDWIDTH_MODES:
             raise ConfigError(f"unknown mode {self.bandwidth_mode!r}", field="bandwidth_mode")
         if not 0 < self.bandwidth < math.inf:
             raise ConfigError("bandwidth must be finite and > 0", field="bandwidth")
-        if not 0 <= self.jitter < math.inf:
-            raise ConfigError("jitter must be finite and >= 0", field="jitter")
 
 
 @dataclass
@@ -72,7 +68,6 @@ class KernelMatrix:
     entries: np.ndarray
     grad_terms: np.ndarray
     bandwidth: float
-    jitter: float = 0.0
     degenerate_bandwidth: bool = False
 
     @property
@@ -171,7 +166,6 @@ def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
         entries=entries,
         grad_terms=(2.0 / h) * kernel_drift(entries, positions),
         bandwidth=h,
-        jitter=cfg.jitter,
         degenerate_bandwidth=degenerate,
     )
 
@@ -185,17 +179,14 @@ def identity_kernel(n_particles: int, dim: int) -> KernelMatrix:
     )
 
 
-def _jittered_cholesky(matrix: np.ndarray, base_jitter: float) -> np.ndarray:
-    attempted = []
+def _jittered_cholesky(matrix: np.ndarray) -> np.ndarray:
     n = matrix.shape[0]
-    ladder = [base_jitter] + [j for j in _JITTER_LADDER if j > base_jitter]
-    for jit in ladder:
-        attempted.append(jit)
+    for jit in _JITTER_LADDER:
         try:
             return np.linalg.cholesky(matrix + jit * np.eye(n) if jit > 0 else matrix)
         except np.linalg.LinAlgError:
             continue
-    raise FactorizationError(attempted)
+    raise FactorizationError(_JITTER_LADDER)
 
 
 def sample_repulsive_noise(
@@ -211,6 +202,6 @@ def sample_repulsive_noise(
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    chol = _jittered_cholesky(kernel.entries, kernel.jitter)
+    chol = _jittered_cholesky(kernel.entries)
     white = rng.standard_normal(kernel.grad_terms.shape)
     return np.sqrt(2.0 * eps / kernel.n_particles) * (chol @ white)

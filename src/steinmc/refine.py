@@ -111,8 +111,9 @@ class RefinedGuide:
             )
         if self.ad_mode not in AD_MODES:
             raise ConfigError(f"unknown ad mode {self.ad_mode!r}", field="ad_mode")
-        if self.steps_refine < 0 or self.steps_infer < 0:
-            raise ConfigError("step counts must be >= 0", field="steps_refine")
+        for name in ("steps_refine", "steps_infer"):
+            if getattr(self, name) < 0:
+                raise ConfigError("step counts must be >= 0", field=name)
         if self.entropy_mode == "markov" and self.inner_sampler != "sgld":
             raise ConfigError(
                 f"markov entropy needs stochastic transitions; inner sampler "
@@ -182,6 +183,8 @@ def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
         raise ValueError("eta must be > 0")
     wrap = ops.stop_gradient if rg.ad_mode == "fast" else (lambda x: x)
     m, d = ops.value(z).shape
+    if m < 1:
+        raise ValueError("n_samples must be >= 1")
     if rg.inner_sampler == "sgld":
         root = ops.exp(0.5 * ops.log(2.0 * eta))  # sqrt(2 eta)
     path = [z]
@@ -216,8 +219,6 @@ def sample_refined(
     mode; given the same rng state the samples are identical across modes,
     and equal to the samples of :func:`elbo`.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     z0 = rg.guide.sample(n_samples, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # each step is checked
         path = _refine(rg, target, z0, rg.eta, rng, ad.numpy_ops)

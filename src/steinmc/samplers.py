@@ -373,6 +373,9 @@ _KINDS = {
     ),
 }
 SAMPLER_KINDS = tuple(_KINDS)
+# Kinds whose update, as run drives it, draws no noise: their particles are
+# no chains, so no R-hat is reported for them.
+_NOISELESS_KINDS = ("svgd", "repulsive_sgdm")
 
 
 @dataclass(frozen=True)
@@ -486,9 +489,9 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     # event-major and contiguous: with d = 1 numpy sums a contiguous particle
     # axis pairwise and a strided one in sequence, which rounds differently
     pooled_ess = _pooled_ess(np.ascontiguousarray(per_particle.transpose(1, 0, 2)))
-    # R-hat needs two chains of ten events; a chain with zero variance has none
-    rhat = np.full(dim, np.nan)
-    if n_particles >= 2 and spec.n_events >= 10:
+    # R-hat needs two noisy chains of ten events; a chain with zero variance has none
+    rhat = None if spec.kind in _NOISELESS_KINDS else np.full(dim, np.nan)
+    if rhat is not None and n_particles >= 2 and spec.n_events >= 10:
         with contextlib.suppress(DegenerateChainError):
             rhat = gelman_rubin(per_particle)
 

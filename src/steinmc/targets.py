@@ -94,11 +94,7 @@ def audit_gradient(target: TargetModel, points: np.ndarray, rel_tol: float = 1e-
     """
     points = np.asarray(points, dtype=float)
     grads = np.asarray(target.grad_log_density(points), dtype=float)
-    if grads.shape != points.shape:
-        raise AssertionError(
-            f"gradient audit failed for {target.name}: shape {grads.shape} "
-            f"for points of shape {points.shape}"
-        )
+    check_scores(target, grads, points.shape)
     numeric = finite_difference_grad(target.log_density, points)
     scale = np.maximum(1.0, np.max(np.abs(numeric), axis=1))
     err = np.max(np.abs(grads - numeric), axis=1) / scale

@@ -86,7 +86,7 @@ FULL_CONFIG = {
     "samplers": [
         {"name": "repulsive_adam", "particles": 5, "step_size": 0.1, "schedule": "robbins_monro",
          "gamma": 0.55, "beta1": 0.9, "beta2": 0.999, "stabilizer": 1e-8, "repulsion_cutoff": 3,
-         "kernel": {"bandwidth": 0.5, "bandwidth_mode": "fixed", "jitter": 1e-6}},
+         "kernel": {"bandwidth": 0.5, "bandwidth_mode": "fixed"}},
         {"name": "sgld", "repulsion_cutoff": None},
     ],
     "iterations": 200,
@@ -258,8 +258,8 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path]) == EXIT_DIVERGENCE
 
     def test_factorization_failure_exits_4(self, tmp_path, monkeypatch, capsys):
-        def fail(matrix, base_jitter):
-            raise FactorizationError([base_jitter, 1e-4])
+        def fail(matrix):
+            raise FactorizationError([0.0, 1e-4])
 
         monkeypatch.setattr(kernels, "_jittered_cholesky", fail)
         cfg = moe_config(
@@ -286,8 +286,43 @@ class TestRunCommand:
         payload = json.loads(
             (tmp_path / "out" / "gaussian_svgd_seed0.report.json").read_text()
         )
-        assert payload["rhat"] == [None]
+        assert payload["rhat"] is None
         assert payload["ess"] is None
+
+    def test_noiseless_kinds_report_null_rhat(self, tmp_path):
+        # particles moved without noise are no chains; R-hat over them
+        # measures spread, so the whole field is null (not a list of nulls)
+        entries = [{"name": name, "particles": 10, "step_size": 0.1}
+                   for name in ("svgd", "repulsive_sgdm", "repulsive_sgld")]
+        cfg = {**moe_config(tmp_path / "out", samplers=entries), "target": GAUSS2}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        rhat = {
+            name: json.loads((tmp_path / "out" / f"gaussian_{name}_seed0.report.json")
+                             .read_text())["rhat"]
+            for name in ("svgd", "repulsive_sgdm", "repulsive_sgld")
+        }
+        assert rhat["svgd"] is None and rhat["repulsive_sgdm"] is None
+        assert len(rhat["repulsive_sgld"]) == 2 and all(r > 0 for r in rhat["repulsive_sgld"])
+
+    def test_degenerate_noisy_chains_report_null_per_dimension(self, tmp_path):
+        # a noisy kind whose step is too small to move the particles keeps
+        # its per-dimension list, each entry null
+        entry = {"name": "repulsive_sgld", "particles": 3, "step_size": 1e-300}
+        cfg = {**moe_config(tmp_path / "out", samplers=[entry], iterations=40),
+               "target": GAUSS2, "collection": {"burn_in": 10, "thin": 1}}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        payload = json.loads(
+            (tmp_path / "out" / "gaussian_repulsive_sgld_seed0.report.json").read_text()
+        )
+        assert payload["rhat"] == [None, None]
+
+    def test_kernel_jitter_is_unknown_key(self, tmp_path, capsys):
+        # the jitter ladder is the one source of Cholesky jitters
+        entry = {"name": "repulsive_sgld", "particles": 3, "kernel": {"jitter": 1e-6}}
+        cfg = moe_config(tmp_path / "out", samplers=[entry])
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "$.samplers[0].kernel: unknown keys ['jitter']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, moe_config(tmp_path / "a"))
@@ -403,7 +438,6 @@ class TestRunCommand:
             (GAUSS2, {}, {"mean": float("nan")}, "init.mean"),
             (GAUSS2, {}, {"std": float("inf")}, "init.std"),
             (GAUSS2, {"step_size": float("inf")}, {}, "samplers[0].step_size"),
-            (GAUSS2, {"kernel": {"jitter": float("inf")}}, {}, "samplers[0].kernel.jitter"),
             (GAUSS2, {"kernel": {"bandwidth": float("inf"), "bandwidth_mode": "fixed"}}, {},
              "samplers[0].kernel.bandwidth"),
             (GAUSS2, {"name": "repulsive_adam", "stabilizer": float("inf")}, {},
@@ -414,7 +448,7 @@ class TestRunCommand:
              "scale_zero", "scale_negative", "stabilizer", "sgld_beta1", "svgd_beta2",
              "sgld_stabilizer", "constant_gamma", "repulsion_cutoff", "init_mean_item",
              "init_std_item", "init_std_negative", "init_mean_nan", "init_std_inf",
-             "step_size_inf", "jitter_inf", "bandwidth_inf", "stabilizer_inf",
+             "step_size_inf", "bandwidth_inf", "stabilizer_inf",
              "median_bandwidth_nan"],
     )
     def test_bad_config_value_exits_2_naming_key(
@@ -517,8 +551,9 @@ class TestRunCommand:
         [
             ({"samplers": [{"name": "sgld", "step_size": -1}]}, "samplers[0].step_size"),
             ({"samplers": [{"name": "sgld", "step_size": 0}]}, "samplers[0].step_size"),
-            ({"samplers": [{"name": "svgd", "kernel": {"jitter": -1e-6}}]},
-             "samplers[0].kernel.jitter"),
+            ({"samplers": [{"name": "svgd",
+                            "kernel": {"bandwidth": -0.5, "bandwidth_mode": "fixed"}}]},
+             "samplers[0].kernel.bandwidth"),
             ({"samplers": [{"name": "sgld", "particles": 0}]}, "samplers[0].particles"),
             ({"samplers": [{"name": "sgld", "particles": -3}]}, "samplers[0].particles"),
             ({"collection": {"burn_in": -1, "thin": 10}}, "collection.burn_in"),
@@ -526,7 +561,7 @@ class TestRunCommand:
             ({"iterations": 0}, "iterations"),
             ({"iterations": -5}, "iterations"),
         ],
-        ids=["step_size_negative", "step_size_zero", "jitter", "particles_zero",
+        ids=["step_size_negative", "step_size_zero", "kernel_bandwidth", "particles_zero",
              "particles_negative", "burn_in", "thin", "iterations_zero", "iterations_negative"],
     )
     def test_numeric_bound_is_the_library_rule(self, tmp_path, capsys, change, key):
@@ -540,8 +575,9 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "bad, key",
         [({"step_size": -1}, "step_size"), ({"particles": 0}, "particles"),
-         ({"kernel": {"jitter": -1.0}}, "kernel.jitter"), ({"beta2": 2.0}, "beta2")],
-        ids=["step_size", "particles", "jitter", "beta2"],
+         ({"kernel": {"bandwidth": -1.0, "bandwidth_mode": "fixed"}}, "kernel.bandwidth"),
+         ({"beta2": 2.0}, "beta2")],
+        ids=["step_size", "particles", "kernel_bandwidth", "beta2"],
     )
     def test_bad_later_entry_exits_2_before_any_job(
         self, tmp_path, capsys, monkeypatch, bad, key

@@ -151,7 +151,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(n, 2)) * rng.choice([0.0, 1e-9, 1.0])
         km = kernel_matrix(z, KernelConfig())
-        chol = kernels._jittered_cholesky(km.entries, km.jitter)
+        chol = kernels._jittered_cholesky(km.entries)
         assert np.all(np.isfinite(chol))
 
 
@@ -343,15 +343,15 @@ class TestRepulsiveNoise:
         )
         with pytest.raises(FactorizationError) as exc:
             sample_repulsive_noise(bad, 0.1, np.random.default_rng(0))
-        assert 1e-4 in exc.value.jitters
+        # the ladder is the only source of jitters: from none up to 1e-4
+        assert exc.value.jitters == kernels._JITTER_LADDER
+        assert exc.value.jitters[0] == 0.0 and exc.value.jitters[-1] == 1e-4
 
 
 class TestKernelConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             KernelConfig(bandwidth=0.0, bandwidth_mode="fixed")
-        with pytest.raises(ValueError):
-            KernelConfig(jitter=-1e-3)
         with pytest.raises(ValueError):
             KernelConfig(bandwidth_mode="nope")
 
@@ -361,6 +361,3 @@ class TestKernelConfig:
             with pytest.raises(ConfigError) as exc:
                 KernelConfig(bandwidth=value, bandwidth_mode=mode)
             assert exc.value.field == "bandwidth"
-        with pytest.raises(ConfigError) as exc:
-            KernelConfig(jitter=value)
-        assert exc.value.field == "jitter"

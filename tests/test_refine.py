@@ -84,7 +84,7 @@ class TestSampleRefined:
 
     def test_sample_count_validated(self):
         rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
             sample_refined(rg, GAUSS2, 0, np.random.default_rng(0))
 
 
@@ -127,6 +127,20 @@ class TestElbo:
         v_markov = elbo(markov, GAUSS2, 8, np.random.default_rng(5)).value
         per_step = 0.5 * 2 * np.log(4 * np.pi * np.e * eta)
         assert v_markov - v_dirac == pytest.approx(3 * per_step, rel=1e-12)
+
+    @pytest.mark.parametrize("field", ["steps_refine", "steps_infer"])
+    def test_negative_step_count_names_its_field(self, field):
+        with pytest.raises(ConfigError) as info:
+            RefinedGuide(guide=unit_guide(), inner_sampler="sgd", **{field: -1})
+        assert info.value.field == field
+
+    def test_sample_count_validated_for_the_bound(self):
+        # the one sample-count rule of the refinement loop, also on the tape
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd")
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            elbo(rg, GAUSS2, 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            optimize(rg, GAUSS2, 1, np.random.default_rng(0), n_samples=0)
 
     @pytest.mark.parametrize("mode", ["gaussian", "flow"])
     def test_deleted_entropy_modes_rejected(self, mode):

@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from steinmc import autodiff as ad
+from steinmc.errors import ConfigError
 from steinmc.targets import (
     TargetModel,
     audit_gradient,
@@ -204,6 +205,18 @@ class TestRegistry:
         )
         with pytest.raises(AssertionError, match="rel err nan"):
             audit_gradient(nan, np.random.default_rng(0).normal(size=(4, 2)))
+
+    def test_audit_applies_the_score_shape_rule(self):
+        # wrongly shaped scores fail as check_scores states it, not by an audit rule of its own
+        narrow = TargetModel(
+            name="narrow",
+            dim=2,
+            log_density=lambda z: -0.5 * np.sum(z * z, axis=1),
+            grad_log_density=lambda z: -np.asarray(z)[:, :1],
+        )
+        with pytest.raises(ConfigError) as exc:
+            audit_gradient(narrow, np.random.default_rng(0).normal(size=(4, 2)))
+        assert exc.value.field == "target"
 
 
 def reference_scores(name, z):
