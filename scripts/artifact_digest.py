@@ -16,8 +16,7 @@ are the benchmark workloads' own at workload seed 0, read from the
 checkout's ``perfbench/workloads.py``.  Artifacts go to a temporary
 directory that is removed afterwards.
 
-Run from the repository root, naming the checkout to digest and,
-optionally, a subset of the invocations:
+Run from the repository root, naming the checkout to digest:
 
   python scripts/artifact_digest.py . > after.txt
   python scripts/artifact_digest.py ../parent > before.txt
@@ -96,13 +95,12 @@ def digest(checkout: Path, names=tuple(INVOCATIONS)) -> list[str]:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if not args or any(name not in INVOCATIONS for name in args[1:]):
+    if len(args) != 1:
         print(__doc__.strip(), file=sys.stderr)
-        print("invocations: " + ", ".join(INVOCATIONS), file=sys.stderr)
         return 2
     sys.dont_write_bytecode = True  # leave the checkout as it was
     sys.path.insert(0, str(Path(args[0]).resolve() / "src"))
-    print("\n".join(digest(Path(args[0]), args[1:] or tuple(INVOCATIONS))))
+    print("\n".join(digest(Path(args[0]))))
     return 0
 
 

@@ -219,8 +219,8 @@ def reshape(a, shape) -> Node:
 
 
 def dot(a, b) -> Node:
-    if value(a).ndim != 1 or value(b).ndim != 1:
-        raise ValueError("dot expects two vectors")
+    if value(a).ndim != 1 or value(a).shape != value(b).shape:
+        raise ValueError("dot expects two vectors of equal length")
     return reduce_sum(mul(a, b))
 
 

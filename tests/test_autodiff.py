@@ -68,6 +68,8 @@ class TestPrimitives:
         ad.backward(out)
         np.testing.assert_allclose(a.grad, b.value)
         np.testing.assert_allclose(b.grad, a.value)
+        with pytest.raises(ValueError, match="equal length"):
+            ad.dot(np.array([1.0]), np.array([1.0, 2.0, 3.0]))
 
     def test_reduce_sum_distributes_ones(self):
         x = ad.leaf(np.arange(100.0))
