@@ -33,9 +33,9 @@ import numpy as np
 
 from . import bnn as bnn_mod
 from . import kernels, refine, samplers, targets
-from .diagnostics import SCHEMA_VERSION
 from .errors import ConfigError, DivergenceError, FactorizationError
 
+SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "STEINMC_OUT"
 BENCH_HEADER = "distribution,sampler,seed,ess,ess_per_s,err_ex,err_ex2"
 
@@ -43,10 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_FACTORIZATION = 4
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -68,8 +64,35 @@ def write_blocks_atomic(path: Path, blocks) -> None:
         raise
 
 
+def _finite_or_null(value):
+    """``value`` with every array a list and every non-finite float, at any
+    depth, None: JSON has no NaN or Infinity."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def dump_json(payload: dict) -> str:
+    """The text of every JSON artifact: ``payload`` plus its schema version,
+    keys sorted, a non-finite number written as null."""
+    payload = _finite_or_null({"schema_version": SCHEMA_VERSION, **payload})
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def csv_blocks(header: str, n_labels: int, row_blocks):
+    """The text of every CSV artifact, as blocks: the schema line and
+    ``header``, then one block per iterable of rows in ``row_blocks``, one
+    line per row, its first ``n_labels`` fields as text and every other
+    field as a float with 17 significant digits."""
+    yield f"# schema_version={SCHEMA_VERSION}\n{header}\n"
+    n_numbers = header.count(",") + 1 - n_labels
+    row_fmt = ",".join(["%s"] * n_labels + ["%.17g"] * n_numbers) + "\n"
+    for rows in row_blocks:
+        yield "".join([row_fmt % row for row in rows])
 
 
 def config_hash(payload: dict) -> str:
@@ -247,12 +270,11 @@ def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
 
 
 def _sample(spec: samplers.RunSpec, target, seed: int, timing: str) -> samplers.RunResult:
-    """The CLI's one call of :func:`samplers.run`.  Timing fields are zeroed
+    """The CLI's one call of :func:`samplers.run`.  The wall clock is zeroed
     unless ``timing`` is "wall", which keeps artifacts byte-reproducible."""
     result = samplers.run(spec, target, seed)
     if timing != "wall":
-        result.report.wall_clock = 0.0
-        result.report.ess_per_second = 0.0
+        result.wall_clock = 0.0
     return result
 
 
@@ -261,13 +283,12 @@ def _trajectory_csv(per_particle: np.ndarray, policy: samplers.CollectionPolicy)
     yielded as the header block and then one block per collection event."""
     dim = per_particle.shape[2]
     header = "iteration,particle," + ",".join(f"z{j+1}" for j in range(dim))
-    yield f"# schema_version={SCHEMA_VERSION}\n{header}\n"
-    # '%.17g' % x is format(x, ".17g"), so these are _fmt's bytes, one format per row
-    row_fmt = "%d,%d," + ",".join(["%.17g"] * dim) + "\n"
-    for e in range(per_particle.shape[1]):
-        iteration = policy.burn_in + (e + 1) * policy.thin
-        yield "".join([row_fmt % (iteration, p, *coords)
-                       for p, coords in enumerate(per_particle[:, e].tolist())])
+    events = (
+        ((policy.burn_in + (e + 1) * policy.thin, p, *coords)
+         for p, coords in enumerate(per_particle[:, e].tolist()))
+        for e in range(per_particle.shape[1])
+    )
+    return csv_blocks(header, 2, events)
 
 
 def cmd_run(args) -> int:
@@ -297,7 +318,12 @@ def cmd_run(args) -> int:
     def job(spec_seed):
         spec, seed = spec_seed
         result = _sample(spec, target, seed, args.timing)
-        report = {**result.report.to_dict(), "config_hash": chash}
+        report = {
+            "ess": result.ess, "ess_per_second": result.ess_per_second, "rhat": result.rhat,
+            "wall_clock_seconds": result.wall_clock, "collected_count": len(result.samples),
+            **{f"err_{label}": err for label, err in result.moment_errors},
+            "sampler": spec.kind, "target": target.name, "seed": seed, "config_hash": chash,
+        }
         stem = f"{tname}_{spec.kind}_seed{seed}"
         write_atomic(staging / f"{stem}.report.json", dump_json(report))
         write_blocks_atomic(
@@ -346,9 +372,9 @@ def bench_rows(seeds, timing: str = "off", threads: int = 1):
             kind, proto["particles"], BENCH_ITERATIONS, samplers.StepSchedule(eps0=eps),
             samplers.CollectionPolicy(**BENCH_POLICY), init_std=proto["init_std"],
         )
-        report = _sample(spec, targets.make_target(dist), seed, timing).report
-        errs = dict(report.moment_errors)
-        row = (dist, kind, seed, report.ess, report.ess_per_second)
+        result = _sample(spec, targets.make_target(dist), seed, timing)
+        errs = dict(result.moment_errors)
+        row = (dist, kind, seed, result.ess, result.ess_per_second)
         return (*row, errs["mean"], errs["second_moment"])
 
     return _map_jobs(job, jobs, threads)
@@ -358,12 +384,7 @@ def cmd_bench_synthetic(args) -> int:
     out_dir = _resolve_out(args, None)
     seeds = _resolve_seeds(args, [0, 1, 2, 3, 4])
     rows = bench_rows(seeds, timing=args.timing, threads=args.threads)
-    lines = [f"# schema_version={SCHEMA_VERSION}", BENCH_HEADER]
-    for dist, kind, seed, ess, ess_s, e1, e2 in rows:
-        lines.append(
-            f"{dist},{kind},{seed},{_fmt(ess)},{_fmt(ess_s)},{_fmt(e1)},{_fmt(e2)}"
-        )
-    write_atomic(out_dir / "bench_synthetic.csv", "\n".join(lines) + "\n")
+    write_blocks_atomic(out_dir / "bench_synthetic.csv", csv_blocks(BENCH_HEADER, 3, [rows]))
     print(f"wrote {out_dir / 'bench_synthetic.csv'}")
     return EXIT_OK
 
@@ -412,22 +433,21 @@ def cmd_vis_funnel(args) -> int:
 
     learned = {}
     for t, runs in by_t.items():
-        lines = [f"# schema_version={SCHEMA_VERSION}", "seed,iteration,neg_elbo"]
-        for seed, result in runs:
-            for i, loss in enumerate(result.loss_trace):
-                lines.append(f"{seed},{i},{_fmt(loss)}")
-        write_atomic(out_dir / f"vis_funnel_T{t}.csv", "\n".join(lines) + "\n")
+        traces = ([(seed, i, loss) for i, loss in enumerate(result.loss_trace)]
+                  for seed, result in runs)
+        write_blocks_atomic(
+            out_dir / f"vis_funnel_T{t}.csv", csv_blocks("seed,iteration,neg_elbo", 2, traces)
+        )
         learned[str(t)] = {
             str(seed): {
-                "mean": [float(v) for v in result.guide.guide.mean],
-                "scale": [float(v) for v in result.guide.guide.scale],
+                "mean": result.guide.guide.mean,
+                "scale": result.guide.guide.scale,
                 "eta": result.guide.eta,
-                "final_neg_elbo": float(result.loss_trace[-1]),
+                "final_neg_elbo": result.loss_trace[-1],
             }
             for seed, result in runs
         }
-    payload = {"schema_version": SCHEMA_VERSION, "learned": learned}
-    write_atomic(out_dir / "vis_funnel_params.json", dump_json(payload))
+    write_atomic(out_dir / "vis_funnel_params.json", dump_json({"learned": learned}))
     print(f"wrote traces and parameters to {out_dir}")
     return EXIT_OK
 
@@ -455,19 +475,17 @@ def bnn_report(dataset: bnn_mod.RegressionDataset, sampler: str, seed: int) -> d
         samplers.CollectionPolicy(proto["burn_in"], proto["thin"]), init_std=potential.init_std(),
     )
     result = _sample(spec, target, seed, timing="off")
-    report = result.report.to_dict()
     # event-major, in the order the draws were collected
     particles = result.per_particle.transpose(1, 0, 2).reshape(-1, target.dim)
     metrics = bnn_mod.evaluate(potential, particles, dataset)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "dataset": dataset.name,
         "sampler": sampler,
         "seed": seed,
         "rmse": metrics["rmse"],
         "test_ll": metrics["test_ll"],
-        "ess": report["ess"],
-        "rhat": report["rhat"],
+        "ess": result.ess,
+        "rhat": result.rhat,
         "config": {
             **proto,
             "step_size": step,

@@ -1,16 +1,13 @@
-"""Run diagnostics: effective sample size, R-hat, moment errors, and a
-grid-based stationarity certificate for one-dimensional diffusions."""
+"""Statistics of sampler output: effective sample size, R-hat, moment
+errors, and a grid-based stationarity certificate for one-dimensional
+diffusions.  The record that carries them for a run is
+:class:`steinmc.samplers.RunResult`."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateChainError
-
-# the version every artifact the CLI writes carries
-SCHEMA_VERSION = 1
 
 
 def ess(chain: np.ndarray) -> float:
@@ -122,33 +119,3 @@ def fp_residual(target, drift, diffusion: float, lo: float, hi: float, n: int) -
     residual = -d_flux + diffusion * d2_pi
     return float(np.max(np.abs(residual)))
 
-
-@dataclass
-class RunReport:
-    """Diagnostics bundle produced by the ensemble runner."""
-
-    ess: float
-    ess_per_second: float
-    rhat: np.ndarray | None  # None where the sampler's particles are no chains
-    moment_errors: list[tuple[str, float]]
-    wall_clock: float
-    collected_count: int
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "ess": None if not np.isfinite(self.ess) else self.ess,
-            "ess_per_second": None
-            if not np.isfinite(self.ess_per_second)
-            else self.ess_per_second,
-            "rhat": None if self.rhat is None else [
-                float(r) if np.isfinite(r) else None for r in np.atleast_1d(self.rhat)
-            ],
-            "wall_clock_seconds": self.wall_clock,
-            "collected_count": self.collected_count,
-        }
-        for label, err in self.moment_errors:
-            out[f"err_{label}"] = err
-        out.update(self.extra)
-        return out

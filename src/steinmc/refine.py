@@ -49,6 +49,13 @@ AD_MODES = ("full", "fast")
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _standard_draws(n_samples: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n_samples, dim) standard normal draws behind every guide sample."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    return rng.standard_normal((n_samples, dim))
+
+
 @dataclass
 class DiagonalGaussianGuide:
     """Diagonal Gaussian with log-parameterized scales."""
@@ -74,7 +81,7 @@ class DiagonalGaussianGuide:
         return float(np.sum(self.log_scale) + 0.5 * self.dim * (1.0 + _LOG_2PI))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.mean + self.scale * rng.standard_normal((n, self.dim))
+        return self.mean + self.scale * _standard_draws(n, self.dim, rng)
 
     def log_density(self, z: np.ndarray) -> float:
         s = self.scale
@@ -183,8 +190,6 @@ def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
         raise ValueError("eta must be > 0")
     wrap = ops.stop_gradient if rg.ad_mode == "fast" else (lambda x: x)
     m, d = ops.value(z).shape
-    if m < 1:
-        raise ValueError("n_samples must be >= 1")
     if rg.inner_sampler == "sgld":
         root = ops.exp(0.5 * ops.log(2.0 * eta))  # sqrt(2 eta)
     path = [z]
@@ -259,7 +264,7 @@ def elbo(
     eta_node = ad.exp(log_eta) if full else ad.constant(rg.eta)
     scale = ad.exp(log_scale)
 
-    xi = ad.constant(rng.standard_normal((n_samples, d)))
+    xi = ad.constant(_standard_draws(n_samples, d, rng))
     z = _refine(rg, target, mean + scale * xi, eta_node, rng, ad)[-1]
     logp = _call_target(target, "log_density", z, ad)
     avg_logp = ad.div(ad.reduce_sum(logp), float(n_samples))
@@ -319,13 +324,15 @@ def optimize(
     """Adaptive gradient ascent on the refined bound.
 
     Updates the guide parameters (and the inner step size in full mode) for
-    ``outer_iterations`` steps, then optionally runs the tuned sampler for
-    ``steps_infer`` refinement steps from the learned guide.  Aborts with a
-    DivergenceError on a non-finite objective, gradient or refinement step,
-    naming the outer iteration and attaching the loss trace so far.
+    ``outer_iterations`` steps, then draws ``inference_samples`` (0: none)
+    through ``steps_infer`` steps of the tuned sampler from the learned guide.
+    Aborts with a DivergenceError on a non-finite objective, gradient or
+    refinement step, naming the outer iteration and the loss trace so far.
     """
     if outer_iterations < 1:
         raise ValueError("outer_iterations must be >= 1")
+    if inference_samples < 0:
+        raise ValueError("inference_samples must be >= 0")
     # one flat Adam state over [mean, log_scale, log_eta], in elbo_grad's order
     shape, size = rg.guide.mean.shape, rg.guide.mean.size
     x = np.concatenate([rg.guide.mean.ravel(), rg.guide.log_scale.ravel(), [float(rg.log_eta)]])

@@ -24,9 +24,11 @@ the momentum kinds, as run drives them, do not sample their target (README).
 
 A run is a :class:`RunSpec`, whose constructor checks every rule of the
 run's settings before anything is drawn, handed to :func:`run`, the one
-sampling loop, with a target and a seed.  The loop alone builds each step's
-kernel, through :func:`kernels.kernel_matrix` or, from the repulsion cutoff
-on, :func:`kernels.identity_kernel`, and the interacting step functions take
+sampling loop, with a target and a seed; its :class:`RunResult` is the one
+record of a run: the draws, their ESS, R-hat and moment errors, and its
+time.  The loop alone builds each step's kernel, through
+:func:`kernels.kernel_matrix` or, from the repulsion cutoff on,
+:func:`kernels.identity_kernel`, and the interacting step functions take
 that kernel.  The loop's per-step states skip their constructors' checks.
 """
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .diagnostics import RunReport, ess_multivariate, gelman_rubin, moment_error
+from .diagnostics import ess_multivariate, gelman_rubin, moment_error
 from .errors import ConfigError, DegenerateChainError, DivergenceError
 from .kernels import KernelConfig, KernelMatrix
 from .targets import TargetModel, check_scores
@@ -341,8 +343,15 @@ class RunResult:
 
     samples: np.ndarray  # chain-major (L * n_events, d) view of per_particle, not a copy
     per_particle: np.ndarray  # (L, n_events, d), moment space
-    report: RunReport
     final: ParticleEnsemble
+    ess: float  # nan when it cannot be estimated
+    rhat: np.ndarray | None  # None where the sampler's particles are no chains
+    moment_errors: list[tuple[str, float]]
+    wall_clock: float
+
+    @property
+    def ess_per_second(self) -> float:
+        return self.ess / self.wall_clock if self.wall_clock > 0 else 0.0
 
 
 # The step table: kind -> (interacting, momentum initializer or None, one
@@ -495,13 +504,7 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
         with contextlib.suppress(DegenerateChainError):
             rhat = gelman_rubin(per_particle)
 
-    report = RunReport(
-        ess=pooled_ess,
-        ess_per_second=pooled_ess / wall if wall > 0 else 0.0,
-        rhat=rhat,
-        moment_errors=errors,
-        wall_clock=wall,
-        collected_count=pooled.shape[0],
-        extra={"sampler": spec.kind, "target": target.name, "seed": seed},
+    return RunResult(
+        samples=pooled, per_particle=per_particle, final=ensemble,
+        ess=pooled_ess, rhat=rhat, moment_errors=errors, wall_clock=wall,
     )
-    return RunResult(samples=pooled, per_particle=per_particle, report=report, final=ensemble)

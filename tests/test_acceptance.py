@@ -387,6 +387,29 @@ class TestCriterion11BnnProtocol:
         )
 
 
+def criterion12_invocations(tmp_path, data_csv):
+    """Criterion 12's argv per command, without ``--out``."""
+    config = {
+        "schema_version": 1,
+        "target": {"name": "moe"},
+        "samplers": [
+            {"name": "repulsive_sgld", "particles": 5, "step_size": 0.5},
+        ],
+        "iterations": 300,
+        "collection": {"burn_in": 100, "thin": 10},
+        "seeds": [0],
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    return {
+        "run": ["run", "--config", str(cfg_path)],
+        "bench-synthetic": ["bench-synthetic", "--seed", "0"],
+        "vis-funnel": ["vis-funnel", "--seed", "3"],
+        "bnn": ["bnn", "--data", data_csv, "--target-column", "y",
+                "--sampler", "sgld", "--seed", "0"],
+    }
+
+
 class TestCriterion12Determinism:
     def _assert_identical_trees(self, a, b):
         files_a = sorted(p.name for p in a.iterdir())
@@ -396,26 +419,7 @@ class TestCriterion12Determinism:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_every_command_rerun_is_byte_identical(self, tmp_path, data_csv_small):
-        config = {
-            "schema_version": 1,
-            "target": {"name": "moe"},
-            "samplers": [
-                {"name": "repulsive_sgld", "particles": 5, "step_size": 0.5},
-            ],
-            "iterations": 300,
-            "collection": {"burn_in": 100, "thin": 10},
-            "seeds": [0],
-        }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
-
-        invocations = {
-            "run": ["run", "--config", str(cfg_path)],
-            "bench-synthetic": ["bench-synthetic", "--seed", "0"],
-            "vis-funnel": ["vis-funnel", "--seed", "3"],
-            "bnn": ["bnn", "--data", data_csv_small, "--target-column", "y",
-                    "--sampler", "sgld", "--seed", "0"],
-        }
+        invocations = criterion12_invocations(tmp_path, data_csv_small)
         for name, argv in invocations.items():
             dir_a, dir_b = tmp_path / f"{name}-a", tmp_path / f"{name}-b"
             assert cli.main(argv + ["--out", str(dir_a)]) == 0
@@ -425,6 +429,35 @@ class TestCriterion12Determinism:
             "criterion 12 (byte-level reproducibility)",
             "all four commands re-ran byte-identically",
         )
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")  # RFC 8259 has no NaN or Infinity
+
+
+# bench-synthetic writes no JSON; the last case is a valid run whose second
+# moment overflows (step 400 throws the log-space particles far out)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["run", "vis-funnel", "bnn", "run-moe-step400"])
+def test_json_artifacts_are_strict_json(tmp_path, data_csv_small, name):
+    config = {
+        "schema_version": 1,
+        "target": {"name": "moe"},
+        "samplers": [{"name": "sgld", "particles": 10, "step_size": 400}],
+        "iterations": 200,
+        "collection": {"burn_in": 0, "thin": 1},
+        "seeds": [0],
+    }
+    (tmp_path / "step400.json").write_text(json.dumps(config))
+    invocations = {
+        **criterion12_invocations(tmp_path, data_csv_small),
+        "run-moe-step400": ["run", "--config", str(tmp_path / "step400.json")],
+    }
+    assert cli.main(invocations[name] + ["--out", str(tmp_path / "out")]) == 0
+    paths = sorted((tmp_path / "out").glob("*.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=reject_constant)
 
 
 @pytest.fixture(scope="module")

@@ -81,6 +81,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             load_arrays(x, y)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_split_fraction_inside_unit_interval(self, fraction):
+        x, y = linear_data(n=30)
+        with pytest.raises(ValueError, match=r"split_fraction must be in \(0, 1\)"):
+            load_arrays(x, y, split_fraction=fraction)
+
 
 def write_table(path, rows, header="a,b,y"):
     """A CSV with `header` and one line per row of cells (strings or floats)."""
@@ -148,11 +154,21 @@ class TestMalformedTables:
         with pytest.raises(ValueError, match="no feature column varies"):
             load_csv(write_table(tmp_path / "t.csv", rows), "y")
 
+    def test_constant_target_column(self, tmp_path):
+        rows = [[a, b, "2.0"] for a, b, _ in table_rows()]
+        with pytest.raises(ValueError, match="target column has zero variance"):
+            load_csv(write_table(tmp_path / "t.csv", rows), "y")
+
 
 class TestPotential:
     def test_parameter_count(self):
         pot = BnnPotential(input_dim=4, hidden_dim=50)
         assert pot.n_params == 50 * 5 + 50 + 1
+
+    def test_unpack_rejects_wrong_length(self):
+        pot = BnnPotential(input_dim=4, hidden_dim=50)
+        with pytest.raises(ValueError, match="expected 301 parameters, got 302"):
+            pot.unpack(np.zeros((3, 302)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)

@@ -16,7 +16,6 @@ from steinmc.cli import (
     EXIT_OK,
     OUTPUT_DIR_ENV,
     _JSON_TYPES,
-    _fmt,
     _trajectory_csv,
     main,
     validate_config,
@@ -48,6 +47,12 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def reject_constant(name):
+    """A ``parse_constant`` for :func:`json.loads` that fails on NaN and Infinity,
+    which RFC 8259 does not allow."""
+    raise ValueError(f"{name} is not JSON")
 
 
 def record_calls(monkeypatch, module, name):
@@ -315,6 +320,17 @@ class TestRunCommand:
             (tmp_path / "out" / "gaussian_repulsive_sgld_seed0.report.json").read_text()
         )
         assert payload["rhat"] == [None, None]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the moment error overflows
+    def test_overflowing_moment_error_is_written_null(self, tmp_path):
+        # a finite log-space position far out maps to an exp(y) whose square
+        # overflows; JSON has no Infinity, so the report writes null
+        entry = {"name": "sgld", "particles": 10, "step_size": 400}
+        cfg = {**moe_config(tmp_path / "out", samplers=[entry]),
+               "collection": {"burn_in": 0, "thin": 1}}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        text = (tmp_path / "out" / "moe_sgld_seed0.report.json").read_text()
+        assert json.loads(text)["err_second_moment"] is None
 
     def test_kernel_jitter_is_unknown_key(self, tmp_path, capsys):
         # the jitter ladder is the one source of Cholesky jitters
@@ -662,6 +678,45 @@ class TestRunCommand:
         assert list((tmp_path / "envout").glob("*.report.json"))
 
 
+class TestDumpJson:
+    def test_json_round_trip(self):
+        payload = json.loads(cli.dump_json(
+            {"ess": 120.5, "err_mean": 0.1, "rhat": np.array([1.01, 1.02])}
+        ))
+        assert payload["schema_version"] == 1
+        assert payload["ess"] == 120.5
+        assert payload["err_mean"] == 0.1
+        assert payload["rhat"] == [1.01, 1.02]
+
+    def test_non_finite_numbers_are_null_at_any_depth(self):
+        payload = {
+            "b": [1.0, np.nan, {"c": -np.inf}, (np.float64(np.inf), 2)],
+            "a": np.inf,
+            "d": np.array([[np.nan, 2.5]]),
+            "e": True,
+        }
+        text = cli.dump_json(payload)
+        assert json.loads(text, parse_constant=reject_constant) == {
+            "schema_version": 1,
+            "a": None,
+            "b": [1.0, None, {"c": None}, [None, 2]],
+            "d": [[None, 2.5]],
+            "e": True,
+        }
+        assert text.index('"a"') < text.index('"b"') < text.index('"schema_version"')
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def blocks():
+            yield "iteration,particle,z1\n"
+            raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space left"):
+            cli.write_blocks_atomic(tmp_path / "out" / "a.csv", blocks())
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestTrajectoryCsv:
     def test_bytes_equal_per_value_format(self):
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, -2.2250738585072014e-308,
@@ -674,7 +729,7 @@ class TestTrajectoryCsv:
         lines = ["# schema_version=1", "iteration,particle,z1,z2,z3,z4,z5"]
         for e in range(4):
             for p in range(3):
-                coords = ",".join(_fmt(v) for v in per_particle[p, e])
+                coords = ",".join(format(v, ".17g") for v in per_particle[p, e])
                 lines.append(f"{100 + (e + 1) * 10},{p},{coords}")
         assert "".join(_trajectory_csv(per_particle, policy)) == "\n".join(lines) + "\n"
 
@@ -800,6 +855,13 @@ def test_repeated_seed_flag_exits_2_writing_nothing(tmp_path, capsys, data_csv, 
         argv += ["--data", data_csv]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_integer_seed_flag_exits_2_naming_seed(tmp_path, capsys):
+    cfg = moe_config(tmp_path / "out")
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--seed", "a"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed: seeds must be integers: 'a'\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steinmc.diagnostics import RunReport, ess, fp_residual, gelman_rubin, moment_error
+from steinmc.diagnostics import ess, fp_residual, gelman_rubin, moment_error
 from steinmc.errors import DegenerateChainError
 from steinmc.targets import moe_exact_moment, std_gaussian
 
@@ -71,6 +71,10 @@ class TestGelmanRubin:
             gelman_rubin(np.zeros((1, 100)))
         with pytest.raises(ValueError):
             gelman_rubin(np.zeros((2, 5)))
+
+    def test_four_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"chains must have shape \(M, N\) or \(M, N, d\)"):
+            gelman_rubin(np.zeros((2, 20, 1, 1)))
 
     def test_per_dimension_output(self):
         rng = np.random.default_rng(4)
@@ -145,7 +149,7 @@ class TestGelmanRubin:
             targets.make_target("gaussian", dim=1), 0,
         )
         assert np.ptp(result.per_particle[:, :, 0].mean(axis=1)) > 0.1
-        assert result.report.to_dict()["rhat"] is None
+        assert result.rhat is None
 
 
 class TestMomentError:
@@ -216,25 +220,3 @@ class TestFpResidual:
         with pytest.raises(ValueError):
             fp_residual(t, lambda z: -z, 1.0, -6, 6, 50)
 
-
-class TestRunReport:
-    def _report(self):
-        return RunReport(
-            ess=120.5,
-            ess_per_second=40.0,
-            rhat=np.array([1.01, 1.02]),
-            moment_errors=[("mean", 0.1), ("second_moment", 0.2)],
-            wall_clock=3.0,
-            collected_count=500,
-        )
-
-    def test_json_round_trip(self):
-        import json
-
-        from steinmc import cli
-
-        payload = json.loads(cli.dump_json(self._report().to_dict()))
-        assert payload["schema_version"] == 1
-        assert payload["ess"] == 120.5
-        assert payload["err_mean"] == 0.1
-        assert payload["rhat"] == [1.01, 1.02]

@@ -34,6 +34,10 @@ class TestKernelMatrix:
             with pytest.raises(ValueError, match="positions must be finite"):
                 kernel_matrix(z, cfg)
 
+    def test_one_dimensional_positions_rejected(self):
+        with pytest.raises(ValueError, match="positions must be an L x d matrix"):
+            kernel_matrix(np.zeros(3), FIXED)
+
     def test_two_identical_particles(self):
         z = np.array([[0.5, -0.5], [0.5, -0.5]])
         km = kernel_matrix(z, FIXED)

@@ -100,6 +100,18 @@ print(json.dumps({"exit": code, "loaded": sorted(loaded)}))
 """
 
 
+@pytest.mark.parametrize(
+    "argv, code", [(["--help"], 0), (["run", "--config", "absent.json"], 2)],
+    ids=["help", "missing_config"],
+)
+def test_module_entry_point_exits_with_main_code(tmp_path, argv, code):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "steinmc", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert ("usage: steinmc" in proc.stdout) == (code == 0)
+
+
 def test_run_command_imports_only_numpy_and_the_standard_library(tmp_path):
     # numpy is the one runtime dependency; pytest's own process has loaded
     # hypothesis, scipy and jsonschema already, so this needs a new process

@@ -44,6 +44,10 @@ class TestGuide:
         expected = stats.norm.logpdf(z, loc=g.mean, scale=g.scale).sum()
         assert g.log_density(z) == pytest.approx(expected, rel=1e-12)
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="mean and log_scale must share a shape"):
+            DiagonalGaussianGuide(np.zeros(2), np.zeros(3))
+
 
 class TestSampleRefined:
     def test_zero_steps_returns_guide_draws(self):
@@ -141,6 +145,12 @@ class TestElbo:
             elbo(rg, GAUSS2, 0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             optimize(rg, GAUSS2, 1, np.random.default_rng(0), n_samples=0)
+
+    @pytest.mark.parametrize("field", ["inner_sampler", "ad_mode"])
+    def test_unknown_choice_names_its_field(self, field):
+        with pytest.raises(ConfigError) as info:
+            RefinedGuide(guide=unit_guide(), **{"inner_sampler": "sgd", field: "x"})
+        assert info.value.field == field
 
     @pytest.mark.parametrize("mode", ["gaussian", "flow"])
     def test_deleted_entropy_modes_rejected(self, mode):
@@ -486,6 +496,28 @@ class TestOneLoop:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda rg, rng: sample_refined(rg, GAUSS2, -1, rng), "n_samples must be >= 1"),
+            (lambda rg, rng: elbo(rg, GAUSS2, -1, rng), "n_samples must be >= 1"),
+            (lambda rg, rng: optimize(rg, GAUSS2, 1, rng, inference_samples=-1),
+             "inference_samples must be >= 0"),
+            (lambda rg, rng: optimize(rg, GAUSS2, 0, rng), "outer_iterations must be >= 1"),
+        ],
+        ids=["sample_refined", "elbo", "optimize_inference_samples", "optimize_outer_iterations"],
+    )
+    def test_bad_count_named_before_any_draw(self, call, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            call(RefinedGuide(guide=unit_guide(), inner_sampler="sgd"), rng)
+        assert rng.bit_generator.state == state
+
+    def test_zero_inference_samples_draw_none(self):
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd")
+        assert optimize(rg, GAUSS2, 1, np.random.default_rng(0)).inference_samples is None
+
     def test_trace_length_and_positive_scale(self):
         rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgld", steps_refine=1)
         res = optimize(rg, FUNNEL, 25, np.random.default_rng(0), n_samples=16)

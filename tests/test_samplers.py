@@ -109,6 +109,17 @@ class TestSchedule:
             StepSchedule(eps0=eps0)
         assert exc.value.field == "step_size"
 
+    def test_unknown_kind_names_schedule(self):
+        with pytest.raises(ConfigError, match="unknown schedule kind 'x'") as exc:
+            StepSchedule(kind="x")
+        assert exc.value.field == "schedule"
+
+
+class TestParticleEnsemble:
+    def test_one_dimensional_positions_rejected(self):
+        with pytest.raises(ValueError, match="positions must be an L x d matrix"):
+            ParticleEnsemble(np.zeros(3))
+
 
 class TestSgldStep:
     def test_hand_evaluated_update(self):
@@ -285,6 +296,14 @@ class TestRepulsiveSgdm:
                 0.1,
             )
 
+    def test_position_noise_requires_rng(self):
+        ens = ParticleEnsemble(np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="position_noise requires an rng"):
+            repulsive_sgdm_step(
+                ens, MomentumState(np.zeros((2, 1))), std_gaussian(1), fixed_kernel(ens), 0.1,
+                position_noise=True,
+            )
+
 
 class TestRepulsiveAdam:
     def test_geometric_momentum_convergence(self):
@@ -359,6 +378,20 @@ class TestRepulsiveAdam:
                 kernels.kernel_matrix(np.zeros((1, 1)), FIXED),
                 0.1,
                 np.random.default_rng(0),
+            )
+
+    def test_negative_second_moments_rejected(self):
+        with pytest.raises(ValueError, match="second moments must be non-negative"):
+            MomentumState(np.zeros((2, 1)), second_moments=np.array([[1.0], [-1e-300]]))
+
+    @pytest.mark.parametrize("momenta, second", [((3, 1), (3, 1)), ((2, 1), (3, 1))],
+                             ids=["momenta", "second_moments"])
+    def test_state_shape_must_match_ensemble(self, momenta, second):
+        ens = ParticleEnsemble(np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="momentum state shape must match ensemble"):
+            repulsive_adam_step(
+                ens, MomentumState(np.zeros(momenta), second_moments=np.zeros(second)),
+                std_gaussian(1), fixed_kernel(ens), 0.1, np.random.default_rng(0),
             )
 
 
@@ -518,7 +551,7 @@ class TestRunner:
             ),
             std_gaussian(1), 0,
         )
-        assert res.report.collected_count == 1
+        assert len(res.samples) == 1
 
     @pytest.mark.parametrize("n_particles", [0, -2])
     def test_particle_count_checked(self, n_particles):
@@ -623,7 +656,7 @@ class TestRunner:
             ),
             std_gaussian(1), 0,
         )
-        assert res.report.collected_count == 500
+        assert len(res.samples) == 500
         assert res.per_particle.shape == (10, 50, 1)
 
     def test_samples_are_a_view_of_per_particle(self):
@@ -647,7 +680,7 @@ class TestRunner:
         for seed in range(5):
             res = samplers.run(spec, mixture_of_exponentials(), seed)
             stacked = np.stack([res.per_particle[:, e] for e in range(res.per_particle.shape[1])])
-            assert res.report.ess == samplers._pooled_ess(stacked), seed
+            assert res.ess == samplers._pooled_ess(stacked), seed
 
     def test_single_particle_reduction_through_runner(self):
         kwargs = dict(
@@ -729,7 +762,7 @@ class TestRunner:
             ),
             std_gaussian(2), 2,
         )
-        assert res.report.collected_count == 300 * 5
+        assert len(res.samples) == 300 * 5
         assert np.all(np.isfinite(res.samples))
         assert np.max(np.abs(res.samples.mean(axis=0))) < 1.0
 
