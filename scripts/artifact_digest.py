@@ -16,6 +16,14 @@ are the benchmark workloads' own at workload seed 0, read from the
 checkout's ``perfbench/workloads.py``.  Artifacts go to a temporary
 directory that is removed afterwards.
 
+Artifacts are byte-reproducible for one BLAS build and thread count only:
+with OpenBLAS, ``x @ x.T`` of a (100, 50) matrix already rounds differently
+on one thread than on two, and so do the ``run-ensemble`` artifacts.  So
+:func:`main` runs BLAS on one thread, as the benchmark does, by setting
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy is imported; a listing compares two checkouts, not two
+machines.
+
 Run from the repository root, naming the checkout to digest:
 
   python scripts/artifact_digest.py . > after.txt
@@ -29,6 +37,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -99,6 +108,9 @@ def main(argv=None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     sys.dont_write_bytecode = True  # leave the checkout as it was
+    # set before steinmc, and with it numpy, is imported: BLAS reads them once
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
     sys.path.insert(0, str(Path(args[0]).resolve() / "src"))
     print("\n".join(digest(Path(args[0]))))
     return 0

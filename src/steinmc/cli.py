@@ -10,8 +10,9 @@ Commands:
                   dataset/sampler
 
 Every artifact embeds a schema version.  Runs are reproducible byte-for-byte
-given (config, seed); wall-clock timing is therefore written as zero unless
-``--timing wall`` is requested, in which case reports carry real
+given (config, seed) on one BLAS build and BLAS thread count, whose products
+round by how they split the work; wall-clock timing is therefore written as
+zero unless ``--timing wall`` is requested, in which case reports carry real
 (non-reproducible) measurements.
 
 Exit codes: 0 ok, 2 config error, 3 divergence, 4 kernel factorization failure.
@@ -134,7 +135,6 @@ CONFIG_SCHEMA = {
                     "beta1": {"type": "number"},
                     "beta2": {"type": "number"},
                     "stabilizer": {"type": "number"},
-                    "repulsion_cutoff": {"type": ["integer", "null"]},
                     "kernel": {
                         "type": "object",
                         "additionalProperties": False,
@@ -175,8 +175,8 @@ CONFIG_SCHEMA = {
 
 
 # the Python types json.load gives each JSON type; a bool (true, false) is none of them
-_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "null": (type(None),),
-               "integer": (int,), "number": (int, float)}
+_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,),
+               "number": (int, float)}
 
 
 def _json_text(value) -> str:
@@ -256,7 +256,7 @@ def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
             samplers.CollectionPolicy(**config.get("collection", {})),
             kernel_cfg=kernel_cfg,
             **{f"init_{key}": value for key, value in config.get("init", {}).items()},
-            **entry,  # beta1, beta2, stabilizer, repulsion_cutoff
+            **entry,  # beta1, beta2, stabilizer
         )
         spec.initial(dim)
     except ConfigError as err:
@@ -407,7 +407,6 @@ def funnel_trace(steps_refine: int, seed: int):
         inner_sampler="sgld",
         log_eta=FUNNEL_INIT_LOG_ETA,
         steps_refine=steps_refine,
-        steps_infer=0,
         entropy_mode="dirac",
         ad_mode="full",
     )

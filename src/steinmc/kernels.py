@@ -12,6 +12,7 @@ differences, so coincident particles are exactly at distance 0.
 
 :func:`rbf` and :func:`kernel_drift` serve both the samplers (numpy) and the
 refined bound of :mod:`steinmc.refine` (numpy or tape nodes).
+:func:`kernel_matrix` builds the kernel of every interacting sampler step.
 
 The block-diagonal L*d x L*d diffusion matrix is never materialized: it equals
 K (x) I_d, so factorizations and noise draws reduce to the L x L matrix.
@@ -167,15 +168,6 @@ def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
         grad_terms=(2.0 / h) * kernel_drift(entries, positions),
         bandwidth=h,
         degenerate_bandwidth=degenerate,
-    )
-
-
-def identity_kernel(n_particles: int, dim: int) -> KernelMatrix:
-    """Kernel state of non-interacting particles (K = I, no repulsion)."""
-    return KernelMatrix(
-        entries=np.eye(n_particles),
-        grad_terms=np.zeros((n_particles, dim)),
-        bandwidth=1.0,
     )
 
 

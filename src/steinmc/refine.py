@@ -83,11 +83,6 @@ class DiagonalGaussianGuide:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.scale * _standard_draws(n, self.dim, rng)
 
-    def log_density(self, z: np.ndarray) -> float:
-        s = self.scale
-        u = (np.asarray(z, dtype=float) - self.mean) / s
-        return float(-0.5 * np.dot(u, u) - np.sum(self.log_scale) - 0.5 * self.dim * _LOG_2PI)
-
 
 @dataclass
 class RefinedGuide:
@@ -102,7 +97,6 @@ class RefinedGuide:
     inner_sampler: str = "sgd"
     log_eta: float = math.log(1e-2)
     steps_refine: int = 1
-    steps_infer: int = 0
     entropy_mode: str = "dirac"
     ad_mode: str = "full"
     kernel_cfg: KernelConfig = field(default_factory=KernelConfig)
@@ -118,9 +112,8 @@ class RefinedGuide:
             )
         if self.ad_mode not in AD_MODES:
             raise ConfigError(f"unknown ad mode {self.ad_mode!r}", field="ad_mode")
-        for name in ("steps_refine", "steps_infer"):
-            if getattr(self, name) < 0:
-                raise ConfigError("step counts must be >= 0", field=name)
+        if self.steps_refine < 0:
+            raise ConfigError("must be >= 0", field="steps_refine")
         if self.entropy_mode == "markov" and self.inner_sampler != "sgld":
             raise ConfigError(
                 f"markov entropy needs stochastic transitions; inner sampler "
@@ -308,7 +301,6 @@ def elbo_grad(
 class OptimizeResult:
     guide: RefinedGuide
     loss_trace: np.ndarray  # negative bound per outer iteration
-    inference_samples: np.ndarray | None
 
 
 def optimize(
@@ -319,20 +311,18 @@ def optimize(
     *,
     n_samples: int = 16,
     learning_rate: float = 0.05,
-    inference_samples: int = 0,
 ) -> OptimizeResult:
     """Adaptive gradient ascent on the refined bound.
 
     Updates the guide parameters (and the inner step size in full mode) for
-    ``outer_iterations`` steps, then draws ``inference_samples`` (0: none)
-    through ``steps_infer`` steps of the tuned sampler from the learned guide.
-    Aborts with a DivergenceError on a non-finite objective, gradient or
-    refinement step, naming the outer iteration and the loss trace so far.
+    ``outer_iterations`` steps.  To draw from the result through k steps of
+    the tuned sampler, call ``sample_refined(replace(result.guide,
+    steps_refine=k), target, n, rng)``.  Aborts with a DivergenceError on a
+    non-finite objective, gradient or refinement step, naming the outer
+    iteration and the loss trace so far.
     """
     if outer_iterations < 1:
         raise ValueError("outer_iterations must be >= 1")
-    if inference_samples < 0:
-        raise ValueError("inference_samples must be >= 0")
     # one flat Adam state over [mean, log_scale, log_eta], in elbo_grad's order
     shape, size = rg.guide.mean.shape, rg.guide.mean.size
     x = np.concatenate([rg.guide.mean.ravel(), rg.guide.log_scale.ravel(), [float(rg.log_eta)]])
@@ -362,11 +352,4 @@ def optimize(
         vhat = v / (1 - b2 ** (it + 1))
         x = x + learning_rate * mhat / (np.sqrt(vhat) + stab)
 
-    trained = current()
-    inferred = None
-    if inference_samples > 0:
-        infer_guide = replace(trained, steps_refine=trained.steps_infer)
-        inferred, _ = sample_refined(infer_guide, target, inference_samples, rng)
-    return OptimizeResult(
-        guide=trained, loss_trace=np.asarray(trace), inference_samples=inferred
-    )
+    return OptimizeResult(guide=current(), loss_trace=np.asarray(trace))

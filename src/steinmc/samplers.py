@@ -27,9 +27,8 @@ run's settings before anything is drawn, handed to :func:`run`, the one
 sampling loop, with a target and a seed; its :class:`RunResult` is the one
 record of a run: the draws, their ESS, R-hat and moment errors, and its
 time.  The loop alone builds each step's kernel, through
-:func:`kernels.kernel_matrix` or, from the repulsion cutoff on,
-:func:`kernels.identity_kernel`, and the interacting step functions take
-that kernel.  The loop's per-step states skip their constructors' checks.
+:func:`kernels.kernel_matrix`, and the interacting step functions take that
+kernel.
 """
 
 from __future__ import annotations
@@ -175,16 +174,7 @@ def _advance(
     if noise is not None:
         new = new + noise
     _check_finite(new, ensemble.step_index + 1, snapshot=z)
-    return _evolved(ensemble, positions=new, step_index=ensemble.step_index + 1)
-
-
-def _evolved(state, **changes):
-    """:func:`dataclasses.replace` without ``__post_init__``, for a step's new
-    state: its arrays are built by the step itself, which checks what may go
-    wrong in them, so the constructor's rules need not run again."""
-    new = object.__new__(type(state))
-    new.__dict__.update(vars(state), **changes)
-    return new
+    return ParticleEnsemble(new, ensemble.step_index + 1)
 
 
 def _pooled_ess(collected: np.ndarray) -> float:
@@ -290,7 +280,7 @@ def repulsive_sgdm_step(
             raise ValueError("position_noise requires an rng")
         noise = kernels.sample_repulsive_noise(km, eps, rng)
     new = _advance(ensemble, _interaction_drift(-m, km), eps, noise)
-    return new, _evolved(momentum, momenta=new_m)
+    return new, replace(momentum, momenta=new_m)
 
 
 def repulsive_adam_step(
@@ -325,7 +315,7 @@ def repulsive_adam_step(
     drift = _interaction_drift(-new_m / np.sqrt(new_v + momentum.stabilizer), km)
     noise = kernels.sample_repulsive_noise(km, eps, rng)
     new = _advance(ensemble, drift, eps, noise)
-    return new, _evolved(momentum, momenta=new_m, second_moments=new_v)
+    return new, replace(momentum, momenta=new_m, second_moments=new_v)
 
 
 def momentum_block_matrix(km: KernelMatrix) -> np.ndarray:
@@ -396,8 +386,6 @@ class RunSpec:
     :class:`MomentumState`, for every kind, also where unused.  `init_mean`
     and `init_std` may each be one number or one per coordinate, a rule
     that needs the target and lives in :meth:`initial`.
-    `repulsion_cutoff` switches the interacting samplers to the identity
-    kernel (no interaction) from that iteration on.
     """
 
     kind: str
@@ -411,7 +399,6 @@ class RunSpec:
     beta1: float = 0.9
     beta2: float = 0.999
     stabilizer: float = 1e-8
-    repulsion_cutoff: int | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -425,8 +412,6 @@ class RunSpec:
         std = np.asarray(self.init_std, dtype=float)
         if not ((std >= 0) & (std < math.inf)).all():
             raise ConfigError("must be finite and >= 0", field="init.std")
-        if self.repulsion_cutoff is not None and self.repulsion_cutoff < 0:
-            raise ConfigError("must be >= 0", field="repulsion_cutoff")
         self._zero_momentum(0)
 
     @property
@@ -457,7 +442,7 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     particles; the reported ESS discounts the pooled draw count by the
     autocorrelation of the per-event ensemble mean.
     """
-    dim, n_particles, cutoff = target.dim, spec.n_particles, spec.repulsion_cutoff
+    dim, n_particles = target.dim, spec.n_particles
     mean, std = spec.initial(dim)
     momentum = spec._zero_momentum(dim)
     rng = np.random.default_rng(seed)
@@ -470,39 +455,37 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     draws = np.empty((n_particles, spec.n_events, dim))  # chain-major
     event = 0
     start = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):  # each step checks finiteness
+    # each step checks finiteness; a statistic that overflows is reported non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(spec.iterations):
             eps = spec.schedule.eps(t)
             if target.resample_batch is not None:
                 target.resample_batch(rng)
             km = None
             if interacting:
-                if cutoff is not None and t >= cutoff:
-                    km = kernels.identity_kernel(n_particles, dim)
-                else:
-                    km = kernels.kernel_matrix(ensemble.positions, spec.kernel_cfg)
+                km = kernels.kernel_matrix(ensemble.positions, spec.kernel_cfg)
             ensemble, momentum = step(ensemble, momentum, target, km, eps, rng)
 
             if spec.policy.collect_at(t + 1):
                 draws[:, event] = ensemble.positions
                 event += 1
-    wall = time.perf_counter() - start
+        wall = time.perf_counter() - start
 
-    per_particle = target.moment_transform(draws)
-    pooled = per_particle.reshape(-1, dim)  # a view
+        per_particle = target.moment_transform(draws)
+        pooled = per_particle.reshape(-1, dim)  # a view
 
-    errors = [
-        (ref.label, moment_error(pooled, ref.order, ref.exact))
-        for ref in target.reference_moments
-    ]
-    # event-major and contiguous: with d = 1 numpy sums a contiguous particle
-    # axis pairwise and a strided one in sequence, which rounds differently
-    pooled_ess = _pooled_ess(np.ascontiguousarray(per_particle.transpose(1, 0, 2)))
-    # R-hat needs two noisy chains of ten events; a chain with zero variance has none
-    rhat = None if spec.kind in _NOISELESS_KINDS else np.full(dim, np.nan)
-    if rhat is not None and n_particles >= 2 and spec.n_events >= 10:
-        with contextlib.suppress(DegenerateChainError):
-            rhat = gelman_rubin(per_particle)
+        errors = [
+            (ref.label, moment_error(pooled, ref.order, ref.exact))
+            for ref in target.reference_moments
+        ]
+        # event-major and contiguous: with d = 1 numpy sums a contiguous particle
+        # axis pairwise and a strided one in sequence, which rounds differently
+        pooled_ess = _pooled_ess(np.ascontiguousarray(per_particle.transpose(1, 0, 2)))
+        # R-hat needs two noisy chains of ten events; a chain with zero variance has none
+        rhat = None if spec.kind in _NOISELESS_KINDS else np.full(dim, np.nan)
+        if rhat is not None and n_particles >= 2 and spec.n_events >= 10:
+            with contextlib.suppress(DegenerateChainError):
+                rhat = gelman_rubin(per_particle)
 
     return RunResult(
         samples=pooled, per_particle=per_particle, final=ensemble,

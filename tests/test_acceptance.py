@@ -437,7 +437,6 @@ def reject_constant(name):
 
 # bench-synthetic writes no JSON; the last case is a valid run whose second
 # moment overflows (step 400 throws the log-space particles far out)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["run", "vis-funnel", "bnn", "run-moe-step400"])
 def test_json_artifacts_are_strict_json(tmp_path, data_csv_small, name):
     config = {

@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,3 +19,15 @@ def test_digest_of_one_invocation_is_reproducible(monkeypatch):
         "vis_funnel_T0.csv", "vis_funnel_T1.csv", "vis_funnel_T2.csv", "vis_funnel_params.json"
     ]
     assert all(line.startswith("vis-funnel ") and len(line.split()[2]) == 64 for line in first)
+
+
+def test_listing_does_not_depend_on_the_blas_thread_count():
+    # two OpenBLAS threads round x @ x.T differently from one; the script pins one
+    listings = []
+    for threads in ("2", "1"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run([sys.executable, str(SCRIPT), str(ROOT)], env=env,
+                              capture_output=True, text=True, check=True)
+        listings.append(done.stdout)
+    assert "run-ensemble gaussian_repulsive_adam_seed0.trajectory.csv" in listings[0]
+    assert listings[0] == listings[1]

@@ -90,9 +90,9 @@ FULL_CONFIG = {
     "target": {"name": "gaussian", "params": {"dim": 2}},
     "samplers": [
         {"name": "repulsive_adam", "particles": 5, "step_size": 0.1, "schedule": "robbins_monro",
-         "gamma": 0.55, "beta1": 0.9, "beta2": 0.999, "stabilizer": 1e-8, "repulsion_cutoff": 3,
+         "gamma": 0.55, "beta1": 0.9, "beta2": 0.999, "stabilizer": 1e-8,
          "kernel": {"bandwidth": 0.5, "bandwidth_mode": "fixed"}},
-        {"name": "sgld", "repulsion_cutoff": None},
+        {"name": "sgld"},
     ],
     "iterations": 200,
     "collection": {"burn_in": 100, "thin": 10},
@@ -321,7 +321,6 @@ class TestRunCommand:
         )
         assert payload["rhat"] == [None, None]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the moment error overflows
     def test_overflowing_moment_error_is_written_null(self, tmp_path):
         # a finite log-space position far out maps to an exp(y) whose square
         # overflows; JSON has no Infinity, so the report writes null
@@ -332,12 +331,21 @@ class TestRunCommand:
         text = (tmp_path / "out" / "moe_sgld_seed0.report.json").read_text()
         assert json.loads(text)["err_second_moment"] is None
 
-    def test_kernel_jitter_is_unknown_key(self, tmp_path, capsys):
-        # the jitter ladder is the one source of Cholesky jitters
-        entry = {"name": "repulsive_sgld", "particles": 3, "kernel": {"jitter": 1e-6}}
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # the jitter ladder is the one source of Cholesky jitters
+            ({"kernel": {"jitter": 1e-6}}, "$.samplers[0].kernel: unknown keys ['jitter']"),
+            # every interacting step uses the kernel of the current particles
+            ({"repulsion_cutoff": 5}, "$.samplers[0]: unknown keys ['repulsion_cutoff']"),
+        ],
+        ids=["kernel_jitter", "repulsion_cutoff"],
+    )
+    def test_deleted_setting_is_unknown_key(self, tmp_path, capsys, change, message):
+        entry = {"name": "repulsive_sgld", "particles": 3, **change}
         cfg = moe_config(tmp_path / "out", samplers=[entry])
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
-        assert "$.samplers[0].kernel: unknown keys ['jitter']" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -446,7 +454,6 @@ class TestRunCommand:
             ({}, {"name": "svgd", "beta2": 1.0}, {}, "samplers[0].beta2"),
             ({}, {"name": "sgld", "stabilizer": -1}, {}, "samplers[0].stabilizer"),
             ({}, {"name": "svgd", "gamma": 7.0}, {}, "samplers[0].gamma"),
-            ({}, {"name": "sgld", "repulsion_cutoff": -5}, {}, "samplers[0].repulsion_cutoff"),
             ({}, {}, {"mean": ["a"]}, "$.init.mean[0]"),
             ({}, {}, {"std": [1, "b"]}, "$.init.std[1]"),
             ({}, {}, {"std": -1.0}, "init.std"),
@@ -462,7 +469,7 @@ class TestRunCommand:
         ],
         ids=["gamma", "beta1", "bandwidth", "init_mean", "dim", "scale_convention",
              "scale_zero", "scale_negative", "stabilizer", "sgld_beta1", "svgd_beta2",
-             "sgld_stabilizer", "constant_gamma", "repulsion_cutoff", "init_mean_item",
+             "sgld_stabilizer", "constant_gamma", "init_mean_item",
              "init_std_item", "init_std_negative", "init_mean_nan", "init_std_inf",
              "step_size_inf", "bandwidth_inf", "stabilizer_inf",
              "median_bandwidth_nan"],
@@ -615,10 +622,8 @@ class TestRunCommand:
             ({"samplers": [{"name": "sgld", "particles": 5.0}]}, "$.samplers[0].particles"),
             ({"seeds": [0.0]}, "$.seeds[0]"),
             ({"collection": {"burn_in": 100, "thin": 10.0}}, "$.collection.thin"),
-            ({"samplers": [{"name": "repulsive_sgld", "repulsion_cutoff": 5.0}]},
-             "$.samplers[0].repulsion_cutoff"),
         ],
-        ids=["iterations", "particles", "seed", "thin", "repulsion_cutoff"],
+        ids=["iterations", "particles", "seed", "thin"],
     )
     def test_integer_valued_float_exits_2(self, tmp_path, capsys, change, key):
         # an integer key takes a JSON integer literal: 200, not 200.0 or 2e2

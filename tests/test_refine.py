@@ -36,14 +36,6 @@ class TestGuide:
         expected = np.log(0.5) + np.log(2.0) + 0.5 * 2 * (1 + np.log(2 * np.pi))
         assert g.entropy() == pytest.approx(expected, rel=1e-14)
 
-    def test_log_density_matches_scipy(self):
-        from scipy import stats
-
-        g = DiagonalGaussianGuide(np.array([0.3, -0.2]), np.log(np.array([1.5, 0.7])))
-        z = np.array([1.0, 0.5])
-        expected = stats.norm.logpdf(z, loc=g.mean, scale=g.scale).sum()
-        assert g.log_density(z) == pytest.approx(expected, rel=1e-12)
-
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="mean and log_scale must share a shape"):
             DiagonalGaussianGuide(np.zeros(2), np.zeros(3))
@@ -132,7 +124,7 @@ class TestElbo:
         per_step = 0.5 * 2 * np.log(4 * np.pi * np.e * eta)
         assert v_markov - v_dirac == pytest.approx(3 * per_step, rel=1e-12)
 
-    @pytest.mark.parametrize("field", ["steps_refine", "steps_infer"])
+    @pytest.mark.parametrize("field", ["steps_refine"])
     def test_negative_step_count_names_its_field(self, field):
         with pytest.raises(ConfigError) as info:
             RefinedGuide(guide=unit_guide(), inner_sampler="sgd", **{field: -1})
@@ -457,14 +449,14 @@ class TestOneLoop:
     def test_mixtures_refine_and_train(self, sampler, target):
         rg = RefinedGuide(
             guide=unit_guide(target.dim), inner_sampler=sampler, steps_refine=2,
-            steps_infer=2, log_eta=np.log(0.02),
+            log_eta=np.log(0.02),
         )
         assert np.isfinite(elbo(rg, target, 8, np.random.default_rng(0)).value)
-        res = optimize(
-            rg, target, 5, np.random.default_rng(1), n_samples=8, inference_samples=16
-        )
+        rng = np.random.default_rng(1)
+        res = optimize(rg, target, 5, rng, n_samples=8)
         assert np.all(np.isfinite(res.loss_trace))
-        assert res.inference_samples.shape == (16, target.dim)
+        draws, _ = sample_refined(res.guide, target, 16, rng)
+        assert draws.shape == (16, target.dim)
 
     @pytest.mark.parametrize("sampler", ["svgd", "flow"])
     def test_fixed_bandwidth_skips_the_median(self, sampler, monkeypatch):
@@ -501,11 +493,9 @@ class TestOptimize:
         [
             (lambda rg, rng: sample_refined(rg, GAUSS2, -1, rng), "n_samples must be >= 1"),
             (lambda rg, rng: elbo(rg, GAUSS2, -1, rng), "n_samples must be >= 1"),
-            (lambda rg, rng: optimize(rg, GAUSS2, 1, rng, inference_samples=-1),
-             "inference_samples must be >= 0"),
             (lambda rg, rng: optimize(rg, GAUSS2, 0, rng), "outer_iterations must be >= 1"),
         ],
-        ids=["sample_refined", "elbo", "optimize_inference_samples", "optimize_outer_iterations"],
+        ids=["sample_refined", "elbo", "optimize_outer_iterations"],
     )
     def test_bad_count_named_before_any_draw(self, call, message):
         rng = np.random.default_rng(0)
@@ -513,10 +503,6 @@ class TestOptimize:
         with pytest.raises(ValueError, match=message):
             call(RefinedGuide(guide=unit_guide(), inner_sampler="sgd"), rng)
         assert rng.bit_generator.state == state
-
-    def test_zero_inference_samples_draw_none(self):
-        rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgd")
-        assert optimize(rg, GAUSS2, 1, np.random.default_rng(0)).inference_samples is None
 
     def test_trace_length_and_positive_scale(self):
         rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgld", steps_refine=1)
@@ -613,14 +599,13 @@ class TestOptimize:
         assert res.guide.eta == guide.eta
 
     def test_inference_phase_runs_tuned_sampler(self):
-        rg = RefinedGuide(
-            guide=unit_guide(), inner_sampler="sgld", steps_refine=1, steps_infer=4
-        )
-        res = optimize(
-            rg, FUNNEL, 5, np.random.default_rng(2), n_samples=8, inference_samples=32
-        )
-        assert res.inference_samples.shape == (32, 2)
-        assert np.all(np.isfinite(res.inference_samples))
+        # train through one refinement step, then draw through four
+        rg = RefinedGuide(guide=unit_guide(), inner_sampler="sgld", steps_refine=1)
+        rng = np.random.default_rng(2)
+        res = optimize(rg, FUNNEL, 5, rng, n_samples=8)
+        draws, _ = sample_refined(dataclasses.replace(res.guide, steps_refine=4), FUNNEL, 32, rng)
+        assert draws.shape == (32, 2)
+        assert np.all(np.isfinite(draws))
 
 
 def per_key_adam(rg, target, outer_iterations, rng, n_samples, learning_rate):

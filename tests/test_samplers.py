@@ -43,12 +43,11 @@ def linear_potential(dim, slope=1.0):
     )
 
 
-def hand_loop(kind, t, n, iterations, eps, seed, cutoff=None):
+def hand_loop(kind, t, n, iterations, eps, seed):
     """The positions after each of `iterations` public steps of `kind`, (T, L, d).
 
     Draws in the runner's order (initial positions, then initial momenta)
-    with the default kernel; from iteration `cutoff` on, every step gets the
-    identity kernel.
+    with the default kernel.
     """
     cfg = KernelConfig()
     rng = np.random.default_rng(seed)
@@ -59,10 +58,7 @@ def hand_loop(kind, t, n, iterations, eps, seed, cutoff=None):
         mom = MomentumState(np.zeros((n, t.dim)), second_moments=np.zeros((n, t.dim)))
     kept = []
     for i in range(iterations):
-        if cutoff is not None and i >= cutoff:
-            km = kernels.identity_kernel(n, t.dim)
-        else:
-            km = kernels.kernel_matrix(ens.positions, cfg)
+        km = kernels.kernel_matrix(ens.positions, cfg)
         if kind == "sgld":
             ens = sgld_step(ens, t, eps, rng)
         elif kind == "svgd":
@@ -605,14 +601,13 @@ class TestRunner:
             ({"init_std": [[1.0, 1.0]]}, "init.std", "expected a number or 2 numbers"),
             ({"init_mean": np.nan}, "init.mean", "must be finite"),
             ({"init_std": -1.0}, "init.std", "must be finite and >= 0"),
-            ({"repulsion_cutoff": -1}, "repulsion_cutoff", "must be >= 0"),
             ({"beta1": 1.0}, "beta1", "beta1 must lie in (0, 1)"),
             ({"beta2": 0.0}, "beta2", "beta2 must lie in (0, 1)"),
             ({"stabilizer": -1.0}, "stabilizer", "stabilizer must be finite and >= 0"),
             ({"kind": "mala"}, "sampler", "unknown sampler kind 'mala'"),
         ],
         ids=["particles", "iterations", "init_mean_size", "init_std_size", "init_mean_nan",
-             "init_std", "repulsion_cutoff", "beta1", "beta2", "stabilizer", "kind"],
+             "init_std", "beta1", "beta2", "stabilizer", "kind"],
     )
     def test_spec_raises_what_run_raised(self, bad, field, message, monkeypatch):
         # the field and message run gave when it took these as keywords;
@@ -735,23 +730,6 @@ class TestRunner:
                 t, 0,
             )
         assert exc.value.snapshot is not None
-
-    def test_repulsion_cutoff_switches_to_identity_kernel(self):
-        # bitwise the hand loop that steps with the median RBF kernel before
-        # the cutoff and with K = I, no repulsion, from the cutoff on
-        t, n, iterations, eps, seed = std_gaussian(2), 4, 100, 0.05, 5
-        for kind in ("svgd", "repulsive_sgld", "repulsive_sgdm", "repulsive_adam"):
-            for cutoff in (0, 40):
-                res = samplers.run(
-                    samplers.RunSpec(
-                        kind, n_particles=n, iterations=iterations,
-                        schedule=StepSchedule(eps0=eps), policy=CollectionPolicy(),
-                        repulsion_cutoff=cutoff,
-                    ),
-                    t, seed,
-                )
-                kept = hand_loop(kind, t, n, iterations, eps, seed, cutoff)
-                assert np.array_equal(res.per_particle, kept.transpose(1, 0, 2)), (kind, cutoff)
 
     @pytest.mark.parametrize("kind", ["repulsive_sgdm", "repulsive_adam"])
     def test_momentum_kinds_run_to_completion(self, kind):
