@@ -69,7 +69,12 @@ def _load_workloads(checkout: Path):
 
 
 def digest(checkout: Path, names=tuple(INVOCATIONS)) -> list[str]:
-    """The digest lines of the named invocations, run against ``checkout``."""
+    """The digest lines of the named invocations, run against ``checkout``.
+
+    It runs BLAS on as many threads as the calling process does: only
+    :func:`main` pins one thread, so a caller that compares listings made
+    with different thread counts pins the count itself.
+    """
     checkout = checkout.resolve()
     from steinmc import cli
 

@@ -132,9 +132,6 @@ CONFIG_SCHEMA = {
                     "step_size": {"type": "number"},
                     "schedule": {"enum": list(samplers.SCHEDULE_KINDS)},
                     "gamma": {"type": "number"},
-                    "beta1": {"type": "number"},
-                    "beta2": {"type": "number"},
-                    "stabilizer": {"type": "number"},
                     "kernel": {
                         "type": "object",
                         "additionalProperties": False,
@@ -256,7 +253,6 @@ def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
             samplers.CollectionPolicy(**config.get("collection", {})),
             kernel_cfg=kernel_cfg,
             **{f"init_{key}": value for key, value in config.get("init", {}).items()},
-            **entry,  # beta1, beta2, stabilizer
         )
         spec.initial(dim)
     except ConfigError as err:

@@ -382,10 +382,9 @@ class RunSpec:
     """One sampler run of :func:`run`, checked when it is built.
 
     The schedule, collection policy and kernel config have checked their own
-    fields; the momentum settings are checked here by building a
-    :class:`MomentumState`, for every kind, also where unused.  `init_mean`
-    and `init_std` may each be one number or one per coordinate, a rule
-    that needs the target and lives in :meth:`initial`.
+    fields; the momentum kinds take :class:`MomentumState`'s defaults.
+    `init_mean` and `init_std` may each be one number or one per coordinate,
+    a rule that needs the target and lives in :meth:`initial`.
     """
 
     kind: str
@@ -396,9 +395,6 @@ class RunSpec:
     init_mean: np.typing.ArrayLike = 0.0
     init_std: np.typing.ArrayLike = 1.0
     kernel_cfg: KernelConfig = field(default_factory=KernelConfig)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    stabilizer: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -412,7 +408,6 @@ class RunSpec:
         std = np.asarray(self.init_std, dtype=float)
         if not ((std >= 0) & (std < math.inf)).all():
             raise ConfigError("must be finite and >= 0", field="init.std")
-        self._zero_momentum(0)
 
     @property
     def n_events(self) -> int:
@@ -426,12 +421,6 @@ class RunSpec:
         mean = np.broadcast_to(np.asarray(self.init_mean, dtype=float), (dim,))
         return mean, np.broadcast_to(np.asarray(self.init_std, dtype=float), (dim,))
 
-    def _zero_momentum(self, dim: int) -> MomentumState:
-        return MomentumState(
-            np.zeros((self.n_particles, dim)),
-            beta1=self.beta1, beta2=self.beta2, stabilizer=self.stabilizer,
-        )
-
 
 def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     """Evolve an ensemble and collect draws under the thinning policy.
@@ -444,7 +433,7 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     """
     dim, n_particles = target.dim, spec.n_particles
     mean, std = spec.initial(dim)
-    momentum = spec._zero_momentum(dim)
+    momentum = MomentumState(np.zeros((n_particles, dim)))
     rng = np.random.default_rng(seed)
     ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))
 

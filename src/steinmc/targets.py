@@ -234,22 +234,14 @@ def mog_grid() -> TargetModel:
     return _registered(target, rng.normal(scale=2.0, size=(7, 2)))
 
 
-def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
-    """Hierarchical 2-d funnel: z1 ~ N(0, s1^2), z2 ~ N(0, exp(z1)^2).
-
-    ``scale_convention`` selects whether ``scale`` (and exp(z1)) are read as
-    standard deviations ("std", the default) or variances ("var").
-    """
-    if scale_convention not in ("std", "var"):
-        raise ConfigError("must be 'std' or 'var'", field="scale_convention")
+def funnel(scale: float = 1.35) -> TargetModel:
+    """Hierarchical 2-d funnel: z1 ~ N(0, s1^2), z2 ~ N(0, exp(z1)^2), s1 = ``scale``."""
     if not 0 < scale < math.inf:
         raise ConfigError("scale must be finite and > 0", field="scale")
-    s1 = scale if scale_convention == "std" else float(np.sqrt(scale))
+    s1 = scale
     var = float(s1) * float(s1)
     if not (var > 0 and 1.0 / var < math.inf):
         raise ConfigError("scale is too small: its precision 1/s1^2 overflows", field="scale")
-    # exponent multiplier: log-std of z2 is z1 (std convention) or z1/2 (var)
-    a = 1.0 if scale_convention == "std" else 0.5
 
     basis = np.eye(2)
 
@@ -261,14 +253,14 @@ def funnel(scale: float = 1.35, scale_convention: str = "std") -> TargetModel:
     def log_density(z, ops=_NP):
         z1, z2 = _split(z, ops)
         lp1 = -0.5 / (s1 * s1) * (z1 * z1) + (-np.log(s1) - 0.5 * _LOG_2PI)
-        e = ops.exp(-2.0 * a * z1)
-        lp2 = -0.5 * (z2 * z2 * e) + -a * z1 - 0.5 * _LOG_2PI
+        e = ops.exp(-2.0 * z1)
+        lp2 = -0.5 * (z2 * z2 * e) + -z1 - 0.5 * _LOG_2PI
         return ops.reshape(lp1 + lp2, (-1,))
 
     def grad(z, ops=_NP):
         z1, z2 = _split(z, ops)
-        e = ops.exp(-2.0 * a * z1)
-        g1 = -1.0 / (s1 * s1) * z1 + a * (z2 * z2 * e) - a
+        e = ops.exp(-2.0 * z1)
+        g1 = -1.0 / (s1 * s1) * z1 + z2 * z2 * e - 1.0
         g2 = -(z2 * e)
         # stack the (n, 1) columns back into (n, 2)
         return g1 * basis[:1] + g2 * basis[1:]

@@ -64,7 +64,7 @@ class TestCriterion02MogMomentError:
         wins = sum(r <= p for r, p in zip(rep, plain))
         assert wins >= 4
         report(
-            "criterion 2 (Gaussian-grid combined moment error)",
+            "criterion 2 (Gaussian-grid mean moment error)",
             f"repulsive better on {wins}/5 seeds "
             f"(medians {np.median(rep):.3f} vs {np.median(plain):.3f})",
         )

@@ -13,6 +13,8 @@ def test_digest_of_one_invocation_is_reproducible(monkeypatch):
     spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPT)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    # digest() runs BLAS on this process's threads, unpinned; it digests only
+    # vis-funnel, whose artifacts were the same on one OpenBLAS thread and on two
     first = digest.digest(ROOT, ["vis-funnel"])
     assert first == digest.digest(ROOT, ["vis-funnel"])
     assert [line.split()[1] for line in first] == [

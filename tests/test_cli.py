@@ -90,7 +90,7 @@ FULL_CONFIG = {
     "target": {"name": "gaussian", "params": {"dim": 2}},
     "samplers": [
         {"name": "repulsive_adam", "particles": 5, "step_size": 0.1, "schedule": "robbins_monro",
-         "gamma": 0.55, "beta1": 0.9, "beta2": 0.999, "stabilizer": 1e-8,
+         "gamma": 0.55,
          "kernel": {"bandwidth": 0.5, "bandwidth_mode": "fixed"}},
         {"name": "sgld"},
     ],
@@ -332,18 +332,27 @@ class TestRunCommand:
         assert json.loads(text)["err_second_moment"] is None
 
     @pytest.mark.parametrize(
-        "change, message",
+        "target, change, message",
         [
             # the jitter ladder is the one source of Cholesky jitters
-            ({"kernel": {"jitter": 1e-6}}, "$.samplers[0].kernel: unknown keys ['jitter']"),
+            ({}, {"kernel": {"jitter": 1e-6}}, "$.samplers[0].kernel: unknown keys ['jitter']"),
             # every interacting step uses the kernel of the current particles
-            ({"repulsion_cutoff": 5}, "$.samplers[0]: unknown keys ['repulsion_cutoff']"),
+            ({}, {"repulsion_cutoff": 5}, "$.samplers[0]: unknown keys ['repulsion_cutoff']"),
+            # MomentumState alone states the momentum hyperparameters
+            ({}, {"beta1": 0.9}, "$.samplers[0]: unknown keys ['beta1']"),
+            ({}, {"beta2": 0.999}, "$.samplers[0]: unknown keys ['beta2']"),
+            ({}, {"stabilizer": 1e-8}, "$.samplers[0]: unknown keys ['stabilizer']"),
+            # the funnel's scale is a standard deviation
+            ({"name": "funnel", "params": {"scale_convention": "std"}}, {},
+             "config error: target.params.scale_convention: "),
         ],
-        ids=["kernel_jitter", "repulsion_cutoff"],
+        ids=["kernel_jitter", "repulsion_cutoff", "beta1", "beta2", "stabilizer",
+             "scale_convention"],
     )
-    def test_deleted_setting_is_unknown_key(self, tmp_path, capsys, change, message):
+    def test_deleted_setting_is_unknown_key(self, tmp_path, capsys, target, change, message):
         entry = {"name": "repulsive_sgld", "particles": 3, **change}
         cfg = moe_config(tmp_path / "out", samplers=[entry])
+        cfg["target"].update(target)
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -440,19 +449,13 @@ class TestRunCommand:
         "target, sampler, init, key",
         [
             ({}, {"schedule": "robbins_monro", "gamma": 2.0}, {}, "samplers[0].gamma"),
-            ({}, {"name": "repulsive_sgdm", "beta1": 1.5}, {}, "samplers[0].beta1"),
             ({}, {"kernel": {"bandwidth": -1, "bandwidth_mode": "fixed"}}, {},
              "samplers[0].kernel.bandwidth"),
             ({"name": "gaussian", "params": {"dim": 2}}, {}, {"mean": [0, 0, 0]}, "init.mean"),
             ({"name": "gaussian", "params": {"dim": 0}}, {}, {}, "dim"),
-            ({"name": "funnel", "params": {"scale_convention": "x"}}, {}, {}, "scale_convention"),
             ({"name": "funnel", "params": {"scale": 0}}, {}, {}, "scale"),
             ({"name": "funnel", "params": {"scale": -1}}, {}, {}, "scale"),
-            ({}, {"name": "repulsive_adam", "stabilizer": -1}, {}, "samplers[0].stabilizer"),
-            # momentum and schedule keys are checked also where the kind ignores them
-            ({}, {"name": "sgld", "beta1": 1.5}, {}, "samplers[0].beta1"),
-            ({}, {"name": "svgd", "beta2": 1.0}, {}, "samplers[0].beta2"),
-            ({}, {"name": "sgld", "stabilizer": -1}, {}, "samplers[0].stabilizer"),
+            # schedule keys are checked also where the schedule ignores them
             ({}, {"name": "svgd", "gamma": 7.0}, {}, "samplers[0].gamma"),
             ({}, {}, {"mean": ["a"]}, "$.init.mean[0]"),
             ({}, {}, {"std": [1, "b"]}, "$.init.std[1]"),
@@ -463,15 +466,11 @@ class TestRunCommand:
             (GAUSS2, {"step_size": float("inf")}, {}, "samplers[0].step_size"),
             (GAUSS2, {"kernel": {"bandwidth": float("inf"), "bandwidth_mode": "fixed"}}, {},
              "samplers[0].kernel.bandwidth"),
-            (GAUSS2, {"name": "repulsive_adam", "stabilizer": float("inf")}, {},
-             "samplers[0].stabilizer"),
             (GAUSS2, {"kernel": {"bandwidth": float("nan")}}, {}, "samplers[0].kernel.bandwidth"),
         ],
-        ids=["gamma", "beta1", "bandwidth", "init_mean", "dim", "scale_convention",
-             "scale_zero", "scale_negative", "stabilizer", "sgld_beta1", "svgd_beta2",
-             "sgld_stabilizer", "constant_gamma", "init_mean_item",
-             "init_std_item", "init_std_negative", "init_mean_nan", "init_std_inf",
-             "step_size_inf", "bandwidth_inf", "stabilizer_inf",
+        ids=["gamma", "bandwidth", "init_mean", "dim", "scale_zero", "scale_negative",
+             "constant_gamma", "init_mean_item", "init_std_item", "init_std_negative",
+             "init_mean_nan", "init_std_inf", "step_size_inf", "bandwidth_inf",
              "median_bandwidth_nan"],
     )
     def test_bad_config_value_exits_2_naming_key(
@@ -485,25 +484,21 @@ class TestRunCommand:
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # the ids name scale as what it is: the standard deviation of z1
     @pytest.mark.parametrize(
-        "scale, convention",
-        [(float("inf"), "std"), (float("inf"), "var"), (1e-160, "std"), (1e-200, "std")],
-        ids=["inf_std", "inf_var", "1e-160_std", "1e-200_std"],
+        "scale", [float("inf"), 1e-160, 1e-200], ids=["inf_std", "1e-160_std", "1e-200_std"]
     )
-    def test_funnel_scale_without_finite_precision_exits_2(
-        self, tmp_path, capsys, scale, convention
-    ):
+    def test_funnel_scale_without_finite_precision_exits_2(self, tmp_path, capsys, scale):
         # the funnel's first coordinate needs a finite positive precision 1/s1^2
         cfg = moe_config(tmp_path / "out")
-        cfg["target"] = {"name": "funnel", "params": {"scale": scale, "scale_convention": convention}}
+        cfg["target"] = {"name": "funnel", "params": {"scale": scale}}
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert "config error: scale: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("convention", ["std", "var"])
-    @pytest.mark.parametrize("scale", [1e-150, 1e300])
-    def test_funnel_scale_with_finite_precision_builds(self, scale, convention):
-        assert targets.make_target("funnel", scale=scale, scale_convention=convention).dim == 2
+    @pytest.mark.parametrize("scale", [1e-150, 1e300], ids=["1e-150-std", "1e+300-std"])
+    def test_funnel_scale_with_finite_precision_builds(self, scale):
+        assert targets.make_target("funnel", scale=scale).dim == 2
 
     def test_funnel_scale_failing_the_gradient_audit_exits_2(self, tmp_path, capsys):
         # 1/s1^2 is finite, but -z1/s1^2 overflows at the audit points
@@ -599,8 +594,8 @@ class TestRunCommand:
         "bad, key",
         [({"step_size": -1}, "step_size"), ({"particles": 0}, "particles"),
          ({"kernel": {"bandwidth": -1.0, "bandwidth_mode": "fixed"}}, "kernel.bandwidth"),
-         ({"beta2": 2.0}, "beta2")],
-        ids=["step_size", "particles", "kernel_bandwidth", "beta2"],
+         ({"gamma": 2.0}, "gamma")],
+        ids=["step_size", "particles", "kernel_bandwidth", "gamma"],
     )
     def test_bad_later_entry_exits_2_before_any_job(
         self, tmp_path, capsys, monkeypatch, bad, key

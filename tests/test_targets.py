@@ -142,16 +142,6 @@ class TestFunnel:
                 scale = max(1.0, np.max(np.abs(fd_row)))
                 assert np.max(np.abs(row - fd_row)) / scale < 1e-5
 
-    def test_variance_convention_switch(self):
-        t_std = funnel(scale_convention="std")
-        t_var = funnel(scale_convention="var")
-        z = np.array([[0.7, -0.4]])
-        assert t_std.log_density(z)[0] != t_var.log_density(z)[0]
-        # both remain valid densities with matching gradients
-        for t in (t_std, t_var):
-            fd = finite_difference_grad(t.log_density, z)
-            np.testing.assert_allclose(t.grad_log_density(z), fd, rtol=1e-5, atol=1e-8)
-
     def test_log_density_decomposes_into_two_gaussians(self):
         # independent densities from scipy; conditional scale is exp(z1)
         from scipy import stats
@@ -164,10 +154,6 @@ class TestFunnel:
                 z2, scale=np.exp(z1)
             )
             assert t.log_density(np.array([[z1, z2]]))[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            funnel(scale_convention="guess")
 
 
 class TestRegistry:
