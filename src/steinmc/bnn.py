@@ -7,8 +7,9 @@ in a (K, h, B) layout (particles x hidden units x batch rows).  The first
 layer is the augmented matrix [w1 | b1] in both directions: forward is one
 batched matmul [w1 | b1] @ [x | 1]^T whose result the ReLU overwrites in
 place, and backward is one matmul of the 0/1 ReLU gate with [r * x | r] for
-the residual r, scaled by the output weights.  Minibatch gradients rescale
-the batch term by N / |batch|.  Targets are standardized
+the residual r, scaled by the output weights; the gate is written over the
+activations once the output-weight gradient has read them.  Minibatch
+gradients rescale the batch term by N / |batch|.  Targets are standardized
 for sampling and predictions are mapped back to original units.
 """
 
@@ -232,7 +233,8 @@ class BnnPotential:
         layer, scaled by N/|batch| and the noise precision, plus the Gaussian
         prior term theta / prior_std^2.  The output weight w2 is a factor of
         every row's first-layer gradient, so [g_w1 | g_b1] is
-        (gate @ [r * x | r]) * w2 with the 0/1 gate of the ReLU (0 at 0).
+        (gate @ [r * x | r]) * w2 with the 0/1 gate of the ReLU (0 at 0 and
+        at NaN), written over the activations once g_w2 has read them.
         """
         single = np.ndim(theta) == 1
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -242,16 +244,16 @@ class BnnPotential:
         scale = n_total / x.shape[0] / self.noise_std**2
         resid = scale * (out - y[None, :])  # (K, B)
 
-        gate = (act > 0).astype(float)  # (K, h, B)
-        g_first = (gate @ (resid[:, :, None] * x_aug)) * w2[:, :, None]  # (K, h, p+1)
         g_w2 = (act @ resid[:, :, None])[..., 0]
+        gate = np.greater(act, 0.0, out=act)  # (K, h, B), 0.0/1.0 over the activations
+        g_first = (gate @ (resid[:, :, None] * x_aug)) * w2[:, :, None]  # (K, h, p+1)
         g_b2 = resid.sum(axis=1)
 
         k, p = theta.shape[0], self.input_dim
-        data_grad = np.concatenate(
+        grad = np.concatenate(
             [g_first[..., :p].reshape(k, -1), g_first[..., p], g_w2, g_b2[:, None]], axis=1
         )
-        grad = data_grad + theta / self.prior_std**2
+        grad += theta / self.prior_std**2
         return grad[0] if single else grad
 
 

@@ -163,9 +163,11 @@ def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
     entries, h, degenerate = rbf(positions, cfg)
+    grad_terms = kernel_drift(entries, positions)
+    grad_terms *= 2.0 / h
     return KernelMatrix(
         entries=entries,
-        grad_terms=(2.0 / h) * kernel_drift(entries, positions),
+        grad_terms=grad_terms,
         bandwidth=h,
         degenerate_bandwidth=degenerate,
     )
@@ -188,12 +190,13 @@ def sample_repulsive_noise(
 
     d is the width of the kernel's repulsion rows.  Coordinates are
     independent across the d dimensions; correlation across particles follows
-    the kernel matrix.  Implemented as one lower-triangular solve of the L x L
-    matrix applied to each dimension, exploiting the Kronecker structure
-    K (x) I_d.
+    the kernel matrix.  Implemented as one product of the L x L Cholesky
+    factor C (K = C C^T) with L x d white noise, which gives each dimension
+    covariance C C^T = K through the Kronecker structure K (x) I_d.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
     chol = _jittered_cholesky(kernel.entries)
-    white = rng.standard_normal(kernel.grad_terms.shape)
-    return np.sqrt(2.0 * eps / kernel.n_particles) * (chol @ white)
+    noise = chol @ rng.standard_normal(kernel.grad_terms.shape)
+    noise *= np.sqrt(2.0 * eps / kernel.n_particles)
+    return noise

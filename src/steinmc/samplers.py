@@ -152,7 +152,10 @@ def _check_finite(positions: np.ndarray, iteration: int, snapshot=None):
 
 def _interaction_drift(v: np.ndarray, km: KernelMatrix) -> np.ndarray:
     """(1/L) [K @ v + repulsion rows]; the shared interacting drift."""
-    return (km.entries @ v + km.grad_terms) / km.n_particles
+    drift = km.entries @ v
+    drift += km.grad_terms
+    drift /= km.n_particles
+    return drift
 
 
 def _check_eps(eps: float) -> None:
@@ -172,7 +175,7 @@ def _advance(
     z = ensemble.positions
     new = z + eps * drift
     if noise is not None:
-        new = new + noise
+        new += noise
     _check_finite(new, ensemble.step_index + 1, snapshot=z)
     return ParticleEnsemble(new, ensemble.step_index + 1)
 
@@ -203,7 +206,8 @@ def sgld_step(
     """Langevin step per particle: z + eps * score + N(0, 2 eps I); no interaction."""
     _check_eps(eps)
     scores = _scores(target, ensemble)
-    noise = np.sqrt(2.0 * eps) * rng.standard_normal(ensemble.positions.shape)
+    noise = rng.standard_normal(ensemble.positions.shape)
+    noise *= np.sqrt(2.0 * eps)
     return _advance(ensemble, scores, eps, noise)
 
 

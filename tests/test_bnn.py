@@ -340,6 +340,57 @@ class TestMatmulLayout:
         np.testing.assert_allclose(new_grad, grad[0], rtol=1e-12, atol=1e-12 * np.abs(grad).max())
 
 
+def float_gate_backward(pot, theta, x, y, n_total):
+    """Reference: the backward pass on a float copy of the ReLU gate, with the
+    prior term added to a separate data gradient, for (K, P) theta."""
+    w2 = pot.unpack(theta)[2]
+    x_aug, act, out = pot._layers(theta, x)
+    resid = n_total / x.shape[0] / pot.noise_std**2 * (out - y[None, :])
+    gate = (act > 0).astype(float)
+    g_first = (gate @ (resid[:, :, None] * x_aug)) * w2[:, :, None]
+    g_w2 = (act @ resid[:, :, None])[..., 0]
+    k, p = theta.shape[0], pot.input_dim
+    data_grad = np.concatenate(
+        [g_first[..., :p].reshape(k, -1), g_first[..., p], g_w2, resid.sum(axis=1)[:, None]],
+        axis=1,
+    )
+    return data_grad + theta / pot.prior_std**2
+
+
+class TestBackwardBits:
+    """potential_grad rounds exactly as the float-gate backward pass does."""
+
+    def test_bnn_protocol_shape(self):
+        # K = 20 particles, h = 50 hidden units, B = 100 rows, p = 4 features
+        rng = np.random.default_rng(11)
+        pot = BnnPotential(input_dim=4, hidden_dim=50)
+        theta = rng.normal(size=(20, pot.n_params)) * 0.5
+        x, y = rng.normal(size=(100, 4)), rng.normal(size=100)
+        grad = pot.potential_grad(theta, x, y, 450)
+        assert np.array_equal(grad, float_gate_backward(pot, theta, x, y, 450))
+
+    def test_pre_activation_exactly_zero(self):
+        pot = BnnPotential(input_dim=3, hidden_dim=4, prior_std=0.7)
+        rng = np.random.default_rng(12)
+        theta = rng.normal(size=(3, pot.n_params))
+        w1, b1 = pot.unpack(theta)[:2]
+        w1[:, 2] = 0.0
+        b1[:, 2] = 0.0
+        x, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+        assert not pot._layers(theta, x)[1][:, 2].any()
+        grad = pot.potential_grad(theta, x, y, 300)
+        assert np.array_equal(grad, float_gate_backward(pot, theta, x, y, 300))
+
+    def test_single_theta_path(self):
+        rng = np.random.default_rng(13)
+        pot = BnnPotential(input_dim=4, hidden_dim=50, noise_std=0.3)
+        theta = rng.normal(size=pot.n_params)
+        x, y = rng.normal(size=(7, 4)), rng.normal(size=7)
+        grad = pot.potential_grad(theta, x, y, 450)
+        assert grad.shape == (pot.n_params,)
+        assert np.array_equal(grad, float_gate_backward(pot, theta[None, :], x, y, 450)[0])
+
+
 class TestPredict:
     def _setup(self):
         x, y = linear_data(n=60, p=2, seed=4)

@@ -452,6 +452,46 @@ class TestUpdateLaw:
         assert np.array_equal(mom.momenta, m1) and np.array_equal(mom.second_moments, v1)
 
 
+class TestInputsLeftUnchanged:
+    """A step writes into the arrays it made itself, never into its inputs."""
+
+    STEPS = {
+        "sgld": lambda e, m, t, km, rng: sgld_step(e, t, 0.1, rng),
+        "svgd": lambda e, m, t, km, rng: svgd_step(e, t, km, 0.1),
+        "repulsive_sgld": lambda e, m, t, km, rng: repulsive_sgld_step(e, t, km, 0.1, rng),
+        "repulsive_sgdm": lambda e, m, t, km, rng: repulsive_sgdm_step(e, m, t, km, 0.1),
+        "repulsive_sgdm_noise": lambda e, m, t, km, rng: repulsive_sgdm_step(
+            e, m, t, km, 0.1, rng, position_noise=True
+        ),
+        "repulsive_adam": lambda e, m, t, km, rng: repulsive_adam_step(e, m, t, km, 0.1, rng),
+    }
+
+    def _inputs(self):
+        rng = np.random.default_rng(21)
+        ens = ParticleEnsemble(rng.normal(size=(5, 3)))
+        mom = MomentumState(rng.normal(size=(5, 3)), second_moments=rng.uniform(0.5, 2.0, (5, 3)))
+        return ens, mom, kernels.kernel_matrix(ens.positions, KernelConfig())
+
+    @pytest.mark.parametrize("name", list(STEPS))
+    def test_step(self, name):
+        ens, mom, km = self._inputs()
+        arrays = (ens.positions, mom.momenta, mom.second_moments, km.entries, km.grad_terms)
+        before = [a.copy() for a in arrays]
+        self.STEPS[name](ens, mom, std_gaussian(3), km, np.random.default_rng(0))
+        for now, then in zip(arrays, before):
+            assert np.array_equal(now, then)
+
+    def test_kernel_matrix_and_noise(self):
+        ens, _, km = self._inputs()
+        arrays = (ens.positions, km.entries, km.grad_terms)
+        before = [a.copy() for a in arrays]
+        kernels.kernel_matrix(ens.positions, KernelConfig())
+        kernels.kernel_matrix(ens.positions, FIXED)
+        kernels.sample_repulsive_noise(km, 0.1, np.random.default_rng(0))
+        for now, then in zip(arrays, before):
+            assert np.array_equal(now, then)
+
+
 def first_bad_row(x):
     """The row scan: index of the first row holding a non-finite entry, or None."""
     bad = [i for i, row in enumerate(x.tolist()) if not all(map(math.isfinite, row))]
