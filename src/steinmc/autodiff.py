@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class Node:
@@ -229,7 +229,7 @@ def gaussian_log_pdf(x, mean, std) -> Node:
     if (value(std) <= 0).any():
         raise ValueError("gaussian_log_pdf: std must be positive")
     z = (as_node(x) - mean) / std
-    return -0.5 * z * z - log(std) - 0.5 * _LOG_2PI
+    return -0.5 * z * z - log(std) - 0.5 * LOG_2PI
 
 
 def stop_gradient(a) -> Node:
@@ -276,8 +276,8 @@ def backward(output: Node) -> None:
             if parent.live:
                 c = pull(g)
                 parent.grad = c if parent.grad is None else parent.grad + c
-    # a fresh zeros array per leaf, as the full sweep gave: 0 + sum turns a
-    # -0.0 sum into +0.0, so every entry is bitwise what it was
+    # each leaf gets a writable array of its own shape: zeros plus the sum,
+    # which also gives +0.0 for a -0.0 sum
     for node in order:
         if node.requires_grad:
             grad = np.zeros(node.value.shape)

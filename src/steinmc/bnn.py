@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import LOG_2PI
 from .targets import TargetModel
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
 _PREDICT_BLOCK = 64  # particles per forward pass in predict; bounds its (block, h, B) tensor
 
 
@@ -306,7 +306,7 @@ def predict(
     def log_likelihood(y_original: np.ndarray) -> np.ndarray:
         y = np.asarray(y_original, dtype=float)
         z = (y[None, :] - preds) / comp_std
-        logs = -0.5 * z * z - np.log(comp_std) - 0.5 * _LOG_2PI
+        logs = -0.5 * z * z - np.log(comp_std) - 0.5 * LOG_2PI
         m = logs.max(axis=0)
         return m + np.log(np.mean(np.exp(logs - m), axis=0))
 

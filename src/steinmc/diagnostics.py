@@ -1,29 +1,31 @@
 """Statistics of sampler output: effective sample size, R-hat, moment
 errors, and a grid-based stationarity certificate for one-dimensional
 diffusions.  The record that carries them for a run is
-:class:`steinmc.samplers.RunResult`."""
+:class:`steinmc.samplers.RunResult`.  Where ESS or R-hat cannot be
+estimated, this module alone says so: the statistic is nan."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateChainError
+MIN_DRAWS = 10  # the fewest draws per chain that ESS and R-hat are estimated from
 
 
 def ess(chain: np.ndarray) -> float:
     """Autocorrelation-discounted effective sample size of a scalar chain.
 
     Uses N / (1 + 2 sum rho_k) with the autocorrelation sum truncated at the
-    first non-positive estimate, clamped to [1, N].
+    first non-positive estimate, clamped to [1, N].  nan for fewer than
+    ``MIN_DRAWS`` draws or a constant chain.
     """
     chain = np.asarray(chain, dtype=float).ravel()
     n = chain.size
-    if n < 10:
-        raise ValueError("chain length must be >= 10")
+    if n < MIN_DRAWS:
+        return float("nan")
     centered = chain - chain.mean()
     var = float(np.dot(centered, centered)) / n
     if var == 0.0:
-        raise DegenerateChainError("constant chain has no effective sample size")
+        return float("nan")
     acf_sum = 0.0
     for lag in range(1, n):
         rho = float(np.dot(centered[:-lag], centered[lag:])) / (n * var)
@@ -35,33 +37,32 @@ def ess(chain: np.ndarray) -> float:
 
 
 def ess_multivariate(samples: np.ndarray) -> float:
-    """Per-dimension minimum ESS of pooled (n, d) samples."""
+    """Per-dimension minimum ESS of pooled (n, d) samples; nan if any is nan."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return min(ess(samples[:, j]) for j in range(samples.shape[1]))
+    return float(np.min([ess(samples[:, j]) for j in range(samples.shape[1])]))
 
 
 def gelman_rubin(chains: np.ndarray) -> np.ndarray:
     """Potential scale reduction factor per dimension.
 
-    ``chains`` has shape (M, N) or (M, N, d) with M >= 2 equal-length chains.
+    ``chains`` has shape (M, N) or (M, N, d): M equal-length chains.
     Returns a length-d array (d = 1 for scalar chains).
 
-    Raises DegenerateChainError when in some dimension the within-chain
-    standard deviation is at most 1024 ulps of the largest |value| there: a
-    chain that has stopped moving still jitters by a few ulps (4 to 12 for a
-    converged deterministic SVGD ensemble), which reads as R-hat ~ 1e15,
-    while no chain that samples has so little spread next to its values.
+    The array is all nan for M < 2, for N < ``MIN_DRAWS``, and when in some
+    dimension the within-chain standard deviation is at most 1024 ulps of
+    the largest |value| there: a chain that has stopped moving still jitters
+    by a few ulps (4 to 12 for a converged deterministic SVGD ensemble),
+    which reads as R-hat ~ 1e15, while no chain that samples has so little
+    spread next to its values.
     """
     chains = np.asarray(chains, dtype=float)
     if chains.ndim == 2:
         chains = chains[:, :, None]
     if chains.ndim != 3:
         raise ValueError("chains must have shape (M, N) or (M, N, d)")
-    m, n, _ = chains.shape
-    if m < 2:
-        raise ValueError("need at least 2 chains")
-    if n < 10:
-        raise ValueError("chains must have length >= 10")
+    m, n, dim = chains.shape
+    if m < 2 or n < MIN_DRAWS:
+        return np.full(dim, np.nan)
 
     # one contiguous (d, M, N) layout whatever the input's strides, so the
     # sums along each chain, and R-hat's last digits, do not depend on them
@@ -70,7 +71,7 @@ def gelman_rubin(chains: np.ndarray) -> np.ndarray:
     w = np.mean(np.var(x, axis=2, ddof=1), axis=1)
     ulp = np.finfo(float).eps * np.max(np.abs(x), axis=(1, 2))
     if np.any(np.sqrt(w) <= 1024 * ulp):
-        raise DegenerateChainError("within-chain variance at rounding level")
+        return np.full(dim, np.nan)
     v_hat = (n - 1) / n * w + b_over_n
     return np.sqrt(v_hat / w)
 

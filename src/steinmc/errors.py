@@ -33,10 +33,6 @@ class FactorizationError(SteinmcError):
         )
 
 
-class DegenerateChainError(SteinmcError):
-    """A diagnostic was asked to summarize a zero-variance chain."""
-
-
 class ConfigError(SteinmcError, ValueError):
     """Invalid experiment configuration or argument value (hence also a
     ValueError); `field` names the offending entry and `reason` is the message

@@ -46,8 +46,6 @@ ENTROPY_MODES = ("dirac", "markov")
 INNER_SAMPLERS = ("sgd", "sgld", "svgd", "flow")
 AD_MODES = ("full", "fast")
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 
 def _standard_draws(n_samples: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """The (n_samples, dim) standard normal draws behind every guide sample."""
@@ -78,7 +76,7 @@ class DiagonalGaussianGuide:
         return np.exp(self.log_scale)
 
     def entropy(self) -> float:
-        return float(np.sum(self.log_scale) + 0.5 * self.dim * (1.0 + _LOG_2PI))
+        return float(np.sum(self.log_scale) + 0.5 * self.dim * (1.0 + ad.LOG_2PI))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.scale * _standard_draws(n, self.dim, rng)
@@ -263,12 +261,12 @@ def elbo(
     avg_logp = ad.div(ad.reduce_sum(logp), float(n_samples))
 
     # closed-form guide entropy; differentiable in log_scale
-    entropy = ad.add(ad.reduce_sum(log_scale), 0.5 * d * (1.0 + _LOG_2PI))
+    entropy = ad.add(ad.reduce_sum(log_scale), 0.5 * d * (1.0 + ad.LOG_2PI))
     if rg.entropy_mode == "markov":
         # each transition is Gaussian with covariance 2 eta I
         per_step = ad.add(
             ad.mul(0.5 * d, ad.log(ad.mul(2.0, eta_node))),
-            0.5 * d * (1.0 + _LOG_2PI),
+            0.5 * d * (1.0 + ad.LOG_2PI),
         )
         for _ in range(rg.steps_refine):
             entropy = ad.add(entropy, per_step)

@@ -33,7 +33,6 @@ kernel.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .diagnostics import ess_multivariate, gelman_rubin, moment_error
-from .errors import ConfigError, DegenerateChainError, DivergenceError
+from .errors import ConfigError, DivergenceError
 from .kernels import KernelConfig, KernelMatrix
 from .targets import TargetModel, check_scores
 
@@ -178,26 +177,6 @@ def _advance(
         new += noise
     _check_finite(new, ensemble.step_index + 1, snapshot=z)
     return ParticleEnsemble(new, ensemble.step_index + 1)
-
-
-def _pooled_ess(collected: np.ndarray) -> float:
-    """Effective draw count behind the pooled moment estimate.
-
-    The per-event ensemble mean carries the information the pooled estimator
-    uses; its autocorrelation time discounts the L x n_events pooled draws.
-    Reported as the per-dimension minimum of L * ess(mean series), which
-    reduces to the standard scalar estimator when L = 1.  Both within-chain
-    autocorrelation and interaction-induced cross-chain correlation register
-    through the mean series.
-    """
-    n_events, n_chains, dim = collected.shape
-    if n_events < 10:
-        return float("nan")
-    mean_series = collected.mean(axis=1)  # (n_events, d)
-    try:
-        return n_chains * ess_multivariate(mean_series)
-    except DegenerateChainError:
-        return float("nan")
 
 
 def sgld_step(
@@ -471,14 +450,14 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
             (ref.label, moment_error(pooled, ref.order, ref.exact))
             for ref in target.reference_moments
         ]
-        # event-major and contiguous: with d = 1 numpy sums a contiguous particle
-        # axis pairwise and a strided one in sequence, which rounds differently
-        pooled_ess = _pooled_ess(np.ascontiguousarray(per_particle.transpose(1, 0, 2)))
-        # R-hat needs two noisy chains of ten events; a chain with zero variance has none
-        rhat = None if spec.kind in _NOISELESS_KINDS else np.full(dim, np.nan)
-        if rhat is not None and n_particles >= 2 and spec.n_events >= 10:
-            with contextlib.suppress(DegenerateChainError):
-                rhat = gelman_rubin(per_particle)
+        # the pooled ESS is L x the ESS of the per-event particle mean, whose
+        # autocorrelation registers both within-chain and interaction-induced
+        # cross-chain correlation; the mean is taken event-major and contiguous,
+        # since with d = 1 numpy sums a contiguous particle axis pairwise and a
+        # strided one in sequence, which rounds differently
+        mean_series = np.ascontiguousarray(per_particle.transpose(1, 0, 2)).mean(axis=1)
+        pooled_ess = n_particles * ess_multivariate(mean_series)
+        rhat = None if spec.kind in _NOISELESS_KINDS else gelman_rubin(per_particle)
 
     return RunResult(
         samples=pooled, per_particle=per_particle, final=ensemble,

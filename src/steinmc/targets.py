@@ -23,7 +23,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
 _NP = ad.numpy_ops
 
 
@@ -130,7 +129,7 @@ def std_gaussian(dim: int) -> TargetModel:
         raise ConfigError("dim must be >= 1", field="dim")
 
     def log_density(z, ops=_NP):
-        return -0.5 * ops.reduce_sum(z * z, axis=-1) - 0.5 * dim * _LOG_2PI
+        return -0.5 * ops.reduce_sum(z * z, axis=-1) - 0.5 * dim * ad.LOG_2PI
 
     def grad(z, ops=_NP):
         return -z
@@ -210,7 +209,7 @@ def mog_grid() -> TargetModel:
     def _component_logs(z, ops):
         # (n, d) points -> (n, k) component log-densities
         diff = ops.reshape(z, (-1, 1, 2)) - centers
-        return -0.5 * ops.reduce_sum(diff * diff, axis=2) / var - _LOG_2PI - np.log(var)
+        return -0.5 * ops.reduce_sum(diff * diff, axis=2) / var - ad.LOG_2PI - np.log(var)
 
     def log_density(z, ops=_NP):
         return _logsumexp(_component_logs(z, ops), ops) - np.log(k)
@@ -252,9 +251,9 @@ def funnel(scale: float = 1.35) -> TargetModel:
 
     def log_density(z, ops=_NP):
         z1, z2 = _split(z, ops)
-        lp1 = -0.5 / (s1 * s1) * (z1 * z1) + (-np.log(s1) - 0.5 * _LOG_2PI)
+        lp1 = -0.5 / (s1 * s1) * (z1 * z1) + (-np.log(s1) - 0.5 * ad.LOG_2PI)
         e = ops.exp(-2.0 * z1)
-        lp2 = -0.5 * (z2 * z2 * e) + -z1 - 0.5 * _LOG_2PI
+        lp2 = -0.5 * (z2 * z2 * e) + -z1 - 0.5 * ad.LOG_2PI
         return ops.reshape(lp1 + lp2, (-1,))
 
     def grad(z, ops=_NP):

@@ -1,6 +1,9 @@
 import copy
+import inspect
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,8 @@ from steinmc.cli import (
     main,
     validate_config,
 )
-from steinmc import cli, kernels, refine, samplers, targets
-from steinmc.errors import ConfigError, FactorizationError
+from steinmc import cli, errors, kernels, refine, samplers, targets
+from steinmc.errors import ConfigError, DivergenceError, FactorizationError
 
 
 def moe_config(out_dir, samplers=None, step=0.1, iterations=200):
@@ -310,16 +313,24 @@ class TestRunCommand:
         assert len(rhat["repulsive_sgld"]) == 2 and all(r > 0 for r in rhat["repulsive_sgld"])
 
     def test_degenerate_noisy_chains_report_null_per_dimension(self, tmp_path):
-        # a noisy kind whose step is too small to move the particles keeps
-        # its per-dimension list, each entry null
-        entry = {"name": "repulsive_sgld", "particles": 3, "step_size": 1e-300}
-        cfg = {**moe_config(tmp_path / "out", samplers=[entry], iterations=40),
-               "target": GAUSS2, "collection": {"burn_in": 10, "thin": 1}}
-        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
-        payload = json.loads(
-            (tmp_path / "out" / "gaussian_repulsive_sgld_seed0.report.json").read_text()
-        )
-        assert payload["rhat"] == [None, None]
+        # a noisy kind whose R-hat cannot be estimated keeps its per-dimension
+        # list, each entry null: particles that a tiny step does not move, too
+        # few events (8 < 10, so the ESS is null too), or a single particle
+        rows = [  # (particles, step_size, iterations, ess is null)
+            (3, 1e-300, 40, True),
+            (3, 0.1, 18, True),
+            (1, 0.1, 40, False),
+        ]
+        for i, (particles, step, iterations, null_ess) in enumerate(rows):
+            entry = {"name": "repulsive_sgld", "particles": particles, "step_size": step}
+            out = tmp_path / f"out{i}"
+            cfg = {**moe_config(out, samplers=[entry], iterations=iterations),
+                   "target": GAUSS2, "collection": {"burn_in": 10, "thin": 1}}
+            assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+            payload = json.loads((out / "gaussian_repulsive_sgld_seed0.report.json").read_text())
+            assert payload["rhat"] == [None, None], i
+            assert (payload["ess"] is None) == null_ess, i
+            assert null_ess or payload["ess"] > 0, i
 
     def test_overflowing_moment_error_is_written_null(self, tmp_path):
         # a finite log-space position far out maps to an exp(y) whose square
@@ -877,6 +888,31 @@ def test_seed_flag_errors_read_like_config_seeds_errors(tmp_path, capsys, seeds)
     from_config = capsys.readouterr().err
     assert from_flag.replace("config error: seed", "config error: $.seeds") == from_config
     assert not (tmp_path / "out").exists()
+
+
+def test_every_library_error_exits_with_its_documented_code(monkeypatch, capsys):
+    # each SteinmcError subclass, with the phrase the README's "Exit codes"
+    # line gives it; a new subclass fails here until it has a code
+    instances = {
+        ConfigError: (ConfigError("bad value", field="step_size"), "config error"),
+        DivergenceError: (DivergenceError(iteration=3, particle=1), "divergence"),
+        FactorizationError: (FactorizationError([0.0, 1e-4]), "kernel factorization failure"),
+    }
+    defined = {
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.SteinmcError) and cls is not errors.SteinmcError
+    }
+    assert defined == set(instances)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = " ".join(readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0].split())
+    documented = {phrase.strip(): int(code) for code, phrase in re.findall(r"`(\d+)` ([a-z ]+)", line)}
+    for err, phrase in instances.values():
+        def fail(args, err=err):
+            raise err
+
+        monkeypatch.setattr(cli, "cmd_run", fail)
+        assert main(["run", "--config", "unread.json"]) == documented[phrase], phrase
+        assert str(err) in capsys.readouterr().err
 
 
 class TestProtocolConstants:

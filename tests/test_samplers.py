@@ -719,7 +719,7 @@ class TestRunner:
         for seed in range(5):
             res = samplers.run(spec, mixture_of_exponentials(), seed)
             stacked = np.stack([res.per_particle[:, e] for e in range(res.per_particle.shape[1])])
-            assert res.ess == samplers._pooled_ess(stacked), seed
+            assert res.ess == 10 * samplers.ess_multivariate(stacked.mean(axis=1)), seed
 
     def test_single_particle_reduction_through_runner(self):
         kwargs = dict(
