@@ -86,14 +86,29 @@ def dump_json(payload: dict) -> str:
 
 def csv_blocks(header: str, n_labels: int, row_blocks):
     """The text of every CSV artifact, as blocks: the schema line and
-    ``header``, then one block per iterable of rows in ``row_blocks``, one
-    line per row, its first ``n_labels`` fields as text and every other
-    field as a float with 17 significant digits."""
+    ``header``, then one block per ``(labels, values)`` pair in
+    ``row_blocks``, one line per row: the row's ``n_labels`` labels as text
+    (``%s``), then the row of the 2-D float array ``values``, each float as
+    ``%.17g``, 17 significant digits.  That is the one text rule; a block of
+    at least ``_G17_ARRAY_MIN_FLOATS`` floats is formatted by
+    :func:`steinmc._g17.g17_rows`, which gives the same bytes in one numpy
+    pass."""
     yield f"# schema_version={SCHEMA_VERSION}\n{header}\n"
     n_numbers = header.count(",") + 1 - n_labels
-    row_fmt = ",".join(["%s"] * n_labels + ["%.17g"] * n_numbers) + "\n"
-    for rows in row_blocks:
-        yield "".join([row_fmt % row for row in rows])
+    label_fmt = "%s," * n_labels
+    row_fmt = label_fmt + ",".join(["%.17g"] * n_numbers) + "\n"
+    for labels, values in row_blocks:
+        values = np.asarray(values, dtype=float)
+        if values.size < _G17_ARRAY_MIN_FLOATS:
+            yield "".join([row_fmt % (*lab, *row) for lab, row in zip(labels, values.tolist())])
+        else:  # loaded on first use: a command that never gets here does not compile it
+            from ._g17 import g17_rows
+            yield "".join([label_fmt % lab + row for lab, row in zip(labels, g17_rows(values))])
+
+
+# A block of this many floats or more is formatted by g17_rows, which
+# overtakes ``%`` between 250 and 400 floats on (L, d) trajectory events
+_G17_ARRAY_MIN_FLOATS = 500
 
 
 def config_hash(payload: dict) -> str:
@@ -280,8 +295,8 @@ def _trajectory_csv(per_particle: np.ndarray, policy: samplers.CollectionPolicy)
     dim = per_particle.shape[2]
     header = "iteration,particle," + ",".join(f"z{j+1}" for j in range(dim))
     events = (
-        ((policy.burn_in + (e + 1) * policy.thin, p, *coords)
-         for p, coords in enumerate(per_particle[:, e].tolist()))
+        ([(policy.burn_in + (e + 1) * policy.thin, p) for p in range(len(per_particle))],
+         per_particle[:, e])
         for e in range(per_particle.shape[1])
     )
     return csv_blocks(header, 2, events)
@@ -380,7 +395,8 @@ def cmd_bench_synthetic(args) -> int:
     out_dir = _resolve_out(args, None)
     seeds = _resolve_seeds(args, [0, 1, 2, 3, 4])
     rows = bench_rows(seeds, timing=args.timing, threads=args.threads)
-    write_blocks_atomic(out_dir / "bench_synthetic.csv", csv_blocks(BENCH_HEADER, 3, [rows]))
+    block = ([row[:3] for row in rows], [row[3:] for row in rows])
+    write_blocks_atomic(out_dir / "bench_synthetic.csv", csv_blocks(BENCH_HEADER, 3, [block]))
     print(f"wrote {out_dir / 'bench_synthetic.csv'}")
     return EXIT_OK
 
@@ -428,7 +444,7 @@ def cmd_vis_funnel(args) -> int:
 
     learned = {}
     for t, runs in by_t.items():
-        traces = ([(seed, i, loss) for i, loss in enumerate(result.loss_trace)]
+        traces = (([(seed, i) for i in range(len(result.loss_trace))], result.loss_trace[:, None])
                   for seed, result in runs)
         write_blocks_atomic(
             out_dir / f"vis_funnel_T{t}.csv", csv_blocks("seed,iteration,neg_elbo", 2, traces)

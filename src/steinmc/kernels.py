@@ -147,7 +147,7 @@ def rbf(z, cfg: KernelConfig, ops=ad.numpy_ops):
         # d/dz_i of sum_jl g_jl D_jl is 2 sum_l (g + g^T)_il (z_i - z_l)
         sq = ad.Node(sq, parents=((z, lambda g: 2.0 * kernel_drift(g + g.T, x)),))
     # D is exactly symmetric with a zero diagonal, so k is too
-    return ops.exp(-sq / h), h, degenerate
+    return ops.exp(sq / -h), h, degenerate
 
 
 def kernel_matrix(positions: np.ndarray, cfg: KernelConfig) -> KernelMatrix:

@@ -24,6 +24,7 @@ from steinmc.cli import (
     validate_config,
 )
 from steinmc import cli, errors, kernels, refine, samplers, targets
+from steinmc._g17 import g17_rows
 from steinmc.errors import ConfigError, DivergenceError, FactorizationError
 
 
@@ -743,6 +744,83 @@ class TestTrajectoryCsv:
                 coords = ",".join(format(v, ".17g") for v in per_particle[p, e])
                 lines.append(f"{100 + (e + 1) * 10},{p},{coords}")
         assert "".join(_trajectory_csv(per_particle, policy)) == "\n".join(lines) + "\n"
+
+    def test_bytes_equal_per_value_format_above_the_crossover(self):
+        """Ensemble-sized events take the numpy path; the (3, 4, 5) case above
+        takes ``%``: both write the per-value bytes."""
+        assert 3 * 5 < cli._G17_ARRAY_MIN_FLOATS <= 100 * 50
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, -2.2250738585072014e-308,
+                   1.0 / 3.0, -1e300, 1e16, 123456789.125, 0.1, 999999999999999.9, 1e15, 1e-4]
+        rng = np.random.default_rng(4)
+        n_scaled = 15_000 - len(special)
+        scaled = rng.normal(size=n_scaled) * 10.0 ** rng.integers(-8, 18, n_scaled)
+        mixed = rng.permutation(np.concatenate([special, scaled])).reshape(100, 3, 50)
+        # three events of every magnitude, then three of standard normal draws
+        per_particle = np.concatenate([mixed, rng.normal(size=(100, 3, 50))], axis=1)
+        policy = samplers.CollectionPolicy(burn_in=0, thin=1)
+        header = "iteration,particle," + ",".join(f"z{j + 1}" for j in range(50))
+        lines = ["# schema_version=1", header]
+        for e in range(6):
+            for p in range(100):
+                coords = ",".join(format(v, ".17g") for v in per_particle[p, e])
+                lines.append(f"{e + 1},{p},{coords}")
+        assert "".join(_trajectory_csv(per_particle, policy)) == "\n".join(lines) + "\n"
+
+
+def per_value_rows(block):
+    return [",".join(format(v, ".17g") for v in row) + "\n" for row in block.tolist()]
+
+
+class TestG17Rows:
+    """``g17_rows`` writes the bytes of ``format(v, ".17g")`` for every double."""
+
+    def check(self, values, width=10):
+        values = np.ravel(values).astype(float)
+        values = np.concatenate([values, np.zeros(-len(values) % width)]).reshape(-1, width)
+        assert g17_rows(values) == per_value_rows(values)
+
+    def test_within_three_ulps_of_powers_of_ten(self):
+        values = []
+        for k in range(-6, 18):
+            near = float(f"1e{k}")
+            for _ in range(3):
+                near = np.nextafter(near, -np.inf)
+            for _ in range(7):
+                values += [near, -near]
+                near = np.nextafter(near, np.inf)
+        self.check(values)
+
+    def test_halfway_ties(self):
+        """j * 2**-s with j odd and 18 significant digits ends in 5 at the 18th:
+        an exact tie at 17 digits, rounded half to even."""
+        rng = np.random.default_rng(0)
+        values = []
+        for s in range(3, 22):
+            low, high = 10.0 ** (17 - s) * 2**s, 10.0 ** (18 - s) * 2**s
+            j = rng.integers(int(low) + 1, int(high), 2_000) | 1
+            values.append(j * 2.0**-s * rng.choice([-1.0, 1.0], 2_000))
+        self.check(np.concatenate(values))
+
+    def test_special_values(self):
+        self.check([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, np.nan, -np.nan,
+                    np.inf, -np.inf, 1e300, -1e-300, 1.7976931348623157e308, 999999999999999.9,
+                    -999999999999999.9, 1e15, np.nextafter(1e15, 0), 1e-4, np.nextafter(1e-4, 0),
+                    1.0, -1.0, 10.0, 0.5, 123.0, 1e14, 0.001, 9.999999999999999e-5])
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, size=1_500_000, dtype=np.uint64)
+        # a third of them with a binary exponent in the numpy path's range, 2**-14 ... 2**50
+        bits[::3] &= ~np.uint64(0x7FF << 52)
+        bits[::3] |= rng.integers(1023 - 14, 1023 + 50, 500_000).astype(np.uint64) << np.uint64(52)
+        for chunk in np.split(bits.view(np.float64), 15):
+            self.check(chunk, width=50)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-2, 1.0, 1e3, 1e7, 1e11, 1e16])
+    def test_block_of_one_magnitude(self, scale):
+        """The integer words kept follow the block's largest value."""
+        rng = np.random.default_rng(1)
+        self.check(rng.normal(size=(7, 3)) * scale, width=3)
 
 
 class TestBenchCommand:
