@@ -100,11 +100,6 @@ class NonFiniteError(ValueError):
     """A tape operation produced inf or nan."""
 
 
-def _check_finite(value, op):
-    if not np.isfinite(value).all():
-        raise NonFiniteError(f"{op}: non-finite result")
-
-
 def _reduce_to(adjoint, shape):
     # undo numpy broadcasting during the reverse pass: sum away the leading
     # axes the operand lacked and the axes where it had size 1
@@ -165,9 +160,10 @@ def div(a, b) -> Node:
 
 def exp(a) -> Node:
     a = as_node(a)
-    with np.errstate(over="ignore"):  # overflow is reported by the check below
+    with np.errstate(over="ignore"):  # overflow is reported below
         val = np.exp(a.value)
-    _check_finite(val, "exp")
+    if not np.isfinite(val).all():
+        raise NonFiniteError("exp: non-finite result")
     return Node(val, parents=((a, lambda g: g * val),))
 
 

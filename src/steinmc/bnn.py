@@ -26,6 +26,7 @@ from .autodiff import LOG_2PI
 from .targets import TargetModel
 
 _PREDICT_BLOCK = 64  # particles per forward pass in predict; bounds its (block, h, B) tensor
+TRAIN_FRACTION = 0.9  # the share of rows in the training split; the rest are test rows
 
 
 @dataclass
@@ -56,7 +57,6 @@ class RegressionDataset:
 def load_arrays(
     features: np.ndarray,
     targets: np.ndarray,
-    split_fraction: float = 0.9,
     seed: int = 0,
     name: str = "dataset",
 ) -> RegressionDataset:
@@ -65,10 +65,10 @@ def load_arrays(
     features = np.asarray(features, dtype=float)
     table = np.hstack([features, np.asarray(targets, dtype=float).reshape(-1, 1)])
     columns = [*range(features.shape[1]), "target"]
-    return _split(table, -1, columns, 0, split_fraction, seed, name)
+    return _split(table, -1, columns, 0, seed, name)
 
 
-def _split(table, t_idx, columns, first_row, split_fraction, seed, name) -> RegressionDataset:
+def _split(table, t_idx, columns, first_row, seed, name) -> RegressionDataset:
     """Check a numeric table and split it at column ``t_idx``; errors name its
     columns by ``columns`` and number its rows from ``first_row``."""
     n = table.shape[0]
@@ -80,14 +80,12 @@ def _split(table, t_idx, columns, first_row, split_fraction, seed, name) -> Regr
         raise ValueError(
             f"non-finite cell at row {first_row + r}, column {columns[c]!r}: {table[r, c]}"
         )
-    if not 0.0 < split_fraction < 1.0:
-        raise ValueError("split_fraction must be in (0, 1)")
     targets = table[:, t_idx]
     features = np.delete(table, t_idx, axis=1)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_train = int(round(split_fraction * n))
+    n_train = int(round(TRAIN_FRACTION * n))
     train_idx, test_idx = order[:n_train], order[n_train:]
 
     x_train, x_test = features[train_idx], features[test_idx]
@@ -124,7 +122,6 @@ def _split(table, t_idx, columns, first_row, split_fraction, seed, name) -> Regr
 def load_csv(
     path,
     target_column: str,
-    split_fraction: float = 0.9,
     seed: int = 0,
 ) -> RegressionDataset:
     """Parse a numeric CSV with a header row into a standardized split; errors
@@ -154,7 +151,7 @@ def load_csv(
             rows.append(vals)
     table = np.array(rows, dtype=float).reshape(len(rows), len(header))
     name = os.path.splitext(os.path.basename(str(path)))[0]
-    return _split(table, header.index(target_column), header, 2, split_fraction, seed, name)
+    return _split(table, header.index(target_column), header, 2, seed, name)
 
 
 @dataclass

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bnn as bnn_mod
 from . import kernels, refine, samplers, targets
-from .errors import ConfigError, DivergenceError, FactorizationError
+from .errors import ConfigError, DivergenceError, FactorizationError, SteinmcError
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "STEINMC_OUT"
@@ -44,6 +44,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_FACTORIZATION = 4
+# each library error's exit code and the label that main prints its message under
+_ERROR_EXITS = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    DivergenceError: (EXIT_DIVERGENCE, "divergence"),
+    FactorizationError: (EXIT_FACTORIZATION, "factorization error"),
+}
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -111,9 +117,13 @@ def csv_blocks(header: str, n_labels: int, row_blocks):
 _G17_ARRAY_MIN_FLOATS = 500
 
 
+def _json_text(value) -> str:
+    """The one canonical JSON text of ``value``: keys sorted, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return hashlib.sha256(_json_text(payload).encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +199,6 @@ CONFIG_SCHEMA = {
 # the Python types json.load gives each JSON type; a bool (true, false) is none of them
 _JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,),
                "number": (int, float)}
-
-
-def _json_text(value) -> str:
-    return json.dumps(value, sort_keys=True)
 
 
 def _schema_errors(value, schema: dict, path: str):
@@ -419,8 +425,6 @@ def funnel_trace(steps_refine: int, seed: int):
         inner_sampler="sgld",
         log_eta=FUNNEL_INIT_LOG_ETA,
         steps_refine=steps_refine,
-        entropy_mode="dirac",
-        ad_mode="full",
     )
     return refine.optimize(
         rg,
@@ -599,19 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as err:
-        print(f"divergence: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except FactorizationError as err:
-        print(f"factorization error: {err}", file=sys.stderr)
-        return EXIT_FACTORIZATION
+    except SteinmcError as err:
+        code, label = _ERROR_EXITS[type(err)]
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ def ess(chain: np.ndarray) -> float:
     """Autocorrelation-discounted effective sample size of a scalar chain.
 
     Uses N / (1 + 2 sum rho_k) with the autocorrelation sum truncated at the
-    first non-positive estimate, clamped to [1, N].  nan for fewer than
-    ``MIN_DRAWS`` draws or a constant chain.
+    first non-positive estimate (a sum >= 0, so at most N), floored at 1.
+    nan for fewer than ``MIN_DRAWS`` draws or a constant chain.
     """
     chain = np.asarray(chain, dtype=float).ravel()
     n = chain.size
@@ -33,7 +33,7 @@ def ess(chain: np.ndarray) -> float:
             break
         acf_sum += rho
     value = n / (1.0 + 2.0 * acf_sum)
-    return float(min(max(value, 1.0), n))
+    return float(max(value, 1.0))
 
 
 def ess_multivariate(samples: np.ndarray) -> float:

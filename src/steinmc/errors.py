@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the two run-time rules
+that raise them, each stated once: :func:`check_step` and :func:`check_finite`."""
+
+import numpy as np
 
 
 class SteinmcError(Exception):
@@ -44,3 +47,17 @@ class ConfigError(SteinmcError, ValueError):
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)
+
+
+def check_step(eps: float, name: str = "eps") -> None:
+    """The step-size rule, checked before a step uses ``eps``."""
+    if not eps > 0:
+        raise ValueError(f"{name} must be > 0")
+
+
+def check_finite(positions: np.ndarray, iteration: int, snapshot=None) -> None:
+    """The divergence rule: a non-finite coordinate diverges ``iteration``.  One
+    pass checks the whole array; a row scan names the particle only if it fails."""
+    if not np.isfinite(positions).all():
+        bad = ~np.isfinite(positions).all(axis=1)
+        raise DivergenceError(iteration=iteration, particle=int(bad.argmax()), snapshot=snapshot)

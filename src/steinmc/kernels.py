@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, FactorizationError
+from .errors import ConfigError, FactorizationError, check_step
 
 # Diagonal jitters tried in turn until the kernel matrix factorizes.
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -194,8 +194,7 @@ def sample_repulsive_noise(
     factor C (K = C C^T) with L x d white noise, which gives each dimension
     covariance C C^T = K through the Kronecker structure K (x) I_d.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
+    check_step(eps)
     chol = _jittered_cholesky(kernel.entries)
     noise = chol @ rng.standard_normal(kernel.grad_terms.shape)
     noise *= np.sqrt(2.0 * eps / kernel.n_particles)

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels, samplers
-from .errors import ConfigError, DivergenceError
+from . import kernels
+from .errors import ConfigError, DivergenceError, check_finite, check_step
 from .kernels import KernelConfig
 from .targets import TargetModel, check_scores
 
@@ -177,8 +177,7 @@ def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
     is a fixed number of array nodes whatever m is; noise enters as
     constants, drawn in the same order on both backends.
     """
-    if not ops.value(eta) > 0:
-        raise ValueError("eta must be > 0")
+    check_step(ops.value(eta), "eta")
     wrap = ops.stop_gradient if rg.ad_mode == "fast" else (lambda x: x)
     m, d = ops.value(z).shape
     if rg.inner_sampler == "sgld":
@@ -200,7 +199,7 @@ def _refine(rg: RefinedGuide, target: TargetModel, z, eta, rng, ops) -> list:
             else:
                 delta = eta * (scores + _entropy_grad(k, z, h, ops))
         z = z + wrap(delta)
-        samplers._check_finite(ops.value(z), step + 1)
+        check_finite(ops.value(z), step + 1)
         path.append(z)
     return path
 

@@ -7,10 +7,13 @@ H = -log pi.  Every sampler moves its positions by the one update
     z <- z + eps * drift (+ noise),
 
 written once in :func:`_advance`; the samplers differ only in their drift
-and their noise.  Every step checks the finiteness of the scores in
-:func:`_scores` and of the new positions in :func:`_advance`, each by one
-pass over the whole array, with the per-row scan that names the diverged
-particle run only when that pass fails.  The interacting samplers take their
+and their noise.  Every step applies the two run-time rules of
+:mod:`steinmc.errors`: ``check_step`` rejects a step size that is not > 0
+before the step uses it (the noisy interacting steps leave it to
+:func:`kernels.sample_repulsive_noise`, whose draw is their first use of
+eps), and ``check_finite`` diverges the step on a non-finite score, in
+:func:`_scores`, or new position, in :func:`_advance`; :func:`run` applies
+it to the initial draw as iteration 0.  The interacting samplers take their
 drift from
 
     phi_i(v) = (1/L) [ sum_l K_il * v_l + repulsion_i ],
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import kernels
 from .diagnostics import ess_multivariate, gelman_rubin, moment_error
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, check_finite, check_step
 from .kernels import KernelConfig, KernelMatrix
 from .targets import TargetModel, check_scores
 
@@ -130,23 +133,13 @@ class CollectionPolicy:
 
 
 def _scores(target: TargetModel, ensemble: ParticleEnsemble) -> np.ndarray:
-    """All L scores in one call; a non-finite row diverges the coming step.
-
-    The DivergenceError names the iteration being computed and carries the
-    ensemble as its last all-finite snapshot.
-    """
+    """All L scores in one call; a non-finite row diverges the iteration being
+    computed, with the ensemble as its last all-finite snapshot."""
     positions = ensemble.positions
     out = np.asarray(target.grad_log_density(positions), dtype=float)
     check_scores(target, out, positions.shape)
-    _check_finite(out, ensemble.step_index + 1, snapshot=positions)
+    check_finite(out, ensemble.step_index + 1, snapshot=positions)
     return out
-
-
-def _check_finite(positions: np.ndarray, iteration: int, snapshot=None):
-    # one pass over the whole array; the row scan runs only to name the particle
-    if not np.isfinite(positions).all():
-        bad = ~np.isfinite(positions).all(axis=1)
-        raise DivergenceError(iteration=iteration, particle=int(bad.argmax()), snapshot=snapshot)
 
 
 def _interaction_drift(v: np.ndarray, km: KernelMatrix) -> np.ndarray:
@@ -155,12 +148,6 @@ def _interaction_drift(v: np.ndarray, km: KernelMatrix) -> np.ndarray:
     drift += km.grad_terms
     drift /= km.n_particles
     return drift
-
-
-def _check_eps(eps: float) -> None:
-    """The step-size rule of every step function, checked before eps is used."""
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
 
 
 def _advance(
@@ -175,7 +162,7 @@ def _advance(
     new = z + eps * drift
     if noise is not None:
         new += noise
-    _check_finite(new, ensemble.step_index + 1, snapshot=z)
+    check_finite(new, ensemble.step_index + 1, snapshot=z)
     return ParticleEnsemble(new, ensemble.step_index + 1)
 
 
@@ -183,7 +170,7 @@ def sgld_step(
     ensemble: ParticleEnsemble, target: TargetModel, eps: float, rng: np.random.Generator
 ) -> ParticleEnsemble:
     """Langevin step per particle: z + eps * score + N(0, 2 eps I); no interaction."""
-    _check_eps(eps)
+    check_step(eps)
     scores = _scores(target, ensemble)
     noise = rng.standard_normal(ensemble.positions.shape)
     noise *= np.sqrt(2.0 * eps)
@@ -206,7 +193,7 @@ def svgd_step(
     ensemble: ParticleEnsemble, target: TargetModel, km: KernelMatrix, eps: float
 ) -> ParticleEnsemble:
     """Deterministic interacting step (no noise)."""
-    _check_eps(eps)
+    check_step(eps)
     return _advance(ensemble, -svgd_direction(ensemble, target, km), eps)
 
 
@@ -222,7 +209,6 @@ def repulsive_sgld_step(
     With a single particle the kernel collapses to 1 and the update law is
     bitwise identical to :func:`sgld_step`.
     """
-    _check_eps(eps)
     drift = _interaction_drift(_scores(target, ensemble), km)
     noise = kernels.sample_repulsive_noise(km, eps, rng)
     return _advance(ensemble, drift, eps, noise)
@@ -252,7 +238,7 @@ def repulsive_sgdm_step(
     `position_noise` adds the kernel-correlated noise used by the Langevin
     variant.
     """
-    _check_eps(eps)
+    check_step(eps)
     m = momentum.momenta
     if m.shape != ensemble.positions.shape:
         raise ValueError("momentum state shape must match ensemble")
@@ -285,7 +271,6 @@ def repulsive_adam_step(
         v <- beta2 v + (1 - beta2) grad_H^2
         z_i <- z_i - (eps/L) sum_l [ K_il m_l/sqrt(v_l + c) - repulsion_il ] + noise_i
     """
-    _check_eps(eps)
     m = momentum.momenta
     v = momentum.second_moments
     if v is None:
@@ -327,37 +312,35 @@ class RunResult:
         return self.ess / self.wall_clock if self.wall_clock > 0 else 0.0
 
 
-# The step table: kind -> (interacting, momentum initializer or None, one
-# step).  An initializer maps (rng, zero-momentum state) to the kind's
-# initial state.  A step maps (ensemble, momentum, target, km, eps, rng) to
-# (ensemble, momentum), where km is the kernel that :func:`run` built for
-# this step (None for a kind that does not interact).  It looks its update
-# rule up in this module's globals at call time, so a wrapper installed on,
-# say, ``samplers.sgld_step`` sees every runner step.
+# The step table: kind -> (interacting, noisy, momentum initializer or None,
+# one step).  A kind that is not noisy draws no noise as run drives it, so its
+# particles are no chains and no R-hat is reported for them.  An initializer
+# maps (rng, zero-momentum state) to the kind's initial state.  A step maps
+# (ensemble, momentum, target, km, eps, rng) to (ensemble, momentum), where km
+# is the kernel that :func:`run` built for this step (None for a kind that
+# does not interact).  It looks its update rule up in this module's globals
+# at call time, so a wrapper installed on, say, ``samplers.sgld_step`` sees
+# every runner step.
 _KINDS = {
-    "sgld": (False, None, lambda e, m, t, km, eps, rng: (sgld_step(e, t, eps, rng), m)),
-    "svgd": (True, None, lambda e, m, t, km, eps, rng: (svgd_step(e, t, km, eps), m)),
+    "sgld": (False, True, None, lambda e, m, t, km, eps, rng: (sgld_step(e, t, eps, rng), m)),
+    "svgd": (True, False, None, lambda e, m, t, km, eps, rng: (svgd_step(e, t, km, eps), m)),
     "repulsive_sgld": (
-        True,
-        None,
+        True, True, None,
         lambda e, m, t, km, eps, rng: (repulsive_sgld_step(e, t, km, eps, rng), m),
     ),
     "repulsive_sgdm": (
-        True,
+        True, False,
         # momenta start from their standard-Gaussian stationary law
         lambda rng, m: replace(m, momenta=rng.standard_normal(m.momenta.shape)),
         lambda e, m, t, km, eps, rng: repulsive_sgdm_step(e, m, t, km, eps, rng),
     ),
     "repulsive_adam": (
-        True,
+        True, True,
         lambda rng, m: replace(m, second_moments=np.zeros_like(m.momenta)),
         lambda e, m, t, km, eps, rng: repulsive_adam_step(e, m, t, km, eps, rng),
     ),
 }
 SAMPLER_KINDS = tuple(_KINDS)
-# Kinds whose update, as run drives it, draws no noise: their particles are
-# no chains, so no R-hat is reported for them.
-_NOISELESS_KINDS = ("svgd", "repulsive_sgdm")
 
 
 @dataclass(frozen=True)
@@ -391,6 +374,8 @@ class RunSpec:
         std = np.asarray(self.init_std, dtype=float)
         if not ((std >= 0) & (std < math.inf)).all():
             raise ConfigError("must be finite and >= 0", field="init.std")
+        if not self.schedule.eps(self.iterations - 1) > 0:  # eps_t never increases
+            raise ConfigError("decays to 0 within the run's iterations", field="step_size")
 
     @property
     def n_events(self) -> int:
@@ -418,17 +403,17 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     mean, std = spec.initial(dim)
     momentum = MomentumState(np.zeros((n_particles, dim)))
     rng = np.random.default_rng(seed)
-    ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))
-
-    interacting, init_momentum, step = _KINDS[spec.kind]
-    if init_momentum is not None:
-        momentum = init_momentum(rng, momentum)
-
+    interacting, noisy, init_momentum, step = _KINDS[spec.kind]
     draws = np.empty((n_particles, spec.n_events, dim))  # chain-major
     event = 0
-    start = time.perf_counter()
-    # each step checks finiteness; a statistic that overflows is reported non-finite
+    # the initial draw, as iteration 0, and each step check finiteness; a
+    # statistic that overflows is reported non-finite
     with np.errstate(over="ignore", invalid="ignore"):
+        ensemble = ParticleEnsemble(mean + std * rng.standard_normal((n_particles, dim)))
+        check_finite(ensemble.positions, 0)
+        if init_momentum is not None:
+            momentum = init_momentum(rng, momentum)
+        start = time.perf_counter()
         for t in range(spec.iterations):
             eps = spec.schedule.eps(t)
             if target.resample_batch is not None:
@@ -457,7 +442,7 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
         # strided one in sequence, which rounds differently
         mean_series = np.ascontiguousarray(per_particle.transpose(1, 0, 2)).mean(axis=1)
         pooled_ess = n_particles * ess_multivariate(mean_series)
-        rhat = None if spec.kind in _NOISELESS_KINDS else gelman_rubin(per_particle)
+        rhat = gelman_rubin(per_particle) if noisy else None
 
     return RunResult(
         samples=pooled, per_particle=per_particle, final=ensemble,

@@ -339,12 +339,12 @@ class TestCriterion11BnnProtocol:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(500, 4))
         y = x @ rng.normal(size=4) + 0.1 * rng.standard_normal(500)
-        return bnn.load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
+        return bnn.load_arrays(x, y, seed=0, name="linear")
 
     def _public_dataset(self):
         sklearn_datasets = pytest.importorskip("sklearn.datasets")
         d = sklearn_datasets.load_diabetes()
-        return bnn.load_arrays(d.data, d.target, split_fraction=0.9, seed=0,
+        return bnn.load_arrays(d.data, d.target, seed=0,
                                name="diabetes")
 
     def _assert_finite_protocol(self, ds):

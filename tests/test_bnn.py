@@ -21,14 +21,14 @@ def linear_data(n=500, p=4, noise=0.1, seed=0):
 class TestDataset:
     def test_training_columns_standardized(self):
         x, y = linear_data(n=200)
-        ds = load_arrays(x, y, split_fraction=0.9, seed=0)
+        ds = load_arrays(x, y, seed=0)
         np.testing.assert_allclose(ds.features_train.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(ds.features_train.std(axis=0), 1.0, rtol=1e-12)
         assert abs(ds.targets_train.mean()) < 1e-12
 
     def test_split_sizes(self):
         x, y = linear_data(n=100)
-        ds = load_arrays(x, y, split_fraction=0.9, seed=0)
+        ds = load_arrays(x, y, seed=0)
         assert ds.n_train == 90
         assert ds.features_test.shape[0] == 10
 
@@ -80,12 +80,6 @@ class TestDataset:
         x, y = linear_data(n=10)
         with pytest.raises(ValueError):
             load_arrays(x, y)
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.0])
-    def test_split_fraction_inside_unit_interval(self, fraction):
-        x, y = linear_data(n=30)
-        with pytest.raises(ValueError, match=r"split_fraction must be in \(0, 1\)"):
-            load_arrays(x, y, split_fraction=fraction)
 
 
 def write_table(path, rows, header="a,b,y"):
@@ -513,7 +507,7 @@ class TestEvaluate:
         # generate-and-fit oracle: a sampled ensemble must track a noiseless
         # linear map to within a small multiple of the injected noise
         x, y = linear_data(n=500, p=4, noise=0.1, seed=0)
-        ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
+        ds = load_arrays(x, y, seed=0, name="linear")
         short = {**cli.BNN_PROTOCOL, "iterations": 800, "burn_in": 400}
         monkeypatch.setattr(cli, "BNN_PROTOCOL", short)
         report = cli.bnn_report(ds, "sgld", seed=0)
@@ -528,7 +522,7 @@ class TestBnnReport:
         # above the protocol's 1e-4, blows the network weights up within a
         # few iterations; the first non-finite value is a score
         x, y = linear_data()
-        ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
+        ds = load_arrays(x, y, seed=0, name="linear")
         protocol = {"step_scale": 45.0, "iterations": 50, "burn_in": 10}
         monkeypatch.setattr(cli, "BNN_PROTOCOL", {**cli.BNN_PROTOCOL, **protocol})
         with pytest.raises(DivergenceError) as exc:
@@ -543,7 +537,7 @@ class TestBnnReport:
         # step diverges within ten iterations at 1,000 rows, step_scale / N
         # does not
         x, y = linear_data(n=1000)
-        ds = load_arrays(x, y, split_fraction=0.9, seed=0, name="linear")
+        ds = load_arrays(x, y, seed=0, name="linear")
         short = {**cli.BNN_PROTOCOL, "iterations": 100, "burn_in": 50}
         monkeypatch.setattr(cli, "BNN_PROTOCOL", short)
         report = cli.bnn_report(ds, sampler, seed=0)

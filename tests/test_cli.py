@@ -993,6 +993,42 @@ def test_every_library_error_exits_with_its_documented_code(monkeypatch, capsys)
         assert str(err) in capsys.readouterr().err
 
 
+def gauss1_config(out_dir, sampler, init=None):
+    cfg = {
+        "schema_version": 1, "target": {"name": "gaussian", "params": {"dim": 1}},
+        "samplers": [sampler], "iterations": 20, "collection": {"burn_in": 0, "thin": 1},
+        "seeds": [0], "output_dir": str(out_dir),
+    }
+    return {**cfg, "init": init} if init else cfg
+
+
+@pytest.mark.parametrize(
+    "sampler, init, code, message",
+    [
+        # eps_t = 5e-324 * (1 + t)^-0.55 underflows to 0 long before t = 19
+        ({"name": "sgld", "particles": 2, "step_size": 5e-324, "schedule": "robbins_monro"},
+         None, EXIT_CONFIG, "config error: samplers[0].step_size: "),
+        *[({"name": kind, "particles": 50}, {"std": 1e308}, EXIT_DIVERGENCE, "divergence: ")
+          for kind in samplers.SAMPLER_KINDS],
+    ],
+    ids=["decaying_step", *[f"overflowing_init_{kind}" for kind in samplers.SAMPLER_KINDS]],
+)
+def test_valid_schema_never_ends_in_a_traceback(tmp_path, capsys, sampler, init, code, message):
+    # each config passes the schema; the step that decays to 0 is rejected
+    # before any job starts, and an initial draw that overflows diverges at
+    # iteration 0 for every kind, before any kernel is built from it
+    out = tmp_path / "out"
+    path = write_config(tmp_path, gauss1_config(out, sampler, init))
+    assert main(["run", "--config", path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    if code == EXIT_DIVERGENCE:
+        assert err.rstrip().endswith("at iteration 0")
+        assert list(out.iterdir()) == []  # a failed run publishes nothing
+    else:
+        assert not out.exists()
+
+
 class TestProtocolConstants:
     """perfbench/workloads.py shortens its runs by replacing these module
     constants, so each command must read them when it runs, not when the

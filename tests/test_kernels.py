@@ -336,7 +336,7 @@ class TestRepulsiveNoise:
 
     def test_eps_must_be_positive(self):
         km = kernel_matrix(np.zeros((1, 1)), FIXED)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eps must be > 0"):
             sample_repulsive_noise(km, 0.0, np.random.default_rng(0))
 
     def test_factorization_failure_reports_jitter_ladder(self):

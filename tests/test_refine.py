@@ -439,7 +439,7 @@ class TestFlowStep:
         assert np.max(np.abs(residual)) < 1e-3
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eta must be > 0"):
             flow_steps(np.zeros((2, 1)), GAUSS2, 1, eta=0.0)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from steinmc import kernels, samplers
-from steinmc.errors import ConfigError, DivergenceError
+from steinmc.errors import ConfigError, DivergenceError, check_finite
 from steinmc.kernels import KernelConfig
 from steinmc.samplers import (
     CollectionPolicy,
@@ -537,7 +537,7 @@ class TestFiniteCheck:
         # rows whose sums overflow are still finite entry by entry
         x = np.full((4, 3), np.finfo(float).max)
         x[2] = -x[2]
-        samplers._check_finite(x, 1)
+        check_finite(x, 1)
 
     @given(
         hnp.arrays(
@@ -554,10 +554,10 @@ class TestFiniteCheck:
         expected = first_bad_row(x)
         snapshot = np.zeros_like(x)
         if expected is None:
-            samplers._check_finite(x, 9, snapshot=snapshot)
+            check_finite(x, 9, snapshot=snapshot)
             return
         with pytest.raises(DivergenceError) as exc:
-            samplers._check_finite(x, 9, snapshot=snapshot)
+            check_finite(x, 9, snapshot=snapshot)
         assert exc.value.particle == expected
         assert exc.value.iteration == 9
         assert exc.value.snapshot is snapshot
@@ -649,9 +649,12 @@ class TestRunner:
             ({"init_mean": np.nan}, "init.mean", "must be finite"),
             ({"init_std": -1.0}, "init.std", "must be finite and >= 0"),
             ({"kind": "mala"}, "sampler", "unknown sampler kind 'mala'"),
+            # eps_t never increases, so the last iteration's step decides
+            ({"schedule": StepSchedule("robbins_monro", eps0=5e-324)}, "step_size",
+             "decays to 0 within the run's iterations"),
         ],
         ids=["particles", "iterations", "init_mean_size", "init_std_size", "init_mean_nan",
-             "init_std", "kind"],
+             "init_std", "kind", "decaying_step"],
     )
     def test_spec_raises_what_run_raised(self, bad, field, message, monkeypatch):
         # the field and message run gave when it took these as keywords;
