@@ -14,8 +14,11 @@ Elementwise operations broadcast like numpy; the reverse pass sums each
 adjoint back to its operand's shape.  With ``reduce_sum`` along an axis,
 ``matmul`` and ``reshape``, a whole (n, d) particle batch is a single node,
 so an unrolled sampler step costs a fixed number of nodes whatever n is.
-Noise drawn inside a differentiated update is recorded as a constant, so
-step-size gradients flow only through the explicit step-size factors.
+A plain number or array operand of ``add``, ``mul``, ``div`` or ``matmul``
+is read as an array and gets no node; a value made a node with
+:func:`constant` stays one, with ``grad`` left ``None``.  Noise drawn inside
+a differentiated update is recorded that way, so step-size gradients flow
+only through the explicit step-size factors.
 
 Code that must run both taped and untaped (target densities and scores, the
 refinement loop) is written against an ``ops`` namespace: this module is the
@@ -115,27 +118,21 @@ def _reduce_to(adjoint, shape):
 
 
 def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    out = Node(
-        a.value + b.value,
-        parents=(
-            (a, lambda g: _reduce_to(g, a.value.shape)),
-            (b, lambda g: _reduce_to(g, b.value.shape)),
-        ),
-    )
-    return out
+    av = a.value if isinstance(a, Node) else np.asarray(a, dtype=float)
+    bv = b.value if isinstance(b, Node) else np.asarray(b, dtype=float)
+    parents = ((a, lambda g: _reduce_to(g, av.shape)),) if isinstance(a, Node) else ()
+    if isinstance(b, Node):
+        parents += ((b, lambda g: _reduce_to(g, bv.shape)),)
+    return Node(av + bv, parents)
 
 
 def mul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    out = Node(
-        a.value * b.value,
-        parents=(
-            (a, lambda g: _reduce_to(g * b.value, a.value.shape)),
-            (b, lambda g: _reduce_to(g * a.value, b.value.shape)),
-        ),
-    )
-    return out
+    av = a.value if isinstance(a, Node) else np.asarray(a, dtype=float)
+    bv = b.value if isinstance(b, Node) else np.asarray(b, dtype=float)
+    parents = ((a, lambda g: _reduce_to(g * bv, av.shape)),) if isinstance(a, Node) else ()
+    if isinstance(b, Node):
+        parents += ((b, lambda g: _reduce_to(g * av, bv.shape)),)
+    return Node(av * bv, parents)
 
 
 def neg(a) -> Node:
@@ -144,18 +141,14 @@ def neg(a) -> Node:
 
 
 def div(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    if (b.value == 0).any():
+    av = a.value if isinstance(a, Node) else np.asarray(a, dtype=float)
+    bv = b.value if isinstance(b, Node) else np.asarray(b, dtype=float)
+    if (bv == 0).any():
         raise ValueError("div: division by zero")
-    out_val = a.value / b.value
-    out = Node(
-        out_val,
-        parents=(
-            (a, lambda g: _reduce_to(g / b.value, a.value.shape)),
-            (b, lambda g: _reduce_to(-g * a.value / (b.value * b.value), b.value.shape)),
-        ),
-    )
-    return out
+    parents = ((a, lambda g: _reduce_to(g / bv, av.shape)),) if isinstance(a, Node) else ()
+    if isinstance(b, Node):
+        parents += ((b, lambda g: _reduce_to(-g * av / (bv * bv), bv.shape)),)
+    return Node(av / bv, parents)
 
 
 def exp(a) -> Node:
@@ -198,13 +191,14 @@ def reduce_sum(a, axis=None) -> Node:
 
 def matmul(a, b) -> Node:
     """Product of two matrices."""
-    a, b = as_node(a), as_node(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
+    av = a.value if isinstance(a, Node) else np.asarray(a, dtype=float)
+    bv = b.value if isinstance(b, Node) else np.asarray(b, dtype=float)
+    if av.ndim != 2 or bv.ndim != 2:
         raise ValueError("matmul expects two matrices")
-    return Node(
-        a.value @ b.value,
-        parents=((a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)),
-    )
+    parents = ((a, lambda g: g @ bv.T),) if isinstance(a, Node) else ()
+    if isinstance(b, Node):
+        parents += ((b, lambda g: av.T @ g),)
+    return Node(av @ bv, parents)
 
 
 def reshape(a, shape) -> Node:
@@ -284,19 +278,19 @@ def backward(output: Node) -> None:
 def _topological_order(output: Node) -> list[Node]:
     """Live nodes reachable from ``output`` (and ``output``), DFS post-order."""
     order: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(output, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for parent, _ in node.parents:
-            if parent.live and id(parent) not in seen:
+            if parent.live and parent not in seen:
                 stack.append((parent, False))
     return order
 

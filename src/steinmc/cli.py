@@ -48,7 +48,7 @@ EXIT_FACTORIZATION = 4
 _ERROR_EXITS = {
     ConfigError: (EXIT_CONFIG, "config error"),
     DivergenceError: (EXIT_DIVERGENCE, "divergence"),
-    FactorizationError: (EXIT_FACTORIZATION, "factorization error"),
+    FactorizationError: (EXIT_FACTORIZATION, "kernel factorization failure"),
 }
 
 
@@ -376,6 +376,8 @@ BENCH_POLICY = {"burn_in": 500, "thin": 10}
 
 
 def bench_rows(seeds, timing: str = "off", threads: int = 1):
+    # building a target runs its gradient audit; every job shares one per distribution
+    built = {dist: targets.make_target(dist) for dist in BENCH_PROTOCOL}
     jobs = []
     for dist, proto in BENCH_PROTOCOL.items():
         for kind in ("sgld", "repulsive_sgld"):
@@ -389,7 +391,7 @@ def bench_rows(seeds, timing: str = "off", threads: int = 1):
             kind, proto["particles"], BENCH_ITERATIONS, samplers.StepSchedule(eps0=eps),
             samplers.CollectionPolicy(**BENCH_POLICY), init_std=proto["init_std"],
         )
-        result = _sample(spec, targets.make_target(dist), seed, timing)
+        result = _sample(spec, built[dist], seed, timing)
         errs = dict(result.moment_errors)
         row = (dist, kind, seed, result.ess, result.ess_per_second)
         return (*row, errs["mean"], errs["second_moment"])
@@ -418,8 +420,7 @@ FUNNEL_LEARNING_RATE = 0.08
 FUNNEL_INIT_LOG_ETA = float(np.log(0.05))
 
 
-def funnel_trace(steps_refine: int, seed: int):
-    target = targets.funnel()
+def funnel_trace(steps_refine: int, seed: int, target: targets.TargetModel):
     rg = refine.RefinedGuide(
         guide=refine.DiagonalGaussianGuide(np.zeros(2), np.zeros(2)),
         inner_sampler="sgld",
@@ -440,8 +441,9 @@ def cmd_vis_funnel(args) -> int:
     out_dir = _resolve_out(args, None)
     seeds = _resolve_seeds(args, list(range(10)))
 
+    target = targets.funnel()  # one gradient audit; the stateless target is shared by every job
     jobs = [(t, seed) for t in (0, 1, 2) for seed in seeds]
-    results = _map_jobs(lambda ts: (ts, funnel_trace(*ts)), jobs, args.threads)
+    results = _map_jobs(lambda ts: (ts, funnel_trace(*ts, target)), jobs, args.threads)
     by_t: dict[int, list] = {0: [], 1: [], 2: []}
     for (t, seed), result in results:
         by_t[t].append((seed, result))

@@ -264,9 +264,10 @@ class TestCriterion07AutodiffGradcheck:
 class TestCriterion08FunnelRefinement:
     def test_refined_training_gap(self):
         finals = {0: [], 1: []}
+        target = targets.funnel()
         for steps in (0, 1):
             for seed in range(10):
-                result = cli.funnel_trace(steps, seed)
+                result = cli.funnel_trace(steps, seed, target)
                 assert len(result.loss_trace) == 50
                 finals[steps].append(result.loss_trace[-1])
         gap = float(np.median(finals[0]) - np.median(finals[1]))

@@ -554,3 +554,46 @@ class TestGradientContract:
         out = ad.reduce_sum(product)
         assert x.live and not c.live and not derived.live and out.live
         assert ad._topological_order(out) == [x, product, out]
+
+
+# a plain operand (Python float, 0-d array, broadcast array) of each binary
+# op, on either side of a (3, 2) node; matmul takes a matrix or a nested list
+ELEMENTWISE_PLAIN = [1.5, np.array(-0.75), np.array([[0.5, -2.0]])]
+PLAIN_CASES = [
+    *[(op, plain, side) for op in ("add", "mul", "div") for plain in ELEMENTWISE_PLAIN
+      for side in ("left", "right")],
+    ("matmul", np.array([[0.5], [-2.0]]), "left"),  # (3, 2) @ (2, 1)
+    ("matmul", [[0.25, -1.0, 3.0]], "right"),  # (1, 3) @ (3, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "op, plain, node_side",
+    PLAIN_CASES,
+    ids=[f"{op}-{type(plain).__name__}{np.shape(plain)}-node_{side}"
+         for op, plain, side in PLAIN_CASES],
+)
+class TestPlainOperands:
+    """A plain operand is read as an array and gets no node of its own."""
+
+    @staticmethod
+    def apply(op, node, operand, node_side):
+        fn = getattr(ad, op)
+        return fn(node, operand) if node_side == "left" else fn(operand, node)
+
+    def test_only_the_node_operand_is_a_parent(self, op, plain, node_side):
+        x = ad.leaf(np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]]))
+        out = self.apply(op, x, plain, node_side)
+        assert [parent for parent, _ in out.parents] == [x]
+
+    def test_value_and_gradient_equal_the_wrapped_constant(self, op, plain, node_side):
+        values = np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]])
+        results = []
+        for operand in (plain, ad.constant(plain)):
+            x = ad.leaf(values)
+            out = self.apply(op, x, operand, node_side)
+            ad.backward(ad.reduce_sum(ad.mul(out, out)))
+            results.append((out.value, x.grad))
+        (plain_value, plain_grad), (wrapped_value, wrapped_grad) = results
+        assert_bitwise_equal(wrapped_value, plain_value)
+        assert_bitwise_equal(wrapped_grad, plain_grad)

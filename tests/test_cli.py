@@ -395,6 +395,31 @@ class TestRunCommand:
             path_b = tmp_path / "b" / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, protocol, builder, targets_per_call",
+        [
+            ("vis-funnel", {"FUNNEL_OUTER_ITERATIONS": 3, "FUNNEL_SAMPLES": 4}, "funnel", 1),
+            ("bench-synthetic",
+             {"BENCH_ITERATIONS": 120, "BENCH_POLICY": {"burn_in": 20, "thin": 1}},
+             "make_target", 2),
+        ],
+    )
+    def test_threads_do_not_change_shared_target_commands(
+        self, tmp_path, monkeypatch, command, protocol, builder, targets_per_call
+    ):
+        # each call builds its targets once, before its jobs, which share them
+        for name, value in protocol.items():
+            monkeypatch.setattr(cli, name, value)
+        built = record_calls(monkeypatch, targets, builder)
+        for threads in ("1", "2"):
+            out = str(tmp_path / threads)
+            assert main([command, "--out", out, "--seed", "0,1", "--threads", threads]) == EXIT_OK
+        assert len(built) == 2 * targets_per_call
+        names = sorted(path.name for path in (tmp_path / "1").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("bad_first", [False, True], ids=["good_then_bad", "bad_then_good"])
     def test_failing_run_publishes_nothing(self, tmp_path, threads, bad_first):
@@ -990,7 +1015,7 @@ def test_every_library_error_exits_with_its_documented_code(monkeypatch, capsys)
 
         monkeypatch.setattr(cli, "cmd_run", fail)
         assert main(["run", "--config", "unread.json"]) == documented[phrase], phrase
-        assert str(err) in capsys.readouterr().err
+        assert capsys.readouterr().err == f"{phrase}: {err}\n"
 
 
 def gauss1_config(out_dir, sampler, init=None):

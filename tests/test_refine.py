@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steinmc import autodiff as ad
-from steinmc import bnn, kernels, refine, targets
+from steinmc import bnn, cli, kernels, refine, targets
 from steinmc.errors import ConfigError, DivergenceError
 from steinmc.kernels import KernelConfig
 from steinmc.refine import (
@@ -201,6 +201,31 @@ class TestBatchedTape:
             tapes = [elbo(rg, target, n, np.random.default_rng(0)) for n in (4, 64)]
             counts = [len(ad._topological_order(tape.objective)) for tape in tapes]
             assert counts[0] == counts[1], target.name
+
+    def test_funnel_bound_holds_no_constant_but_its_draws(self, monkeypatch):
+        # the T = 2 bound with the vis-funnel guide: the plain floats and the
+        # target's fixed arrays get no node, so the only parentless nodes are
+        # the parameter leaves, xi and one noise draw per step
+        guides = []
+        monkeypatch.setattr(refine, "optimize", lambda rg, *args, **kwargs: guides.append(rg))
+        cli.funnel_trace(2, 0, FUNNEL)
+        [rg] = guides
+        n = cli.FUNNEL_SAMPLES
+        tape = elbo(rg, FUNNEL, n, np.random.default_rng(5))
+        reached, stack = set(), [tape.objective]
+        while stack:
+            node = stack.pop()
+            if node not in reached:
+                reached.add(node)
+                stack.extend(parent for parent, _ in node.parents)
+        leaves = {tape.mean, tape.log_scale, tape.log_eta}
+        parentless = {node for node in reached if not node.parents}
+        assert leaves <= parentless
+        rng = np.random.default_rng(5)
+        draws = [rng.standard_normal((n, 2)) for _ in range(1 + rg.steps_refine)]
+        assert sorted(node.value.tobytes() for node in parentless - leaves) == sorted(
+            draw.tobytes() for draw in draws
+        )
 
     def test_tape_score_shape_mismatch_names_target(self):
         summed = dataclasses.replace(
