@@ -2,11 +2,11 @@
 
 Each kind of :data:`steinmc.samplers.SAMPLER_KINDS` samples N(0, s^2 I_2)
 for s^2 in {0.25, 1, 4} with L = 20 particles started at N(0, s^2 I_2),
-20,000 iterations, burn-in 4,000 and thin 4, on seeds 0-4.  The step gives
-every kind a per-particle step of 0.01 s^2: eps = 0.01 s^2 for sgld and
-0.01 s^2 L for the interacting kinds, whose drift carries a 1/L.  A sampler
-that leaves its target stationary draws a pooled variance of s^2, so each
-cell shows the min-max over seeds of
+20,000 iterations, burn-in 4,000 and thin 4, on seeds 0-4.  Every kind gets
+a per-particle step of 0.01 s^2 through :func:`steinmc.samplers.scaled_step`:
+eps = 0.01 s^2 for sgld and 0.01 s^2 L for the interacting kinds, whose drift
+and noise carry a 1/L.  A sampler that leaves its target stationary draws
+a pooled variance of s^2, so each cell shows the min-max over seeds of
 
   pooled sample variance (mean over coordinates) / s^2,
 
@@ -62,7 +62,7 @@ def report(variances=VARIANCES, seeds=SEEDS, particles=PARTICLES, iterations=ITE
     for kind in samplers.SAMPLER_KINDS:
         cells = []
         for var in variances:
-            eps = 0.01 * var * (1 if kind == "sgld" else particles)
+            eps = samplers.scaled_step(kind, 0.01 * var, particles)
             spec = samplers.RunSpec(kind, particles, iterations,
                                     samplers.StepSchedule(eps0=eps), policy,
                                     init_std=float(np.sqrt(var)))

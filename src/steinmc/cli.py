@@ -295,15 +295,14 @@ def _sample(spec: samplers.RunSpec, target, seed: int, timing: str) -> samplers.
     return result
 
 
-def _trajectory_csv(per_particle: np.ndarray, policy: samplers.CollectionPolicy):
-    """CSV text of an (L, events, d) trajectory, one row per event and particle,
-    yielded as the header block and then one block per collection event."""
+def _trajectory_csv(per_particle: np.ndarray, iterations: range):
+    """CSV text of an (L, events, d) trajectory kept at `iterations`, one row per
+    event and particle: the header block, then one block per collection event."""
     dim = per_particle.shape[2]
     header = "iteration,particle," + ",".join(f"z{j+1}" for j in range(dim))
     events = (
-        ([(policy.burn_in + (e + 1) * policy.thin, p) for p in range(len(per_particle))],
-         per_particle[:, e])
-        for e in range(per_particle.shape[1])
+        ([(it, p) for p in range(len(per_particle))], per_particle[:, e])
+        for e, it in enumerate(iterations)
     )
     return csv_blocks(header, 2, events)
 
@@ -343,9 +342,8 @@ def cmd_run(args) -> int:
         }
         stem = f"{tname}_{spec.kind}_seed{seed}"
         write_atomic(staging / f"{stem}.report.json", dump_json(report))
-        write_blocks_atomic(
-            staging / f"{stem}.trajectory.csv", _trajectory_csv(result.per_particle, spec.policy)
-        )
+        trajectory = _trajectory_csv(result.per_particle, spec.policy.iterations(spec.iterations))
+        write_blocks_atomic(staging / f"{stem}.trajectory.csv", trajectory)
 
     try:
         _map_jobs(job, jobs, args.threads)
@@ -355,13 +353,6 @@ def cmd_run(args) -> int:
         shutil.rmtree(staging, ignore_errors=True)
     print(f"wrote {2 * len(jobs)} artifacts to {out_dir}")
     return EXIT_OK
-
-
-def _step_size(kind: str, per_particle_step: float, particles: int) -> float:
-    """The repulsive sampler's step is the per-particle step scaled by L, so
-    its per-particle drift and noise match the plain sampler's when the
-    particles do not interact."""
-    return per_particle_step * particles if kind == "repulsive_sgld" else per_particle_step
 
 
 # built-in synthetic comparison protocol: 500 burn-in + 500 sampling
@@ -386,7 +377,7 @@ def bench_rows(seeds, timing: str = "off", threads: int = 1):
 
     def job(item):
         dist, kind, seed, proto = item
-        eps = _step_size(kind, proto["per_particle_step"], proto["particles"])
+        eps = samplers.scaled_step(kind, proto["per_particle_step"], proto["particles"])
         spec = samplers.RunSpec(
             kind, proto["particles"], BENCH_ITERATIONS, samplers.StepSchedule(eps0=eps),
             samplers.CollectionPolicy(**BENCH_POLICY), init_std=proto["init_std"],
@@ -486,7 +477,7 @@ def bnn_report(dataset: bnn_mod.RegressionDataset, sampler: str, seed: int) -> d
     potential = bnn_mod.BnnPotential(input_dim=dataset.n_features)
     target = bnn_mod.minibatch_target(potential, dataset, proto["batch_size"])
     step = proto["step_scale"] / dataset.n_train
-    eps = _step_size(sampler, step, proto["particles"])
+    eps = samplers.scaled_step(sampler, step, proto["particles"])
     spec = samplers.RunSpec(
         sampler, proto["particles"], proto["iterations"], samplers.StepSchedule(eps0=eps),
         samplers.CollectionPolicy(proto["burn_in"], proto["thin"]), init_std=potential.init_std(),
@@ -570,8 +561,8 @@ def _add_common(p: argparse.ArgumentParser):
         "--timing",
         choices=("off", "wall"),
         default="off",
-        help="off: zeroed timing fields, byte-reproducible artifacts; "
-        "wall: real wall-clock measurements",
+        help="off: zeroed timing fields, byte-reproducible artifacts; wall: real "
+        "wall-clock measurements; only run and bench-synthetic write timing fields",
     )
 
 

@@ -54,6 +54,11 @@ def _standard_draws(n_samples: int, dim: int, rng: np.random.Generator) -> np.nd
     return rng.standard_normal((n_samples, dim))
 
 
+def _gaussian_entropy(sum_log_std, dim: int):
+    """Diagonal Gaussian entropy from the sum of its log stds, a float or a node."""
+    return sum_log_std + 0.5 * dim * (1.0 + ad.LOG_2PI)
+
+
 @dataclass
 class DiagonalGaussianGuide:
     """Diagonal Gaussian with log-parameterized scales."""
@@ -76,7 +81,7 @@ class DiagonalGaussianGuide:
         return np.exp(self.log_scale)
 
     def entropy(self) -> float:
-        return float(np.sum(self.log_scale) + 0.5 * self.dim * (1.0 + ad.LOG_2PI))
+        return float(_gaussian_entropy(np.sum(self.log_scale), self.dim))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.scale * _standard_draws(n, self.dim, rng)
@@ -260,13 +265,10 @@ def elbo(
     avg_logp = ad.div(ad.reduce_sum(logp), float(n_samples))
 
     # closed-form guide entropy; differentiable in log_scale
-    entropy = ad.add(ad.reduce_sum(log_scale), 0.5 * d * (1.0 + ad.LOG_2PI))
+    entropy = _gaussian_entropy(ad.reduce_sum(log_scale), d)
     if rg.entropy_mode == "markov":
         # each transition is Gaussian with covariance 2 eta I
-        per_step = ad.add(
-            ad.mul(0.5 * d, ad.log(ad.mul(2.0, eta_node))),
-            0.5 * d * (1.0 + ad.LOG_2PI),
-        )
+        per_step = _gaussian_entropy(ad.mul(0.5 * d, ad.log(ad.mul(2.0, eta_node))), d)
         for _ in range(rg.steps_refine):
             entropy = ad.add(entropy, per_step)
 

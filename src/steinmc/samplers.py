@@ -31,7 +31,9 @@ sampling loop, with a target and a seed; its :class:`RunResult` is the one
 record of a run: the draws, their ESS, R-hat and moment errors, and its
 time.  The loop alone builds each step's kernel, through
 :func:`kernels.kernel_matrix`, and the interacting step functions take that
-kernel.
+kernel.  The CLI and the scripts take the kept iterations from
+:meth:`CollectionPolicy.iterations` and each kind's step from
+:func:`scaled_step`.
 """
 
 from __future__ import annotations
@@ -127,9 +129,9 @@ class CollectionPolicy:
         if self.thin < 1:
             raise ConfigError("must be >= 1", field="collection.thin")
 
-    def collect_at(self, t: int) -> bool:
-        # t is the 1-based count of completed iterations
-        return t > self.burn_in and (t - self.burn_in) % self.thin == 0
+    def iterations(self, total: int) -> range:
+        """The 1-based iterations, of `total`, whose draws are kept."""
+        return range(self.burn_in + self.thin, total + 1, self.thin)
 
 
 def _scores(target: TargetModel, ensemble: ParticleEnsemble) -> np.ndarray:
@@ -299,8 +301,8 @@ def momentum_block_matrix(km: KernelMatrix) -> np.ndarray:
 class RunResult:
     """Collected draws plus diagnostics for one sampler run."""
 
-    samples: np.ndarray  # chain-major (L * n_events, d) view of per_particle, not a copy
-    per_particle: np.ndarray  # (L, n_events, d), moment space
+    samples: np.ndarray  # chain-major (L * events, d) view of per_particle, not a copy
+    per_particle: np.ndarray  # (L, events, d), moment space
     final: ParticleEnsemble
     ess: float  # nan when it cannot be estimated
     rhat: np.ndarray | None  # None where the sampler's particles are no chains
@@ -343,6 +345,12 @@ _KINDS = {
 SAMPLER_KINDS = tuple(_KINDS)
 
 
+def scaled_step(kind: str, per_particle_step: float, n_particles: int) -> float:
+    """The step giving `kind` plain Langevin's per-particle drift and noise: an
+    interacting kind's drift and noise carry a 1/L, so its step is L times it."""
+    return per_particle_step * n_particles if _KINDS[kind][0] else per_particle_step
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One sampler run of :func:`run`, checked when it is built.
@@ -367,7 +375,7 @@ class RunSpec:
             raise ConfigError(f"unknown sampler kind {self.kind!r}", field="sampler")
         if self.n_particles < 1:
             raise ConfigError("must be >= 1", field="particles")
-        if self.n_events < 1:
+        if not self.policy.iterations(self.iterations):
             raise ConfigError("must exceed burn_in by at least thin", field="iterations")
         if not np.isfinite(np.asarray(self.init_mean, dtype=float)).all():
             raise ConfigError("must be finite", field="init.mean")
@@ -376,10 +384,6 @@ class RunSpec:
             raise ConfigError("must be finite and >= 0", field="init.std")
         if not self.schedule.eps(self.iterations - 1) > 0:  # eps_t never increases
             raise ConfigError("decays to 0 within the run's iterations", field="step_size")
-
-    @property
-    def n_events(self) -> int:
-        return (self.iterations - self.policy.burn_in) // self.policy.thin
 
     def initial(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """The (dim,) mean and std of the initial particles."""
@@ -404,8 +408,8 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
     momentum = MomentumState(np.zeros((n_particles, dim)))
     rng = np.random.default_rng(seed)
     interacting, noisy, init_momentum, step = _KINDS[spec.kind]
-    draws = np.empty((n_particles, spec.n_events, dim))  # chain-major
-    event = 0
+    collected = spec.policy.iterations(spec.iterations)
+    draws = np.empty((n_particles, len(collected), dim))  # chain-major
     # the initial draw, as iteration 0, and each step check finiteness; a
     # statistic that overflows is reported non-finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -423,9 +427,8 @@ def run(spec: RunSpec, target: TargetModel, seed: int) -> RunResult:
                 km = kernels.kernel_matrix(ensemble.positions, spec.kernel_cfg)
             ensemble, momentum = step(ensemble, momentum, target, km, eps, rng)
 
-            if spec.policy.collect_at(t + 1):
-                draws[:, event] = ensemble.positions
-                event += 1
+            if t + 1 in collected:
+                draws[:, collected.index(t + 1)] = ensemble.positions
         wall = time.perf_counter() - start
 
         per_particle = target.moment_transform(draws)

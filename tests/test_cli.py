@@ -278,6 +278,28 @@ class TestRunCommand:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_FACTORIZATION
         assert "Cholesky factorization failed" in capsys.readouterr().err
 
+    def test_trajectory_rows_are_the_positions_at_the_kept_iterations(self, tmp_path):
+        # 23 iterations, burn-in 5, thin 4 keep iterations 9, 13, 17 and 21;
+        # each row holds the position a hand loop of sgld_step reaches there
+        entry = {"name": "sgld", "particles": 3, "step_size": 0.05}
+        cfg = {**moe_config(tmp_path / "out", samplers=[entry], iterations=23),
+               "target": GAUSS2, "collection": {"burn_in": 5, "thin": 4}, "seeds": [7]}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        rows = (tmp_path / "out" / "gaussian_sgld_seed7.trajectory.csv").read_text().splitlines()
+        assert rows[:2] == ["# schema_version=1", "iteration,particle,z1,z2"]
+        table = np.array([[float(v) for v in row.split(",")] for row in rows[2:]])
+        assert table[:, 0].tolist() == [9] * 3 + [13] * 3 + [17] * 3 + [21] * 3
+        assert table[:, 1].tolist() == [0, 1, 2] * 4
+
+        target, rng = targets.std_gaussian(2), np.random.default_rng(7)
+        ensemble = samplers.ParticleEnsemble(rng.standard_normal((3, 2)))
+        positions = []
+        for _ in range(23):
+            ensemble = samplers.sgld_step(ensemble, target, 0.05, rng)
+            positions.append(ensemble.positions)
+        expected = np.concatenate([positions[i - 1] for i in (9, 13, 17, 21)])
+        assert np.array_equal(table[:, 2:], expected)
+
     def test_zero_within_chain_variance_reports_null_rhat(self, tmp_path):
         # two coincident particles at the mode of N(0, 1) never move under
         # the noiseless interacting flow, so every chain is constant
@@ -762,13 +784,13 @@ class TestTrajectoryCsv:
         scaled = rng.normal(size=47) * 10.0 ** rng.integers(-300, 300, 47)
         values = np.concatenate([special, scaled])
         per_particle = rng.permutation(values).reshape(3, 4, 5)  # (L, events, d)
-        policy = samplers.CollectionPolicy(burn_in=100, thin=10)
+        iterations = range(110, 141, 10)  # burn-in 100, thin 10
         lines = ["# schema_version=1", "iteration,particle,z1,z2,z3,z4,z5"]
         for e in range(4):
             for p in range(3):
                 coords = ",".join(format(v, ".17g") for v in per_particle[p, e])
                 lines.append(f"{100 + (e + 1) * 10},{p},{coords}")
-        assert "".join(_trajectory_csv(per_particle, policy)) == "\n".join(lines) + "\n"
+        assert "".join(_trajectory_csv(per_particle, iterations)) == "\n".join(lines) + "\n"
 
     def test_bytes_equal_per_value_format_above_the_crossover(self):
         """Ensemble-sized events take the numpy path; the (3, 4, 5) case above
@@ -782,14 +804,14 @@ class TestTrajectoryCsv:
         mixed = rng.permutation(np.concatenate([special, scaled])).reshape(100, 3, 50)
         # three events of every magnitude, then three of standard normal draws
         per_particle = np.concatenate([mixed, rng.normal(size=(100, 3, 50))], axis=1)
-        policy = samplers.CollectionPolicy(burn_in=0, thin=1)
+        iterations = range(1, 7)
         header = "iteration,particle," + ",".join(f"z{j + 1}" for j in range(50))
         lines = ["# schema_version=1", header]
         for e in range(6):
             for p in range(100):
                 coords = ",".join(format(v, ".17g") for v in per_particle[p, e])
                 lines.append(f"{e + 1},{p},{coords}")
-        assert "".join(_trajectory_csv(per_particle, policy)) == "\n".join(lines) + "\n"
+        assert "".join(_trajectory_csv(per_particle, iterations)) == "\n".join(lines) + "\n"
 
 
 def per_value_rows(block):

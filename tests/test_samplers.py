@@ -111,6 +111,37 @@ class TestSchedule:
         assert exc.value.field == "schedule"
 
 
+class TestCollectionPolicy:
+    @staticmethod
+    def kept(policy, total):
+        """The iterations 1..total past burn-in whose distance from it is a
+        multiple of thin, counted one by one."""
+        return [t for t in range(1, total + 1)
+                if t > policy.burn_in and (t - policy.burn_in) % policy.thin == 0]
+
+    @pytest.mark.parametrize("burn_in, thin", [(5, 4), (7, 3), (1, 10), (0, 1), (0, 4)])
+    def test_burn_in_need_not_be_a_multiple_of_thin(self, burn_in, thin):
+        policy = CollectionPolicy(burn_in=burn_in, thin=thin)
+        assert list(policy.iterations(23)) == self.kept(policy, 23)
+
+    @pytest.mark.parametrize("total, expected", [
+        (20, [9, 13, 17]), (21, [9, 13, 17, 21]), (22, [9, 13, 17, 21]), (23, [9, 13, 17, 21]),
+        (24, [9, 13, 17, 21]), (25, [9, 13, 17, 21, 25]),
+    ])
+    def test_total_off_the_grid_keeps_the_iterations_up_to_it(self, total, expected):
+        policy = CollectionPolicy(burn_in=5, thin=4)
+        assert list(policy.iterations(total)) == expected == self.kept(policy, total)
+
+    @pytest.mark.parametrize("total", [0, 5, 8])
+    def test_empty_range_is_rejected_by_run_spec(self, total):
+        policy = CollectionPolicy(burn_in=5, thin=4)
+        assert len(policy.iterations(total)) == 0 == len(self.kept(policy, total))
+        with pytest.raises(ConfigError) as exc:
+            samplers.RunSpec("sgld", 2, total, StepSchedule(), policy)
+        assert str(exc.value) == "iterations: must exceed burn_in by at least thin"
+        samplers.RunSpec("sgld", 2, 9, StepSchedule(), policy)  # keeps iteration 9 alone
+
+
 class TestParticleEnsemble:
     def test_one_dimensional_positions_rejected(self):
         with pytest.raises(ValueError, match="positions must be an L x d matrix"):
@@ -841,18 +872,36 @@ class TestRunner:
 
 class TestStepTable:
     @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
-    def test_run_equals_hand_loop_of_public_step(self, kind):
-        t, n, iterations, eps, seed = std_gaussian(2), 4, 30, 0.05, 9
+    @pytest.mark.parametrize(
+        "iterations, policy, kept_at",
+        [(30, CollectionPolicy(), range(1, 31)), (23, CollectionPolicy(5, 4), [9, 13, 17, 21])],
+        ids=["every_iteration", "burn_in_5_thin_4"],
+    )
+    def test_run_equals_hand_loop_of_public_step(self, kind, iterations, policy, kept_at):
+        # kept_at lists the 1-based iterations whose positions the run keeps
+        t, n, eps, seed = std_gaussian(2), 4, 0.05, 9
         res = samplers.run(
             samplers.RunSpec(
                 kind, n_particles=n, iterations=iterations, schedule=StepSchedule(eps0=eps),
-                policy=CollectionPolicy(),
+                policy=policy,
             ),
             t, seed,
         )
-        kept = hand_loop(kind, t, n, iterations, eps, seed)
+        positions = hand_loop(kind, t, n, iterations, eps, seed)
+        kept = positions[[i - 1 for i in kept_at]]
         assert np.array_equal(res.per_particle, kept.transpose(1, 0, 2))
-        assert np.array_equal(res.final.positions, kept[-1])
+        assert np.array_equal(res.final.positions, positions[-1])
+
+    @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
+    def test_scaled_step_gives_plain_langevin_per_particle_step(self, kind):
+        # an interacting kind's drift and noise carry a 1/L, so its step is L
+        # times the per-particle step; sgld's is the per-particle step itself
+        interacting = kind in {"svgd", "repulsive_sgld", "repulsive_sgdm", "repulsive_adam"}
+        assert samplers.scaled_step(kind, 0.125, 20) == (2.5 if interacting else 0.125)
+        assert samplers.scaled_step(kind, 0.125, 1) == 0.125
+        for var in (0.25, 1.0, 4.0):  # the stationarity table's steps, bit for bit
+            expected = 0.01 * var * (1 if kind == "sgld" else 20)
+            assert samplers.scaled_step(kind, 0.01 * var, 20) == expected
 
     @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
     def test_steps_resolve_through_module_globals(self, kind, monkeypatch):
