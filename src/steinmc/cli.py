@@ -155,16 +155,8 @@ CONFIG_SCHEMA = {
                     "name": {"enum": list(samplers.SAMPLER_KINDS)},
                     "particles": {"type": "integer"},
                     "step_size": {"type": "number"},
-                    "schedule": {"enum": list(samplers.SCHEDULE_KINDS)},
                     "gamma": {"type": "number"},
-                    "kernel": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "properties": {
-                            "bandwidth": {"type": "number"},
-                            "bandwidth_mode": {"enum": list(kernels.BANDWIDTH_MODES)},
-                        },
-                    },
+                    "bandwidth": {"type": "number"},
                 },
             },
         },
@@ -261,14 +253,14 @@ def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
     ``dim``, with every rule checked; a rejected sampler-entry key is named
     ``samplers[index].<key>``.  A key left out takes the library's default,
     except ``particles``, which defaults to 10 here: RunSpec has none."""
-    entry = dict(config["samplers"][index])
-    schedule = {field: entry.pop(key) for key, field in
-                (("schedule", "kind"), ("step_size", "eps0"), ("gamma", "gamma")) if key in entry}
+    entry = config["samplers"][index]
+    schedule = {field: entry[key] for key, field in
+                (("step_size", "eps0"), ("gamma", "gamma")) if key in entry}
     try:
-        kernel_cfg = kernels.KernelConfig(**entry.pop("kernel", {}))
+        kernel_cfg = kernels.KernelConfig(entry.get("bandwidth"))
         spec = samplers.RunSpec(
-            entry.pop("name"),
-            entry.pop("particles", 10),
+            entry["name"],
+            entry.get("particles", 10),
             config["iterations"],
             samplers.StepSchedule(**schedule),
             samplers.CollectionPolicy(**config.get("collection", {})),
@@ -277,10 +269,7 @@ def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
         )
         spec.initial(dim)
     except ConfigError as err:
-        keys = CONFIG_SCHEMA["properties"]["samplers"]["items"]["properties"]
-        if err.field in keys["kernel"]["properties"]:
-            raise ConfigError(err.reason, field=f"samplers[{index}].kernel.{err.field}") from None
-        if err.field in keys:
+        if err.field in CONFIG_SCHEMA["properties"]["samplers"]["items"]["properties"]:
             raise ConfigError(err.reason, field=f"samplers[{index}].{err.field}") from None
         raise
     return spec

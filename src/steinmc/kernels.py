@@ -31,26 +31,18 @@ from .errors import ConfigError, FactorizationError, check_step
 # Diagonal jitters tried in turn until the kernel matrix factorizes.
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
-BANDWIDTH_MODES = ("fixed", "median")
-
 
 @dataclass
 class KernelConfig:
-    """Bandwidth settings for the RBF kernel.
-
-    bandwidth_mode "median" recomputes the bandwidth from the current
-    particles on every call; "fixed" uses `bandwidth` as given.  `bandwidth`
-    is checked in both modes, also where the median heuristic ignores it.
+    """Bandwidth of the RBF kernel: h = `bandwidth` as given, or, when it is
+    None, the median heuristic, recomputed from the particles on every call.
     """
 
-    bandwidth: float = 1.0
-    bandwidth_mode: str = "median"
+    bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.bandwidth_mode not in BANDWIDTH_MODES:
-            raise ConfigError(f"unknown mode {self.bandwidth_mode!r}", field="bandwidth_mode")
-        if not 0 < self.bandwidth < math.inf:
-            raise ConfigError("bandwidth must be finite and > 0", field="bandwidth")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise ConfigError("must be finite and > 0", field="bandwidth")
 
 
 @dataclass
@@ -139,7 +131,7 @@ def rbf(z, cfg: KernelConfig, ops=ad.numpy_ops):
     """
     x = ops.value(z)
     sq = squared_distances(x)
-    if cfg.bandwidth_mode == "median":
+    if cfg.bandwidth is None:
         h, degenerate = median_bandwidth(sq)
     else:
         h, degenerate = cfg.bandwidth, False

@@ -63,32 +63,24 @@ class ParticleEnsemble:
             raise ValueError("positions must be an L x d matrix with L >= 1")
 
 
-SCHEDULE_KINDS = ("constant", "robbins_monro")
-
-
 @dataclass
 class StepSchedule:
-    """Constant or polynomially decaying step sizes.
-
-    The decaying variant eps_t = eps0 * (1 + t)^(-gamma) with gamma in
-    (0.5, 1] has divergent sum and convergent squared sum, the classic
-    stochastic-approximation conditions.
+    """Step size eps_t: constant eps0, or, when `gamma` is given, the decay
+    eps_t = eps0 * (1 + t)^(-gamma) with gamma in (0.5, 1], whose sum diverges
+    and whose squared sum converges: the stochastic-approximation conditions.
     """
 
-    kind: str = "constant"
     eps0: float = 1e-3
-    gamma: float = 0.55
+    gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind {self.kind!r}", field="schedule")
         if not 0 < self.eps0 < math.inf:
-            raise ConfigError("eps0 must be finite and > 0", field="step_size")
-        if not 0.5 < self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in (0.5, 1]", field="gamma")
+            raise ConfigError("must be finite and > 0", field="step_size")
+        if self.gamma is not None and not 0.5 < self.gamma <= 1.0:
+            raise ConfigError("must lie in (0.5, 1]", field="gamma")
 
     def eps(self, t: int) -> float:
-        if self.kind == "constant":
+        if self.gamma is None:
             return self.eps0
         return self.eps0 * (1.0 + t) ** (-self.gamma)
 
@@ -223,7 +215,6 @@ def repulsive_sgdm_step(
     km: KernelMatrix,
     eps: float,
     rng: np.random.Generator | None = None,
-    position_noise: bool = False,
 ) -> tuple[ParticleEnsemble, MomentumState]:
     """Momentum-augmented interacting step.
 
@@ -236,20 +227,15 @@ def repulsive_sgdm_step(
     With L = 1 this is z <- z - eps m, m <- m + eps grad_H(z), the explicit
     Euler discretization of a phase-space rotation: it drifts the energy
     H(z) + ||m||^2/2 by O(eps^2) per step instead of tearing along an
-    unstable direction.  The update is deterministic by default;
-    `position_noise` adds the kernel-correlated noise used by the Langevin
-    variant.
+    unstable direction.  The update is deterministic without `rng`; with
+    it, positions take the kernel-correlated noise of the Langevin variant.
     """
     check_step(eps)
     m = momentum.momenta
     if m.shape != ensemble.positions.shape:
         raise ValueError("momentum state shape must match ensemble")
     new_m = m + eps * _interaction_drift(-_scores(target, ensemble), km)
-    noise = None
-    if position_noise:
-        if rng is None:
-            raise ValueError("position_noise requires an rng")
-        noise = kernels.sample_repulsive_noise(km, eps, rng)
+    noise = None if rng is None else kernels.sample_repulsive_noise(km, eps, rng)
     new = _advance(ensemble, _interaction_drift(-m, km), eps, noise)
     return new, replace(momentum, momenta=new_m)
 
@@ -315,14 +301,14 @@ class RunResult:
 
 
 # The step table: kind -> (interacting, noisy, momentum initializer or None,
-# one step).  A kind that is not noisy draws no noise as run drives it, so its
-# particles are no chains and no R-hat is reported for them.  An initializer
-# maps (rng, zero-momentum state) to the kind's initial state.  A step maps
-# (ensemble, momentum, target, km, eps, rng) to (ensemble, momentum), where km
-# is the kernel that :func:`run` built for this step (None for a kind that
-# does not interact).  It looks its update rule up in this module's globals
-# at call time, so a wrapper installed on, say, ``samplers.sgld_step`` sees
-# every runner step.
+# one step).  A kind that is not noisy draws no noise as run drives it (its
+# step is passed no rng), so its particles are no chains and no R-hat is
+# reported for them.  An initializer maps (rng, zero-momentum state) to the
+# kind's initial state.  A step maps (ensemble, momentum, target, km, eps, rng)
+# to (ensemble, momentum), where km is the kernel that :func:`run` built for
+# this step (None for a kind that does not interact).  It looks its update
+# rule up in this module's globals at call time, so a wrapper installed on,
+# say, ``samplers.sgld_step`` sees every runner step.
 _KINDS = {
     "sgld": (False, True, None, lambda e, m, t, km, eps, rng: (sgld_step(e, t, eps, rng), m)),
     "svgd": (True, False, None, lambda e, m, t, km, eps, rng: (svgd_step(e, t, km, eps), m)),
@@ -334,7 +320,7 @@ _KINDS = {
         True, False,
         # momenta start from their standard-Gaussian stationary law
         lambda rng, m: replace(m, momenta=rng.standard_normal(m.momenta.shape)),
-        lambda e, m, t, km, eps, rng: repulsive_sgdm_step(e, m, t, km, eps, rng),
+        lambda e, m, t, km, eps, rng: repulsive_sgdm_step(e, m, t, km, eps),
     ),
     "repulsive_adam": (
         True, True,
@@ -356,7 +342,9 @@ class RunSpec:
     """One sampler run of :func:`run`, checked when it is built.
 
     The schedule, collection policy and kernel config have checked their own
-    fields; the momentum kinds take :class:`MomentumState`'s defaults.
+    fields: the steps decay only where the schedule has a `gamma`, and the
+    kernel takes the median bandwidth unless its config has a `bandwidth`.
+    The momentum kinds take :class:`MomentumState`'s defaults.
     `init_mean` and `init_std` may each be one number or one per coordinate,
     a rule that needs the target and lives in :meth:`initial`.
     """

@@ -148,7 +148,7 @@ class TestCriterion06ReductionIdentities:
         z = rng.normal(size=(4, dim))
         m0 = rng.normal(size=(4, dim))
         beta1, eps = 0.7, 0.05
-        fixed = KernelConfig(bandwidth=1.0, bandwidth_mode="fixed")
+        fixed = KernelConfig(bandwidth=1.0)
 
         adam_ens, _ = repulsive_adam_step(
             ParticleEnsemble(z.copy()),
@@ -159,7 +159,7 @@ class TestCriterion06ReductionIdentities:
         m1 = beta1 * m0 + (1 - beta1) * np.ones((4, dim))
         sgdm_ens, _ = repulsive_sgdm_step(
             ParticleEnsemble(z.copy()), MomentumState(m1), t, kernel_matrix(z, fixed), eps,
-            rng=np.random.default_rng(7), position_noise=True,
+            rng=np.random.default_rng(7),
         )
         assert np.max(np.abs(adam_ens.positions - sgdm_ens.positions)) < 1e-12
 

@@ -93,9 +93,8 @@ FULL_CONFIG = {
     "schema_version": 1,
     "target": {"name": "gaussian", "params": {"dim": 2}},
     "samplers": [
-        {"name": "repulsive_adam", "particles": 5, "step_size": 0.1, "schedule": "robbins_monro",
-         "gamma": 0.55,
-         "kernel": {"bandwidth": 0.5, "bandwidth_mode": "fixed"}},
+        {"name": "repulsive_adam", "particles": 5, "step_size": 0.1, "gamma": 0.55,
+         "bandwidth": 0.5},
         {"name": "sgld"},
     ],
     "iterations": 200,
@@ -124,7 +123,7 @@ def _containers(value):
             yield from _containers(item)
 
 
-NAMED = ("name", "schedule", "bandwidth_mode")  # the keys whose values are enums
+NAMED = ("name",)  # the keys whose values are enums
 
 
 def _mutate(data, cfg):
@@ -369,7 +368,14 @@ class TestRunCommand:
         "target, change, message",
         [
             # the jitter ladder is the one source of Cholesky jitters
-            ({}, {"kernel": {"jitter": 1e-6}}, "$.samplers[0].kernel: unknown keys ['jitter']"),
+            ({}, {"jitter": 1e-6}, "$.samplers[0]: unknown keys ['jitter']"),
+            # a given gamma decays the step, a given bandwidth fixes the kernel
+            ({}, {"schedule": "robbins_monro", "gamma": 0.7},
+             "$.samplers[0]: unknown keys ['schedule']"),
+            ({}, {"kernel": {"bandwidth": 0.5, "bandwidth_mode": "fixed"}},
+             "$.samplers[0]: unknown keys ['kernel']"),
+            ({}, {"bandwidth": 0.5, "bandwidth_mode": "fixed"},
+             "$.samplers[0]: unknown keys ['bandwidth_mode']"),
             # every interacting step uses the kernel of the current particles
             ({}, {"repulsion_cutoff": 5}, "$.samplers[0]: unknown keys ['repulsion_cutoff']"),
             # MomentumState alone states the momentum hyperparameters
@@ -380,8 +386,8 @@ class TestRunCommand:
             ({"name": "funnel", "params": {"scale_convention": "std"}}, {},
              "config error: target.params.scale_convention: "),
         ],
-        ids=["kernel_jitter", "repulsion_cutoff", "beta1", "beta2", "stabilizer",
-             "scale_convention"],
+        ids=["jitter", "schedule", "kernel", "bandwidth_mode", "repulsion_cutoff", "beta1",
+             "beta2", "stabilizer", "scale_convention"],
     )
     def test_deleted_setting_is_unknown_key(self, tmp_path, capsys, target, change, message):
         entry = {"name": "repulsive_sgld", "particles": 3, **change}
@@ -507,15 +513,12 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "target, sampler, init, key",
         [
-            ({}, {"schedule": "robbins_monro", "gamma": 2.0}, {}, "samplers[0].gamma"),
-            ({}, {"kernel": {"bandwidth": -1, "bandwidth_mode": "fixed"}}, {},
-             "samplers[0].kernel.bandwidth"),
+            ({}, {"gamma": 2.0}, {}, "samplers[0].gamma"),
+            ({}, {"bandwidth": -1}, {}, "samplers[0].bandwidth"),
             ({"name": "gaussian", "params": {"dim": 2}}, {}, {"mean": [0, 0, 0]}, "init.mean"),
             ({"name": "gaussian", "params": {"dim": 0}}, {}, {}, "dim"),
             ({"name": "funnel", "params": {"scale": 0}}, {}, {}, "scale"),
             ({"name": "funnel", "params": {"scale": -1}}, {}, {}, "scale"),
-            # schedule keys are checked also where the schedule ignores them
-            ({}, {"name": "svgd", "gamma": 7.0}, {}, "samplers[0].gamma"),
             ({}, {}, {"mean": ["a"]}, "$.init.mean[0]"),
             ({}, {}, {"std": [1, "b"]}, "$.init.std[1]"),
             ({}, {}, {"std": -1.0}, "init.std"),
@@ -523,14 +526,13 @@ class TestRunCommand:
             (GAUSS2, {}, {"mean": float("nan")}, "init.mean"),
             (GAUSS2, {}, {"std": float("inf")}, "init.std"),
             (GAUSS2, {"step_size": float("inf")}, {}, "samplers[0].step_size"),
-            (GAUSS2, {"kernel": {"bandwidth": float("inf"), "bandwidth_mode": "fixed"}}, {},
-             "samplers[0].kernel.bandwidth"),
-            (GAUSS2, {"kernel": {"bandwidth": float("nan")}}, {}, "samplers[0].kernel.bandwidth"),
+            (GAUSS2, {"bandwidth": float("inf")}, {}, "samplers[0].bandwidth"),
+            (GAUSS2, {"bandwidth": float("nan")}, {}, "samplers[0].bandwidth"),
         ],
         ids=["gamma", "bandwidth", "init_mean", "dim", "scale_zero", "scale_negative",
-             "constant_gamma", "init_mean_item", "init_std_item", "init_std_negative",
+             "init_mean_item", "init_std_item", "init_std_negative",
              "init_mean_nan", "init_std_inf", "step_size_inf", "bandwidth_inf",
-             "median_bandwidth_nan"],
+             "bandwidth_nan"],
     )
     def test_bad_config_value_exits_2_naming_key(
         self, tmp_path, capsys, target, sampler, init, key
@@ -628,9 +630,7 @@ class TestRunCommand:
         [
             ({"samplers": [{"name": "sgld", "step_size": -1}]}, "samplers[0].step_size"),
             ({"samplers": [{"name": "sgld", "step_size": 0}]}, "samplers[0].step_size"),
-            ({"samplers": [{"name": "svgd",
-                            "kernel": {"bandwidth": -0.5, "bandwidth_mode": "fixed"}}]},
-             "samplers[0].kernel.bandwidth"),
+            ({"samplers": [{"name": "svgd", "bandwidth": -0.5}]}, "samplers[0].bandwidth"),
             ({"samplers": [{"name": "sgld", "particles": 0}]}, "samplers[0].particles"),
             ({"samplers": [{"name": "sgld", "particles": -3}]}, "samplers[0].particles"),
             ({"collection": {"burn_in": -1, "thin": 10}}, "collection.burn_in"),
@@ -638,7 +638,7 @@ class TestRunCommand:
             ({"iterations": 0}, "iterations"),
             ({"iterations": -5}, "iterations"),
         ],
-        ids=["step_size_negative", "step_size_zero", "kernel_bandwidth", "particles_zero",
+        ids=["step_size_negative", "step_size_zero", "bandwidth", "particles_zero",
              "particles_negative", "burn_in", "thin", "iterations_zero", "iterations_negative"],
     )
     def test_numeric_bound_is_the_library_rule(self, tmp_path, capsys, change, key):
@@ -652,9 +652,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "bad, key",
         [({"step_size": -1}, "step_size"), ({"particles": 0}, "particles"),
-         ({"kernel": {"bandwidth": -1.0, "bandwidth_mode": "fixed"}}, "kernel.bandwidth"),
-         ({"gamma": 2.0}, "gamma")],
-        ids=["step_size", "particles", "kernel_bandwidth", "gamma"],
+         ({"bandwidth": -1.0}, "bandwidth"), ({"gamma": 2.0}, "gamma")],
+        ids=["step_size", "particles", "bandwidth", "gamma"],
     )
     def test_bad_later_entry_exits_2_before_any_job(
         self, tmp_path, capsys, monkeypatch, bad, key
@@ -695,14 +694,51 @@ class TestRunCommand:
 
     def test_schema_enums_are_the_library_tuples(self):
         entry = CONFIG_SCHEMA["properties"]["samplers"]["items"]["properties"]
-        assert entry["schedule"]["enum"] == list(samplers.SCHEDULE_KINDS)
-        assert entry["kernel"]["properties"]["bandwidth_mode"]["enum"] == list(
-            kernels.BANDWIDTH_MODES
-        )
-        for kind in samplers.SCHEDULE_KINDS:
-            samplers.StepSchedule(kind=kind)
-        for mode in kernels.BANDWIDTH_MODES:
-            kernels.KernelConfig(bandwidth_mode=mode)
+        assert entry["name"]["enum"] == list(samplers.SAMPLER_KINDS)
+        target = CONFIG_SCHEMA["properties"]["target"]["properties"]
+        assert target["name"]["enum"] == sorted(targets.BUILTIN_TARGETS)
+
+    def test_library_messages_name_the_config_key(self, tmp_path, capsys):
+        # StepSchedule and KernelConfig state the rule; the CLI names the key
+        for bad, line in [
+            ({"step_size": -1.0}, "config error: samplers[0].step_size: must be finite and > 0"),
+            ({"gamma": 2.0}, "config error: samplers[0].gamma: must lie in (0.5, 1]"),
+            ({"bandwidth": 0.0}, "config error: samplers[0].bandwidth: must be finite and > 0"),
+        ]:
+            cfg = moe_config(tmp_path / "out", samplers=[{"name": "svgd", **bad}])
+            assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == line + "\n"
+
+    def test_config_bandwidth_fixes_the_kernel(self, tmp_path):
+        # a given bandwidth is the kernel's h; left out, the median heuristic sets it
+        def written(name, extra):
+            entry = {"name": "repulsive_sgld", "particles": 5, "step_size": 0.1, **extra}
+            cfg = {**moe_config(tmp_path / name, samplers=[entry]), "target": GAUSS2}
+            assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+            csv = tmp_path / name / "gaussian_repulsive_sgld_seed0.trajectory.csv"
+            return np.loadtxt(csv, delimiter=",", skiprows=2)[:, 2:]
+
+        def library(kernel_cfg):
+            spec = samplers.RunSpec(
+                "repulsive_sgld", 5, 200, samplers.StepSchedule(0.1),
+                samplers.CollectionPolicy(burn_in=100, thin=10), kernel_cfg=kernel_cfg,
+            )
+            result = samplers.run(spec, targets.make_target("gaussian", dim=2), 0)
+            return result.per_particle.transpose(1, 0, 2).reshape(-1, 2)
+
+        fixed, median = written("fixed", {"bandwidth": 0.5}), written("median", {})
+        np.testing.assert_array_equal(fixed, library(kernels.KernelConfig(0.5)))
+        np.testing.assert_array_equal(median, library(kernels.KernelConfig()))
+        assert not np.array_equal(fixed, median)
+
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.json")),
+                             ids=lambda path: path.name)
+    def test_shipped_config_is_valid(self, path):
+        # a shipped config names no deleted key and builds every sampler entry
+        config = cli.load_config(str(path))
+        target = targets.make_target(config["target"]["name"], **config["target"].get("params", {}))
+        for i in range(len(config["samplers"])):
+            assert isinstance(cli._entry_spec(i, config, target.dim), samplers.RunSpec)
 
     @pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
     def test_omitted_keys_take_library_defaults(self, tmp_path, kind):
@@ -1053,7 +1089,7 @@ def gauss1_config(out_dir, sampler, init=None):
     "sampler, init, code, message",
     [
         # eps_t = 5e-324 * (1 + t)^-0.55 underflows to 0 long before t = 19
-        ({"name": "sgld", "particles": 2, "step_size": 5e-324, "schedule": "robbins_monro"},
+        ({"name": "sgld", "particles": 2, "step_size": 5e-324, "gamma": 0.55},
          None, EXIT_CONFIG, "config error: samplers[0].step_size: "),
         *[({"name": kind, "particles": 50}, {"std": 1e308}, EXIT_DIVERGENCE, "divergence: ")
           for kind in samplers.SAMPLER_KINDS],

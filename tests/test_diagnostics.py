@@ -149,7 +149,7 @@ class TestGelmanRubin:
         result = samplers.run(
             samplers.RunSpec(
                 "svgd", n_particles=particles, iterations=3000,
-                schedule=samplers.StepSchedule(kind="constant", eps0=0.05),
+                schedule=samplers.StepSchedule(eps0=0.05),
                 policy=samplers.CollectionPolicy(burn_in=2000, thin=10),
             ),
             targets.make_target("gaussian", dim=1), 0,

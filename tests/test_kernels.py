@@ -16,7 +16,7 @@ from steinmc.kernels import (
     squared_distances,
 )
 
-FIXED = KernelConfig(bandwidth=1.0, bandwidth_mode="fixed")
+FIXED = KernelConfig(bandwidth=1.0)
 
 
 class TestKernelMatrix:
@@ -92,7 +92,7 @@ class TestKernelMatrix:
 
     def test_degenerate_median_falls_back(self):
         z = np.zeros((4, 2))
-        km = kernel_matrix(z, KernelConfig(bandwidth_mode="median"))
+        km = kernel_matrix(z, KernelConfig())
         assert km.degenerate_bandwidth
         assert km.bandwidth == 1.0
 
@@ -113,7 +113,7 @@ class TestKernelMatrix:
         def reference(z, cfg):
             sq = squared_distances(z)
             n, degenerate, h = z.shape[0], False, cfg.bandwidth
-            if cfg.bandwidth_mode == "median":
+            if cfg.bandwidth is None:
                 med = float(np.median(sq[~np.eye(n, dtype=bool)])) if n > 1 else 0.0
                 degenerate = med <= 0.0
                 h = 1.0 if degenerate else med / np.log(n + 1.0)
@@ -166,7 +166,7 @@ class TestRbf:
     def objective(z, weight, ops):
         # uses k through a non-symmetric weight and z directly, as the svgd
         # step does, so both the distance pullback and the z path are checked
-        k, _, _ = rbf(z, KernelConfig(bandwidth=1.3, bandwidth_mode="fixed"), ops)
+        k, _, _ = rbf(z, KernelConfig(bandwidth=1.3), ops)
         return ops.reduce_sum(ops.matmul(weight * k, z) * z)
 
     @pytest.mark.parametrize("m,d", [(1, 2), (2, 1), (5, 2), (6, 4)])
@@ -213,11 +213,11 @@ class TestRbf:
         rng = np.random.default_rng(33)
         shapes = [(1, 1), (1, 4), (2, 1), (10, 1), (100, 50)]
         shapes += [tuple(int(v) for v in rng.integers(1, 40, 2)) for _ in range(40)]
-        for cfg in (KernelConfig(), KernelConfig(bandwidth=0.7, bandwidth_mode="fixed")):
+        for cfg in (KernelConfig(), KernelConfig(bandwidth=0.7)):
             for n, d in shapes:
                 z = rng.normal(size=(n, d))
                 sq = squared_distances(z)
-                h = median_bandwidth(sq)[0] if cfg.bandwidth_mode == "median" else 0.7
+                h = median_bandwidth(sq)[0] if cfg.bandwidth is None else 0.7
                 entries = np.exp(-sq / h)
                 grad = (2.0 / h) * (z * entries.sum(axis=1)[:, None] - entries @ z)
                 km = kernel_matrix(z, cfg)
@@ -355,13 +355,10 @@ class TestRepulsiveNoise:
 class TestKernelConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            KernelConfig(bandwidth=0.0, bandwidth_mode="fixed")
-        with pytest.raises(ValueError):
-            KernelConfig(bandwidth_mode="nope")
+            KernelConfig(bandwidth=0.0)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_numbers_rejected(self, value):
-        for mode in ("fixed", "median"):  # checked also where the median ignores it
-            with pytest.raises(ConfigError) as exc:
-                KernelConfig(bandwidth=value, bandwidth_mode=mode)
-            assert exc.value.field == "bandwidth"
+        with pytest.raises(ConfigError) as exc:
+            KernelConfig(bandwidth=value)
+        assert str(exc.value) == "bandwidth: must be finite and > 0"

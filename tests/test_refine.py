@@ -330,7 +330,7 @@ class TestElboGrad:
             steps_refine=2,
             entropy_mode="dirac",
             log_eta=np.log(0.05),
-            kernel_cfg=KernelConfig(bandwidth=1.5, bandwidth_mode="fixed"),
+            kernel_cfg=KernelConfig(bandwidth=1.5),
         )
         assert_gradients_match_finite_differences(rg, FUNNEL)
 
@@ -342,7 +342,7 @@ class TestElboGrad:
             inner_sampler=sampler,
             steps_refine=2,
             log_eta=np.log(0.02),
-            kernel_cfg=KernelConfig(bandwidth=1.5, bandwidth_mode="fixed"),
+            kernel_cfg=KernelConfig(bandwidth=1.5),
         )
         assert_gradients_match_finite_differences(rg, target)
 
@@ -425,7 +425,7 @@ class TestKdeEntropyGrad:
         from steinmc.kernels import kernel_matrix
 
         rng = np.random.default_rng(n)
-        for cfg in (self.CFG, KernelConfig(bandwidth=0.5, bandwidth_mode="fixed")):
+        for cfg in (self.CFG, KernelConfig(bandwidth=0.5)):
             for _ in range(25):
                 z = rng.normal(size=(n, int(rng.integers(1, 5))))
                 km = kernel_matrix(z, cfg)
@@ -491,7 +491,7 @@ class TestOneLoop:
         monkeypatch.setattr(kernels, "median_bandwidth", no_median)
         rg = RefinedGuide(
             guide=unit_guide(), inner_sampler=sampler, steps_refine=2,
-            kernel_cfg=KernelConfig(bandwidth=1.5, bandwidth_mode="fixed"),
+            kernel_cfg=KernelConfig(bandwidth=1.5),
         )
         elbo(rg, FUNNEL, 6, np.random.default_rng(0))
         sample_refined(rg, FUNNEL, 6, np.random.default_rng(0))

@@ -25,7 +25,7 @@ from steinmc.samplers import (
 )
 from steinmc.targets import TargetModel, mixture_of_exponentials, std_gaussian
 
-FIXED = KernelConfig(bandwidth=1.0, bandwidth_mode="fixed")
+FIXED = KernelConfig(bandwidth=1.0)
 
 
 def fixed_kernel(ens):
@@ -66,7 +66,7 @@ def hand_loop(kind, t, n, iterations, eps, seed):
         elif kind == "repulsive_sgld":
             ens = repulsive_sgld_step(ens, t, km, eps, rng)
         elif kind == "repulsive_sgdm":
-            ens, mom = repulsive_sgdm_step(ens, mom, t, km, eps, rng=rng)
+            ens, mom = repulsive_sgdm_step(ens, mom, t, km, eps)
         else:
             ens, mom = repulsive_adam_step(ens, mom, t, km, eps, rng)
         kept.append(ens.positions)
@@ -75,40 +75,36 @@ def hand_loop(kind, t, n, iterations, eps, seed):
 
 class TestSchedule:
     def test_constant(self):
-        s = StepSchedule(kind="constant", eps0=0.3)
+        s = StepSchedule(eps0=0.3)
         assert s.eps(0) == s.eps(10**6) == 0.3
 
     def test_decay_conditions(self):
         # divergent sum: partial sums grow like T^(1-gamma), so quadrupling T
         # multiplies the total by about 4^(1-gamma); convergent squared sum:
         # the tail contributes a vanishing fraction
-        s = StepSchedule(kind="robbins_monro", eps0=1.0, gamma=0.6)
+        s = StepSchedule(eps0=1.0, gamma=0.6)
         eps = np.array([s.eps(t) for t in range(200_000)])
         total = eps.cumsum()
         assert total[-1] > 1.6 * total[len(eps) // 4]
         sq_tail = (eps[100_000:] ** 2).sum()
         assert sq_tail < 0.1 * (eps[:100_000] ** 2).sum()
 
+    def test_gamma_alone_decays(self):
+        assert StepSchedule(1.0, 0.6).eps(3) == 4**-0.6
+
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            StepSchedule(kind="robbins_monro", gamma=0.5)
-        with pytest.raises(ValueError):
-            StepSchedule(kind="robbins_monro", gamma=1.5)
-        with pytest.raises(ValueError):
-            StepSchedule(kind="constant", gamma=7.0)
-        StepSchedule(kind="robbins_monro", gamma=1.0)
-        StepSchedule(kind="constant")
+        for gamma in (0.5, 1.5, 7.0, np.nan):
+            with pytest.raises(ConfigError) as exc:
+                StepSchedule(gamma=gamma)
+            assert str(exc.value) == "gamma: must lie in (0.5, 1]"
+        StepSchedule(gamma=1.0)
+        StepSchedule()
 
     @pytest.mark.parametrize("eps0", [0.0, -1.0, np.inf, np.nan])
     def test_eps0_must_be_finite_and_positive(self, eps0):
         with pytest.raises(ConfigError) as exc:
             StepSchedule(eps0=eps0)
         assert exc.value.field == "step_size"
-
-    def test_unknown_kind_names_schedule(self):
-        with pytest.raises(ConfigError, match="unknown schedule kind 'x'") as exc:
-            StepSchedule(kind="x")
-        assert exc.value.field == "schedule"
 
 
 class TestCollectionPolicy:
@@ -330,13 +326,18 @@ class TestRepulsiveSgdm:
                 0.1,
             )
 
-    def test_position_noise_requires_rng(self):
-        ens = ParticleEnsemble(np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="position_noise requires an rng"):
-            repulsive_sgdm_step(
-                ens, MomentumState(np.zeros((2, 1))), std_gaussian(1), fixed_kernel(ens), 0.1,
-                position_noise=True,
-            )
+    def test_rng_adds_the_kernel_noise(self):
+        # noise is drawn exactly when an rng is given, onto the noiseless step
+        rng = np.random.default_rng(4)
+        ens, mom = ParticleEnsemble(rng.normal(size=(3, 2))), MomentumState(rng.normal(size=(3, 2)))
+        km = kernels.kernel_matrix(ens.positions, KernelConfig())
+        plain, plain_mom = repulsive_sgdm_step(ens, mom, std_gaussian(2), km, 0.1)
+        noisy, noisy_mom = repulsive_sgdm_step(
+            ens, mom, std_gaussian(2), km, 0.1, np.random.default_rng(8)
+        )
+        noise = kernels.sample_repulsive_noise(km, 0.1, np.random.default_rng(8))
+        assert np.array_equal(noisy.positions, plain.positions + noise)
+        assert np.array_equal(noisy_mom.momenta, plain_mom.momenta)
 
 
 class TestRepulsiveAdam:
@@ -389,7 +390,6 @@ class TestRepulsiveAdam:
             kernels.kernel_matrix(z, FIXED),
             eps,
             rng=np.random.default_rng(77),
-            position_noise=True,
         )
         assert np.max(np.abs(adam_ens.positions - sgdm_ens.positions)) < 1e-12
 
@@ -492,7 +492,7 @@ class TestInputsLeftUnchanged:
         "repulsive_sgld": lambda e, m, t, km, rng: repulsive_sgld_step(e, t, km, 0.1, rng),
         "repulsive_sgdm": lambda e, m, t, km, rng: repulsive_sgdm_step(e, m, t, km, 0.1),
         "repulsive_sgdm_noise": lambda e, m, t, km, rng: repulsive_sgdm_step(
-            e, m, t, km, 0.1, rng, position_noise=True
+            e, m, t, km, 0.1, rng
         ),
         "repulsive_adam": lambda e, m, t, km, rng: repulsive_adam_step(e, m, t, km, 0.1, rng),
     }
@@ -681,7 +681,7 @@ class TestRunner:
             ({"init_std": -1.0}, "init.std", "must be finite and >= 0"),
             ({"kind": "mala"}, "sampler", "unknown sampler kind 'mala'"),
             # eps_t never increases, so the last iteration's step decides
-            ({"schedule": StepSchedule("robbins_monro", eps0=5e-324)}, "step_size",
+            ({"schedule": StepSchedule(5e-324, gamma=0.55)}, "step_size",
              "decays to 0 within the run's iterations"),
         ],
         ids=["particles", "iterations", "init_mean_size", "init_std_size", "init_mean_nan",
