@@ -248,30 +248,43 @@ def load_config(path: str) -> dict:
     return validate_config(payload)
 
 
+# The config path of each library parameter that a run config sets; "[]" stands
+# for the index of the run's sampler entry.  RunSpec's `schedule` rule is about
+# the step, so it is named where the config sets the step.
+_CONFIG_PATHS = {
+    "kind": "samplers[].name", "n_particles": "samplers[].particles",
+    "eps0": "samplers[].step_size", "schedule": "samplers[].step_size",
+    "gamma": "samplers[].gamma", "bandwidth": "samplers[].bandwidth",
+    "iterations": "iterations", "burn_in": "collection.burn_in", "thin": "collection.thin",
+    "init_mean": "init.mean", "init_std": "init.std", "params": "target.params",
+}
+
+
 def _entry_spec(index: int, config: dict, dim: int) -> samplers.RunSpec:
     """The run spec of ``config["samplers"][index]`` for a target of dimension
-    ``dim``, with every rule checked; a rejected sampler-entry key is named
-    ``samplers[index].<key>``.  A key left out takes the library's default,
+    ``dim``, with every rule checked; each parameter is read from, and named by,
+    its path in ``_CONFIG_PATHS``.  A key left out takes the library's default,
     except ``particles``, which defaults to 10 here: RunSpec has none."""
-    entry = config["samplers"][index]
-    schedule = {field: entry[key] for key, field in
-                (("step_size", "eps0"), ("gamma", "gamma")) if key in entry}
+    sections = {"samplers[]": config["samplers"][index], "": config,
+                "collection": config.get("collection", {}), "init": config.get("init", {})}
+
+    def given(*params):
+        """Each of ``params`` that the config sets, with its value."""
+        paths = {param: _CONFIG_PATHS[param].rpartition(".") for param in params}
+        return {param: sections[s][k] for param, (s, _, k) in paths.items() if k in sections[s]}
+
     try:
-        kernel_cfg = kernels.KernelConfig(entry.get("bandwidth"))
         spec = samplers.RunSpec(
-            entry["name"],
-            entry.get("particles", 10),
-            config["iterations"],
-            samplers.StepSchedule(**schedule),
-            samplers.CollectionPolicy(**config.get("collection", {})),
-            kernel_cfg=kernel_cfg,
-            **{f"init_{key}": value for key, value in config.get("init", {}).items()},
+            kernel_cfg=kernels.KernelConfig(**given("bandwidth")),
+            schedule=samplers.StepSchedule(**given("eps0", "gamma")),
+            policy=samplers.CollectionPolicy(**given("burn_in", "thin")),
+            **{"n_particles": 10,
+               **given("kind", "n_particles", "iterations", "init_mean", "init_std")},
         )
         spec.initial(dim)
     except ConfigError as err:
-        if err.field in CONFIG_SCHEMA["properties"]["samplers"]["items"]["properties"]:
-            raise ConfigError(err.reason, field=f"samplers[{index}].{err.field}") from None
-        raise
+        path = _CONFIG_PATHS[err.field].replace("[]", f"[{index}]")
+        raise ConfigError(err.reason, field=path) from None
     return spec
 
 
@@ -305,13 +318,17 @@ def cmd_run(args) -> int:
     kinds = [entry["name"] for entry in config["samplers"]]
     for j, kind in enumerate(kinds):
         if kind in kinds[:j]:
-            raise ConfigError(f"sampler {kind!r} is listed twice", field=f"samplers[{j}].name")
+            path = _CONFIG_PATHS["kind"].replace("[]", f"[{j}]")
+            raise ConfigError(f"sampler {kind!r} is listed twice", field=path)
 
     # built-in targets are stateless, so every job, on any thread, shares one
+    params = _CONFIG_PATHS["params"]
     try:
         target = targets.make_target(config["target"]["name"], **config["target"].get("params", {}))
+    except ConfigError as err:  # named by the target parameter's key
+        raise ConfigError(err.reason, field=f"{params}.{err.field}") from None
     except AssertionError as err:  # a failed gradient audit
-        raise ConfigError(str(err), field="target.params")
+        raise ConfigError(str(err), field=params)
     specs = [_entry_spec(i, config, target.dim) for i in range(len(config["samplers"]))]
     jobs = [(spec, seed) for spec in specs for seed in seeds]
     tname = config["target"]["name"]

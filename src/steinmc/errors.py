@@ -38,7 +38,8 @@ class FactorizationError(SteinmcError):
 
 class ConfigError(SteinmcError, ValueError):
     """Invalid experiment configuration or argument value (hence also a
-    ValueError); `field` names the offending entry and `reason` is the message
+    ValueError); `field` names the offending parameter of the callable that
+    raised it, or in the CLI its config path, and `reason` is the message
     without it.  The CLI exits with 2."""
 
     def __init__(self, message, field=None):

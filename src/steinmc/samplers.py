@@ -33,7 +33,9 @@ time.  The loop alone builds each step's kernel, through
 :func:`kernels.kernel_matrix`, and the interacting step functions take that
 kernel.  The CLI and the scripts take the kept iterations from
 :meth:`CollectionPolicy.iterations` and each kind's step from
-:func:`scaled_step`.
+:func:`scaled_step`.  A rejected setting raises a ConfigError naming, once,
+the parameter that took it: ``RunSpec(..., init_std=-1)`` raises ``init_std:
+must be finite and >= 0``; the CLI alone maps parameters to config paths.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class StepSchedule:
 
     def __post_init__(self):
         if not 0 < self.eps0 < math.inf:
-            raise ConfigError("must be finite and > 0", field="step_size")
+            raise ConfigError("must be finite and > 0", field="eps0")
         if self.gamma is not None and not 0.5 < self.gamma <= 1.0:
             raise ConfigError("must lie in (0.5, 1]", field="gamma")
 
@@ -99,9 +101,9 @@ class MomentumState:
         self.momenta = np.asarray(self.momenta, dtype=float)
         for name in ("beta1", "beta2"):
             if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1)", field=name)
+                raise ConfigError("must lie in (0, 1)", field=name)
         if not 0 <= self.stabilizer < math.inf:
-            raise ConfigError("stabilizer must be finite and >= 0", field="stabilizer")
+            raise ConfigError("must be finite and >= 0", field="stabilizer")
         if self.second_moments is not None:
             self.second_moments = np.asarray(self.second_moments, dtype=float)
             if (self.second_moments < 0).any():
@@ -117,9 +119,9 @@ class CollectionPolicy:
 
     def __post_init__(self):
         if self.burn_in < 0:
-            raise ConfigError("must be >= 0", field="collection.burn_in")
+            raise ConfigError("must be >= 0", field="burn_in")
         if self.thin < 1:
-            raise ConfigError("must be >= 1", field="collection.thin")
+            raise ConfigError("must be >= 1", field="thin")
 
     def iterations(self, total: int) -> range:
         """The 1-based iterations, of `total`, whose draws are kept."""
@@ -360,22 +362,22 @@ class RunSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ConfigError(f"unknown sampler kind {self.kind!r}", field="sampler")
+            raise ConfigError(f"unknown sampler kind {self.kind!r}", field="kind")
         if self.n_particles < 1:
-            raise ConfigError("must be >= 1", field="particles")
+            raise ConfigError("must be >= 1", field="n_particles")
         if not self.policy.iterations(self.iterations):
             raise ConfigError("must exceed burn_in by at least thin", field="iterations")
         if not np.isfinite(np.asarray(self.init_mean, dtype=float)).all():
-            raise ConfigError("must be finite", field="init.mean")
+            raise ConfigError("must be finite", field="init_mean")
         std = np.asarray(self.init_std, dtype=float)
         if not ((std >= 0) & (std < math.inf)).all():
-            raise ConfigError("must be finite and >= 0", field="init.std")
+            raise ConfigError("must be finite and >= 0", field="init_std")
         if not self.schedule.eps(self.iterations - 1) > 0:  # eps_t never increases
-            raise ConfigError("decays to 0 within the run's iterations", field="step_size")
+            raise ConfigError("decays to 0 within the run's iterations", field="schedule")
 
     def initial(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """The (dim,) mean and std of the initial particles."""
-        for name, value in (("init.mean", self.init_mean), ("init.std", self.init_std)):
+        for name, value in (("init_mean", self.init_mean), ("init_std", self.init_std)):
             if np.ndim(value) > 1 or np.size(value) not in (1, dim):
                 raise ConfigError(f"expected a number or {dim} numbers", field=name)
         mean = np.broadcast_to(np.asarray(self.init_mean, dtype=float), (dim,))

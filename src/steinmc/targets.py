@@ -126,7 +126,7 @@ def _logsumexp(logs, ops):
 def std_gaussian(dim: int) -> TargetModel:
     """Standard Gaussian N(0, I) in `dim` dimensions."""
     if dim < 1:
-        raise ConfigError("dim must be >= 1", field="dim")
+        raise ConfigError("must be >= 1", field="dim")
 
     def log_density(z, ops=_NP):
         return -0.5 * ops.reduce_sum(z * z, axis=-1) - 0.5 * dim * ad.LOG_2PI
@@ -236,11 +236,11 @@ def mog_grid() -> TargetModel:
 def funnel(scale: float = 1.35) -> TargetModel:
     """Hierarchical 2-d funnel: z1 ~ N(0, s1^2), z2 ~ N(0, exp(z1)^2), s1 = ``scale``."""
     if not 0 < scale < math.inf:
-        raise ConfigError("scale must be finite and > 0", field="scale")
+        raise ConfigError("must be finite and > 0", field="scale")
     s1 = scale
     var = float(s1) * float(s1)
     if not (var > 0 and 1.0 / var < math.inf):
-        raise ConfigError("scale is too small: its precision 1/s1^2 overflows", field="scale")
+        raise ConfigError("too small: its precision 1/s1^2 overflows", field="scale")
 
     basis = np.eye(2)
 
@@ -293,5 +293,5 @@ def make_target(name: str, **params) -> TargetModel:
         # read as JSON: a float parameter takes an integer too, and a bool fits none
         if not (type(value) is kind or kind is float and type(value) is int):
             raise ConfigError(f"{name} takes ({', '.join(map(str, parameters.values()))}), "
-                              f"got {params}", field=f"target.params.{key}")
+                              f"got {params}", field=key)
     return BUILTIN_TARGETS[name](**params)

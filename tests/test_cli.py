@@ -516,9 +516,9 @@ class TestRunCommand:
             ({}, {"gamma": 2.0}, {}, "samplers[0].gamma"),
             ({}, {"bandwidth": -1}, {}, "samplers[0].bandwidth"),
             ({"name": "gaussian", "params": {"dim": 2}}, {}, {"mean": [0, 0, 0]}, "init.mean"),
-            ({"name": "gaussian", "params": {"dim": 0}}, {}, {}, "dim"),
-            ({"name": "funnel", "params": {"scale": 0}}, {}, {}, "scale"),
-            ({"name": "funnel", "params": {"scale": -1}}, {}, {}, "scale"),
+            ({"name": "gaussian", "params": {"dim": 0}}, {}, {}, "target.params.dim"),
+            ({"name": "funnel", "params": {"scale": 0}}, {}, {}, "target.params.scale"),
+            ({"name": "funnel", "params": {"scale": -1}}, {}, {}, "target.params.scale"),
             ({}, {}, {"mean": ["a"]}, "$.init.mean[0]"),
             ({}, {}, {"std": [1, "b"]}, "$.init.std[1]"),
             ({}, {}, {"std": -1.0}, "init.std"),
@@ -554,7 +554,7 @@ class TestRunCommand:
         cfg = moe_config(tmp_path / "out")
         cfg["target"] = {"name": "funnel", "params": {"scale": scale}}
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
-        assert "config error: scale: " in capsys.readouterr().err
+        assert "config error: target.params.scale: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scale", [1e-150, 1e300], ids=["1e-150-std", "1e+300-std"])
@@ -697,6 +697,18 @@ class TestRunCommand:
         assert entry["name"]["enum"] == list(samplers.SAMPLER_KINDS)
         target = CONFIG_SCHEMA["properties"]["target"]["properties"]
         assert target["name"]["enum"] == sorted(targets.BUILTIN_TARGETS)
+
+    def test_config_paths_map_library_parameters_to_schema_keys(self):
+        # the one table from a library parameter to the config path that sets it
+        params = set()
+        for raiser in (samplers.RunSpec, samplers.StepSchedule, samplers.CollectionPolicy,
+                       kernels.KernelConfig, targets.make_target):
+            params |= inspect.signature(raiser).parameters.keys()
+        assert cli._CONFIG_PATHS.keys() <= params
+        for path in cli._CONFIG_PATHS.values():
+            schema = CONFIG_SCHEMA
+            for key in path.replace("[]", ".[]").split("."):
+                schema = schema["items"] if key == "[]" else schema["properties"][key]
 
     def test_library_messages_name_the_config_key(self, tmp_path, capsys):
         # StepSchedule and KernelConfig state the rule; the CLI names the key

@@ -1,7 +1,9 @@
 """The documented public surface: module import paths, the README's
-library examples and the entry points the benchmark's tracer wraps."""
+library examples, the entry points the benchmark's tracer wraps and the
+parameter that each library ConfigError names."""
 
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -10,10 +12,15 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import steinmc
 from steinmc import samplers, targets
+from steinmc.errors import ConfigError
+from steinmc.kernels import KernelConfig
+from steinmc.refine import DiagonalGaussianGuide, RefinedGuide
+from steinmc.samplers import CollectionPolicy, MomentumState, RunSpec, StepSchedule
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -35,6 +42,46 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def run_spec(**bad):
+    """A RunSpec of sgld, 2 particles and 10 iterations, with ``bad`` in place."""
+    return RunSpec(**{"kind": "sgld", "n_particles": 2, "iterations": 10,
+                      "schedule": StepSchedule(), "policy": CollectionPolicy(), **bad})
+
+
+@pytest.mark.parametrize(
+    "raiser, call",
+    [
+        (StepSchedule, lambda: StepSchedule(eps0=0.0)),
+        (StepSchedule, lambda: StepSchedule(gamma=2.0)),
+        (KernelConfig, lambda: KernelConfig(bandwidth=-1.0)),
+        (CollectionPolicy, lambda: CollectionPolicy(burn_in=-1)),
+        (CollectionPolicy, lambda: CollectionPolicy(thin=0)),
+        (RunSpec, lambda: run_spec(kind="mala")),
+        (RunSpec, lambda: run_spec(n_particles=0)),
+        (RunSpec, lambda: run_spec(iterations=0)),
+        (RunSpec, lambda: run_spec(init_mean=np.nan)),
+        (RunSpec, lambda: run_spec(init_std=-1.0)),
+        (RunSpec, lambda: run_spec(schedule=StepSchedule(5e-324, gamma=0.55))),
+        (RunSpec, lambda: run_spec(init_mean=[0.0, 0.0]).initial(3)),
+        (MomentumState, lambda: MomentumState(np.zeros((2, 1)), beta1=1.0)),
+        (MomentumState, lambda: MomentumState(np.zeros((2, 1)), stabilizer=-1.0)),
+        (targets.std_gaussian, lambda: targets.std_gaussian(0)),
+        (targets.funnel, lambda: targets.funnel(0.0)),
+        (targets.funnel, lambda: targets.funnel(1e-160)),
+        (RefinedGuide, lambda: RefinedGuide(DiagonalGaussianGuide([0.0], [0.0]), steps_refine=-1)),
+    ],
+    ids=["eps0", "gamma", "bandwidth", "burn_in", "thin", "kind", "n_particles", "iterations",
+         "init_mean", "init_std", "schedule", "init_size", "beta1", "stabilizer", "dim",
+         "scale", "scale_precision", "steps_refine"],
+)
+def test_config_error_names_a_parameter_of_its_raiser_once(raiser, call):
+    # the library names its own parameter; the CLI alone maps it to a config path
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert exc.value.field in inspect.signature(raiser).parameters
+    assert not exc.value.reason.startswith(exc.value.field)
 
 
 def load_tracer(monkeypatch):

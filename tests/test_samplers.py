@@ -104,7 +104,7 @@ class TestSchedule:
     def test_eps0_must_be_finite_and_positive(self, eps0):
         with pytest.raises(ConfigError) as exc:
             StepSchedule(eps0=eps0)
-        assert exc.value.field == "step_size"
+        assert exc.value.field == "eps0"
 
 
 class TestCollectionPolicy:
@@ -313,7 +313,7 @@ class TestRepulsiveSgdm:
     def test_betas_must_lie_in_the_open_unit_interval(self, field, value):
         with pytest.raises(ConfigError) as exc:
             MomentumState(np.zeros((2, 1)), **{field: value})
-        assert str(exc.value) == f"{field}: {field} must lie in (0, 1)"
+        assert str(exc.value) == f"{field}: must lie in (0, 1)"
 
     def test_momentum_shape_validation(self):
         t = std_gaussian(2)
@@ -608,7 +608,7 @@ class TestRunner:
     @pytest.mark.parametrize("iterations, burn_in, thin", [(100, 100, 1), (100, 95, 10)])
     def test_run_length_checked_before_any_draw(self, iterations, burn_in, thin):
         # the one rule (iterations - burn_in) // thin >= 1 is checked first,
-        # so it wins over the also-bad init.std
+        # so it wins over the also-bad init_std
         with pytest.raises(ConfigError) as exc:
             samplers.run(
                 samplers.RunSpec(
@@ -637,7 +637,7 @@ class TestRunner:
                 ),
                 std_gaussian(1), 0,
             )
-        assert exc.value.field == "particles"
+        assert exc.value.field == "n_particles"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -652,11 +652,11 @@ class TestRunner:
     @pytest.mark.parametrize(
         "init, field",
         [
-            ({"init_mean": np.nan}, "init.mean"),
-            ({"init_mean": [0.0, -np.inf]}, "init.mean"),
-            ({"init_std": np.inf}, "init.std"),
-            ({"init_std": [1.0, np.nan]}, "init.std"),
-            ({"init_std": -1.0}, "init.std"),
+            ({"init_mean": np.nan}, "init_mean"),
+            ({"init_mean": [0.0, -np.inf]}, "init_mean"),
+            ({"init_std": np.inf}, "init_std"),
+            ({"init_std": [1.0, np.nan]}, "init_std"),
+            ({"init_std": -1.0}, "init_std"),
         ],
     )
     def test_init_must_be_finite(self, init, field):
@@ -673,15 +673,15 @@ class TestRunner:
     @pytest.mark.parametrize(
         "bad, field, message",
         [
-            ({"n_particles": 0}, "particles", "must be >= 1"),
+            ({"n_particles": 0}, "n_particles", "must be >= 1"),
             ({"iterations": 5}, "iterations", "must exceed burn_in by at least thin"),
-            ({"init_mean": [0.0, 0.0, 0.0]}, "init.mean", "expected a number or 2 numbers"),
-            ({"init_std": [[1.0, 1.0]]}, "init.std", "expected a number or 2 numbers"),
-            ({"init_mean": np.nan}, "init.mean", "must be finite"),
-            ({"init_std": -1.0}, "init.std", "must be finite and >= 0"),
-            ({"kind": "mala"}, "sampler", "unknown sampler kind 'mala'"),
+            ({"init_mean": [0.0, 0.0, 0.0]}, "init_mean", "expected a number or 2 numbers"),
+            ({"init_std": [[1.0, 1.0]]}, "init_std", "expected a number or 2 numbers"),
+            ({"init_mean": np.nan}, "init_mean", "must be finite"),
+            ({"init_std": -1.0}, "init_std", "must be finite and >= 0"),
+            ({"kind": "mala"}, "kind", "unknown sampler kind 'mala'"),
             # eps_t never increases, so the last iteration's step decides
-            ({"schedule": StepSchedule(5e-324, gamma=0.55)}, "step_size",
+            ({"schedule": StepSchedule(5e-324, gamma=0.55)}, "schedule",
              "decays to 0 within the run's iterations"),
         ],
         ids=["particles", "iterations", "init_mean_size", "init_std_size", "init_mean_nan",
