@@ -5,12 +5,17 @@ weights, output bias) so the ensemble samplers can treat a network as one
 particle.  One layer pass serves the outputs, the potential and its gradient,
 in a (K, h, B) layout (particles x hidden units x batch rows).  The first
 layer is the augmented matrix [w1 | b1] in both directions: forward is one
-batched matmul [w1 | b1] @ [x | 1]^T whose result the ReLU overwrites in
-place, and backward is one matmul of the 0/1 ReLU gate with [r * x | r] for
-the residual r, scaled by the output weights; the gate is written over the
-activations once the output-weight gradient has read them.  Minibatch
-gradients rescale the batch term by N / |batch|.  Targets are standardized
-for sampling and predictions are mapped back to original units.
+GEMM of the whole particle stack, [w1 | b1] as (K*h, p+1), with [x | 1]^T,
+whose result the ReLU overwrites in place, and backward is one batched
+matmul of the 0/1 ReLU gate with [r * x | r] for the residual r, scaled by
+the output weights; the gate is written over the activations once the
+output-weight gradient has read them.  Both GEMM operands built here are
+C-contiguous copies, [x | 1]^T as (p+1, B) and [r * x | r] as (K, B, p+1):
+OpenBLAS picks its kernel by layout, and a transposed view of [r * x | r]
+changed the gradient bits in 53 of 100 random shapes, so their layout is
+part of the bitwise contract.
+Minibatch gradients rescale the batch term by N / |batch|.  Targets are
+standardized for sampling and predictions are mapped back to original units.
 """
 
 from __future__ import annotations
@@ -199,13 +204,17 @@ class BnnPotential:
 
     @np.errstate(over="ignore", invalid="ignore")  # callers check finiteness
     def _layers(self, theta: np.ndarray, x: np.ndarray):
-        """The one layer pass for (K, P) theta: the augmented inputs
-        [x | 1] (B, p+1), hidden activations (K, h, B) and outputs (K, B)."""
+        """The one layer pass for (K, P) theta: the transposed augmented
+        inputs [x | 1]^T as a C-contiguous (p+1, B) array, whatever the
+        layout of x, hidden activations (K, h, B) and outputs (K, B)."""
         w1, b1, w2, b2 = self.unpack(theta)
-        x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
-        act = np.concatenate([w1, b1[..., None]], axis=-1) @ x_aug.T
+        k, h, p = theta.shape[0], self.hidden_dim, self.input_dim
+        x_aug_t = np.ones((p + 1, x.shape[0]))
+        x_aug_t[:p] = x.T
+        w_aug = np.concatenate([w1, b1[..., None]], axis=-1).reshape(k * h, p + 1)
+        act = (w_aug @ x_aug_t).reshape(k, h, -1)
         np.maximum(act, 0.0, out=act)
-        return x_aug, act, (w2[:, None, :] @ act)[:, 0] + b2[:, None]
+        return x_aug_t, act, (w2[:, None, :] @ act)[:, 0] + b2[:, None]
 
     def forward(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Network outputs; theta (K, P) or (P,), x (B, p).  Returns (K, B) or (B,)."""
@@ -236,14 +245,15 @@ class BnnPotential:
         single = np.ndim(theta) == 1
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         w2 = self.unpack(theta)[2]
-        x_aug, act, out = self._layers(theta, x)
+        x_aug_t, act, out = self._layers(theta, x)
 
         scale = n_total / x.shape[0] / self.noise_std**2
         resid = scale * (out - y[None, :])  # (K, B)
 
         g_w2 = (act @ resid[:, :, None])[..., 0]
         gate = np.greater(act, 0.0, out=act)  # (K, h, B), 0.0/1.0 over the activations
-        g_first = (gate @ (resid[:, :, None] * x_aug)) * w2[:, :, None]  # (K, h, p+1)
+        rx = (resid[:, None, :] * x_aug_t).transpose(0, 2, 1).copy()  # (K, B, p+1), C order
+        g_first = (gate @ rx) * w2[:, :, None]  # (K, h, p+1)
         g_b2 = resid.sum(axis=1)
 
         k, p = theta.shape[0], self.input_dim

@@ -336,9 +336,11 @@ class TestMatmulLayout:
 
 def float_gate_backward(pot, theta, x, y, n_total):
     """Reference: the backward pass on a float copy of the ReLU gate, with the
-    prior term added to a separate data gradient, for (K, P) theta."""
+    prior term added to a separate data gradient, for (K, P) theta; [x | 1]
+    is built here, and [r * x | r] is the (K, B, p+1) broadcast product."""
     w2 = pot.unpack(theta)[2]
-    x_aug, act, out = pot._layers(theta, x)
+    act, out = pot._layers(theta, x)[1:]
+    x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
     resid = n_total / x.shape[0] / pot.noise_std**2 * (out - y[None, :])
     gate = (act > 0).astype(float)
     g_first = (gate @ (resid[:, :, None] * x_aug)) * w2[:, :, None]
@@ -349,6 +351,15 @@ def float_gate_backward(pot, theta, x, y, n_total):
         axis=1,
     )
     return data_grad + theta / pot.prior_std**2
+
+
+def per_particle_forward(pot, theta, x):
+    """Reference: the network outputs from one [w1 | b1] @ [x | 1]^T matmul
+    per particle, for (K, P) theta."""
+    w1, b1, w2, b2 = pot.unpack(theta)
+    x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
+    act = np.maximum(np.concatenate([w1, b1[..., None]], axis=-1) @ x_aug.T, 0.0)
+    return (w2[:, None, :] @ act)[:, 0] + b2[:, None]
 
 
 class TestBackwardBits:
@@ -383,6 +394,49 @@ class TestBackwardBits:
         grad = pot.potential_grad(theta, x, y, 450)
         assert grad.shape == (pot.n_params,)
         assert np.array_equal(grad, float_gate_backward(pot, theta[None, :], x, y, 450)[0])
+
+    def test_random_shapes(self):
+        # the stack GEMM rounds as one GEMM per particle, except at h = 1,
+        # where numpy computes each particle's one-row product with gemv
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            k, b, p = rng.integers(1, 31), rng.integers(1, 121), rng.integers(1, 6)
+            h = rng.choice([1, 7, 50])
+            pot = BnnPotential(input_dim=p, hidden_dim=h, noise_std=0.3)
+            theta = rng.normal(size=(k, pot.n_params))
+            x, y = rng.normal(size=(b, p)), rng.normal(size=b)
+            grad = pot.potential_grad(theta, x, y, 450)
+            assert np.array_equal(grad, float_gate_backward(pot, theta, x, y, 450))
+            out, ref = pot.forward(theta, x), per_particle_forward(pot, theta, x)
+            if h > 1:
+                assert np.array_equal(out, ref)
+            else:
+                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15 * np.abs(ref).max())
+
+
+class TestInputLayout:
+    """The pass copies x into its own C-ordered [x | 1]^T, so the layout of
+    the inputs (the test split, a fancy-indexed batch, a caller's view) does
+    not reach the rounding."""
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_c_fortran_and_strided_inputs_give_the_same_bytes(self, single):
+        rng = np.random.default_rng(15)
+        pot = BnnPotential(input_dim=4, hidden_dim=50)
+        theta = rng.normal(size=(20, pot.n_params)) * 0.5
+        theta = theta[0] if single else theta
+        x_big, y_big = rng.normal(size=(200, 4)), rng.normal(size=200)
+        x, y = x_big[::2], y_big[::2]
+        layouts = [(np.ascontiguousarray(x), y.copy()), (np.asfortranarray(x), y), (x, y)]
+        assert not layouts[2][0].flags.c_contiguous and not layouts[2][0].flags.f_contiguous
+        results = [
+            (pot.forward(theta, xs), pot.potential(theta, xs, ys, 450),
+             pot.potential_grad(theta, xs, ys, 450))
+            for xs, ys in layouts
+        ]
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestPredict:
