@@ -21,7 +21,6 @@ Exit codes: 0 ok, 2 config error, 3 divergence, 4 kernel factorization failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -32,8 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bnn as bnn_mod
-from . import kernels, refine, samplers, targets
+# refine, bnn, _g17 and the thread pool are imported where they are used, so that
+# a command loads only what it runs
+from . import kernels, samplers, targets
 from .errors import ConfigError, DivergenceError, FactorizationError, SteinmcError
 
 SCHEMA_VERSION = 1
@@ -58,9 +58,11 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def write_blocks_atomic(path: Path, blocks) -> None:
-    """:func:`write_atomic` of text streamed as an iterable of blocks."""
+    """:func:`write_atomic` of text streamed as an iterable of blocks.  The
+    file is created with mode 0o666, as ``open`` does, so the umask applies."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", text=True)
+    tmp = path.parent / f".tmp-{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(blocks)
@@ -245,6 +247,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}", field="config")
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON at line {err.lineno}: {err.msg}", field="config")
+    # a directory or no permission; not UTF-8, an integer past the digit limit, too deep nesting
+    except (OSError, ValueError, RecursionError) as err:
+        raise ConfigError(str(err), field="config")
     return validate_config(payload)
 
 
@@ -418,6 +423,7 @@ FUNNEL_INIT_LOG_ETA = float(np.log(0.05))
 
 
 def funnel_trace(steps_refine: int, seed: int, target: targets.TargetModel):
+    from . import refine
     rg = refine.RefinedGuide(
         guide=refine.DiagonalGaussianGuide(np.zeros(2), np.zeros(2)),
         inner_sampler="sgld",
@@ -479,6 +485,7 @@ BNN_PROTOCOL = {
 
 
 def bnn_report(dataset: bnn_mod.RegressionDataset, sampler: str, seed: int) -> dict:
+    from . import bnn as bnn_mod
     proto = BNN_PROTOCOL
     potential = bnn_mod.BnnPotential(input_dim=dataset.n_features)
     target = bnn_mod.minibatch_target(potential, dataset, proto["batch_size"])
@@ -517,6 +524,7 @@ def cmd_bnn(args) -> int:
     out_dir = _resolve_out(args, None)
     seeds = _resolve_seeds(args, [0])
     _check_schema(args.split_seed, CONFIG_SCHEMA["properties"]["seeds"]["items"], "split-seed")
+    from . import bnn as bnn_mod
     try:
         dataset = bnn_mod.load_csv(args.data, args.target_column, seed=args.split_seed)
     except (OSError, ValueError) as err:
@@ -537,6 +545,7 @@ def cmd_bnn(args) -> int:
 def _map_jobs(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import concurrent.futures
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

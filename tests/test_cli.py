@@ -1,7 +1,10 @@
 import copy
 import inspect
 import json
+import os
 import re
+import stat
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -250,6 +253,27 @@ class TestRunCommand:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "make, reason",
+        [(lambda path: path.mkdir(), "Is a directory"),
+         (lambda path: path.write_bytes(b'{"seeds": [0]}\xff'), "can't decode byte 0xff"),
+         pytest.param(lambda path: path.write_text(f'{{"iterations": {"1" * 5000}}}'),
+                      "4300 digits", marks=pytest.mark.skipif(
+                          not hasattr(sys, "set_int_max_str_digits"),
+                          reason="this Python has no integer digit limit")),
+         (lambda path: path.write_text("[" * 10_000 + "]" * 10_000), "maximum recursion depth")],
+        ids=["directory", "not_utf8", "integer_digits", "nesting"],
+    )
+    def test_unreadable_config_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys,
+                                                         make, reason):
+        # bnn --data maps the same read failures to exit 2
+        monkeypatch.chdir(tmp_path)
+        make(tmp_path / "config.json")
+        assert main(["run", "--config", "config.json"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: ") and reason in err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -1161,3 +1185,36 @@ class TestProtocolConstants:
         config = json.loads((tmp_path / "bnn_linear_sgld_seed0.json").read_text())["config"]
         assert (config["iterations"], config["burn_in"]) == (40, 10)
         assert [(spec.iterations, spec.policy.burn_in) for (spec, *_), _, _ in calls] == [(40, 10)]
+
+
+# each command at a short protocol: its flags past the command name, and the
+# protocol constants it runs with; run adds its config and bnn the data_csv fixture
+SHORT_COMMANDS = {
+    "run": ([], {}),
+    "bench-synthetic": (["--seed", "0"],
+                        {"BENCH_ITERATIONS": 120, "BENCH_POLICY": {"burn_in": 20, "thin": 1}}),
+    "vis-funnel": (["--seed", "0"], {"FUNNEL_OUTER_ITERATIONS": 3, "FUNNEL_SAMPLES": 4}),
+    "bnn": (["--target-column", "y", "--sampler", "sgld", "--seed", "0"],
+            {"BNN_PROTOCOL": {**cli.BNN_PROTOCOL, "iterations": 40, "burn_in": 10}}),
+}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+@pytest.mark.parametrize("command", SHORT_COMMANDS)
+def test_artifact_permissions_follow_the_umask(tmp_path, monkeypatch, data_csv, command, umask):
+    # as open(path, "w") would create them: mode 0o666 less the umask
+    flags, protocol = SHORT_COMMANDS[command]
+    for name, value in protocol.items():
+        monkeypatch.setattr(cli, name, value)
+    out = tmp_path / "out"
+    if command == "run":
+        flags = ["--config", write_config(tmp_path, moe_config(out, iterations=120))]
+    if command == "bnn":
+        flags = [*flags, "--data", data_csv]
+    previous = os.umask(umask)
+    try:
+        assert main([command, *flags, "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert modes and set(modes.values()) == {0o666 & ~umask}, modes

@@ -10,12 +10,10 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType
 
 import numpy as np
 import pytest
 
-import steinmc
 from steinmc import samplers, targets
 from steinmc.errors import ConfigError
 from steinmc.kernels import KernelConfig
@@ -27,12 +25,46 @@ README = ROOT / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
 
 
+# the modules `import steinmc` binds, each on first access
+LIBRARY_MODULES = ("autodiff", "bnn", "diagnostics", "errors", "kernels", "refine", "samplers",
+                   "targets")
+
+# Run in a fresh interpreter, where no other test has imported a steinmc module:
+# what `import steinmc` loads, and what each of argv[1]'s names resolves to.
+PACKAGE_PROBE = """
+import json, sys
+import steinmc
+loaded = sorted(name for name in sys.modules if name.startswith("steinmc."))
+names = json.loads(sys.argv[1])
+resolved = [name for name in names if getattr(steinmc, name) is sys.modules[f"steinmc.{name}"]]
+try:
+    steinmc.nonexistent
+    unknown = None
+except AttributeError as err:
+    unknown = str(err)
+public = sorted(name for name in vars(steinmc) if not name.startswith("_"))
+print(json.dumps({"loaded": loaded, "resolved": resolved, "unknown": unknown, "public": public,
+                  "has_all": hasattr(steinmc, "__all__"), "run": callable(steinmc.samplers.run)}))
+"""
+
+
+def run_probe(code: str, *args: str) -> dict:
+    """The JSON that ``code``, run with ``args`` in a new interpreter that
+    imports steinmc from src/, prints on its last line."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_package_exposes_modules_only():
-    assert not hasattr(steinmc, "__all__")
-    public = {name: value for name, value in vars(steinmc).items() if not name.startswith("_")}
-    assert all(isinstance(value, ModuleType) for value in public.values()), sorted(public)
-    assert {"autodiff", "bnn", "diagnostics", "kernels", "refine", "samplers", "targets"} <= set(public)
-    assert callable(steinmc.samplers.run)
+    probe = run_probe(PACKAGE_PROBE, json.dumps(LIBRARY_MODULES))
+    assert probe["loaded"] == []  # each module is imported on first access
+    assert probe["resolved"] == list(LIBRARY_MODULES)
+    assert probe["unknown"] == "module 'steinmc' has no attribute 'nonexistent'"
+    # the package re-exports no names: its public names are its modules
+    assert probe["public"] == sorted(LIBRARY_MODULES)
+    assert not probe["has_all"] and probe["run"]
 
 
 def test_readme_has_python_examples():
@@ -131,21 +163,23 @@ def test_tracer_counts_the_scores_of_a_built_target(monkeypatch):
     assert calls["targets.score"] == calls["samplers.step"] == 20
 
 
-# Run in a fresh interpreter: the modules loaded by `python -m steinmc run`,
-# by top-level name, apart from those loaded before steinmc was imported.
+# Run in a fresh interpreter: the modules, by full name, that `python -m steinmc`
+# loads to run the command line argv[1] with the protocol constants argv[2],
+# apart from those loaded before steinmc was imported.
 IMPORT_PROBE = """
 import json, runpy, sys
 before = set(sys.modules)
-sys.argv = ["steinmc", "run", "--config", sys.argv[1]]
+from steinmc import cli
+for name, value in json.loads(sys.argv[2]).items():
+    setattr(cli, name, value)
+sys.argv = ["steinmc", *json.loads(sys.argv[1])]
 code = None
 try:
     runpy.run_module("steinmc", run_name="__main__")
 except SystemExit as done:
     code = done.code
-loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(json.dumps({"exit": code, "loaded": sorted(loaded)}))
+print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
 """
-
 
 @pytest.mark.parametrize(
     "argv, code", [(["--help"], 0), (["run", "--config", "absent.json"], 2)],
@@ -159,27 +193,57 @@ def test_module_entry_point_exits_with_main_code(tmp_path, argv, code):
     assert ("usage: steinmc" in proc.stdout) == (code == 0)
 
 
-def test_run_command_imports_only_numpy_and_the_standard_library(tmp_path):
+# each command at a small input: its flags past the command name and the
+# protocol constants it runs with
+SMALL_COMMANDS = {
+    "run": ([], {}),
+    "bench-synthetic": (["--seed", "0"],
+                        {"BENCH_ITERATIONS": 30, "BENCH_POLICY": {"burn_in": 10, "thin": 1}}),
+    "vis-funnel": (["--seed", "0"], {"FUNNEL_OUTER_ITERATIONS": 2, "FUNNEL_SAMPLES": 4}),
+    "bnn": (["--target-column", "y", "--sampler", "sgld", "--seed", "0"],
+            {"BNN_PROTOCOL": {"particles": 5, "iterations": 30, "batch_size": 10,
+                              "step_scale": 0.005, "burn_in": 10, "thin": 1}}),
+    "run --threads 2": (["--threads", "2", "--seed", "0,1"], {}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, not_loaded, loaded",
+    [
+        ("run", ("steinmc.bnn", "steinmc.refine", "concurrent.futures"), ()),
+        ("bench-synthetic", ("steinmc.bnn", "steinmc.refine", "concurrent.futures"), ()),
+        ("vis-funnel", ("steinmc.bnn",), ("steinmc.refine",)),
+        ("bnn", ("steinmc.refine",), ("steinmc.bnn",)),
+        # the control: the thread pool is loaded where it runs
+        ("run --threads 2", (), ("concurrent.futures",)),
+    ],
+    ids=["run", "bench-synthetic", "vis-funnel", "bnn", "run-threads-2"],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, command, not_loaded, loaded):
     # numpy is the one runtime dependency; pytest's own process has loaded
     # hypothesis, scipy and jsonschema already, so this needs a new process
-    config = {
-        "schema_version": 1,
-        "target": {"name": "gaussian", "params": {"dim": 1}},
-        "samplers": [{"name": "repulsive_sgld", "particles": 2}],
-        "iterations": 5,
-        "collection": {"burn_in": 0, "thin": 1},
-        "seeds": [0],
-        "output_dir": str(tmp_path / "out"),
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(path)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    probe = json.loads(proc.stdout.splitlines()[-1])
+    flags, protocol = SMALL_COMMANDS[command]
+    if command.startswith("run"):
+        config = {
+            "schema_version": 1,
+            "target": {"name": "gaussian", "params": {"dim": 1}},
+            "samplers": [{"name": "repulsive_sgld", "particles": 2}],
+            "iterations": 5,
+            "collection": {"burn_in": 0, "thin": 1},
+            "seeds": [0],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        flags = ["--config", str(tmp_path / "config.json"), *flags]
+    if command == "bnn":
+        rows = np.random.default_rng(0).normal(size=(30, 3))
+        np.savetxt(tmp_path / "data.csv", rows, delimiter=",", header="a,b,y", comments="")
+        flags = [*flags, "--data", str(tmp_path / "data.csv")]
+    argv = [command.split()[0], *flags, "--out", str(tmp_path / "out")]
+    probe = run_probe(IMPORT_PROBE, json.dumps(argv), json.dumps(protocol))
     assert probe["exit"] == 0
+    assert [name for name in not_loaded if name in probe["loaded"]] == []
+    assert [name for name in loaded if name not in probe["loaded"]] == []
     # numpy's compiled Cython extensions register cython_runtime and _cython_<version>
-    foreign = [name for name in probe["loaded"]
-               if name not in sys.stdlib_module_names and name not in ("numpy", "steinmc")
-               and name != "cython_runtime" and not name.startswith("_cython_")]
-    assert foreign == []
+    foreign = sorted({name.partition(".")[0] for name in probe["loaded"]}
+                     - set(sys.stdlib_module_names) - {"numpy", "steinmc", "cython_runtime"})
+    assert [name for name in foreign if not name.startswith("_cython_")] == []
