@@ -131,7 +131,7 @@ def load_csv(
 ) -> RegressionDataset:
     """Parse a numeric CSV with a header row into a standardized split; errors
     number rows as file lines (the header is row 1) and name header columns."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:

@@ -241,7 +241,7 @@ def validate_config(payload: dict) -> dict:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}", field="config")
@@ -380,14 +380,12 @@ BENCH_POLICY = {"burn_in": 500, "thin": 10}
 def bench_rows(seeds, timing: str = "off", threads: int = 1):
     # building a target runs its gradient audit; every job shares one per distribution
     built = {dist: targets.make_target(dist) for dist in BENCH_PROTOCOL}
-    jobs = []
-    for dist, proto in BENCH_PROTOCOL.items():
-        for kind in ("sgld", "repulsive_sgld"):
-            for seed in seeds:
-                jobs.append((dist, kind, seed, proto))
+    jobs = [(dist, kind, seed)
+            for dist in BENCH_PROTOCOL for kind in ("sgld", "repulsive_sgld") for seed in seeds]
 
     def job(item):
-        dist, kind, seed, proto = item
+        dist, kind, seed = item
+        proto = BENCH_PROTOCOL[dist]
         eps = samplers.scaled_step(kind, proto["per_particle_step"], proto["particles"])
         spec = samplers.RunSpec(
             kind, proto["particles"], BENCH_ITERATIONS, samplers.StepSchedule(eps0=eps),
@@ -446,13 +444,11 @@ def cmd_vis_funnel(args) -> int:
 
     target = targets.funnel()  # one gradient audit; the stateless target is shared by every job
     jobs = [(t, seed) for t in (0, 1, 2) for seed in seeds]
-    results = _map_jobs(lambda ts: (ts, funnel_trace(*ts, target)), jobs, args.threads)
-    by_t: dict[int, list] = {0: [], 1: [], 2: []}
-    for (t, seed), result in results:
-        by_t[t].append((seed, result))
-
+    # in job order: each T's results are the next len(seeds), in seed order
+    results = iter(_map_jobs(lambda ts: funnel_trace(*ts, target), jobs, args.threads))
     learned = {}
-    for t, runs in by_t.items():
+    for t in (0, 1, 2):
+        runs = list(zip(seeds, results))
         traces = (([(seed, i) for i in range(len(result.loss_trace))], result.loss_trace[:, None])
                   for seed, result in runs)
         write_blocks_atomic(
@@ -484,7 +480,8 @@ BNN_PROTOCOL = {
 }
 
 
-def bnn_report(dataset: bnn_mod.RegressionDataset, sampler: str, seed: int) -> dict:
+def bnn_report(dataset, sampler: str, seed: int) -> dict:
+    """The report of one ``sampler`` run on ``dataset``, a :class:`bnn.RegressionDataset`."""
     from . import bnn as bnn_mod
     proto = BNN_PROTOCOL
     potential = bnn_mod.BnnPotential(input_dim=dataset.n_features)
@@ -503,8 +500,7 @@ def bnn_report(dataset: bnn_mod.RegressionDataset, sampler: str, seed: int) -> d
         "dataset": dataset.name,
         "sampler": sampler,
         "seed": seed,
-        "rmse": metrics["rmse"],
-        "test_ll": metrics["test_ll"],
+        **metrics,
         "ess": result.ess,
         "rhat": result.rhat,
         "config": {
@@ -529,13 +525,11 @@ def cmd_bnn(args) -> int:
         dataset = bnn_mod.load_csv(args.data, args.target_column, seed=args.split_seed)
     except (OSError, ValueError) as err:
         raise ConfigError(str(err), field="data")
-    results = _map_jobs(
-        lambda seed: (seed, bnn_report(dataset, args.sampler, seed)), seeds, args.threads
-    )
-    for seed, payload in results:
-        name = f"bnn_{dataset.name}_{args.sampler}_seed{seed}.json"
-        write_atomic(out_dir / name, dump_json(payload))
-    print(f"wrote {len(results)} reports to {out_dir}")
+    reports = _map_jobs(lambda seed: bnn_report(dataset, args.sampler, seed), seeds, args.threads)
+    for report in reports:
+        name = f"bnn_{dataset.name}_{args.sampler}_seed{report['seed']}.json"
+        write_atomic(out_dir / name, dump_json(report))
+    print(f"wrote {len(reports)} reports to {out_dir}")
     return EXIT_OK
 
 

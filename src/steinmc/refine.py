@@ -105,16 +105,11 @@ class RefinedGuide:
     kernel_cfg: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self):
-        if self.inner_sampler not in INNER_SAMPLERS:
-            raise ConfigError(
-                f"unknown inner sampler {self.inner_sampler!r}", field="inner_sampler"
-            )
-        if self.entropy_mode not in ENTROPY_MODES:
-            raise ConfigError(
-                f"unknown entropy mode {self.entropy_mode!r}", field="entropy_mode"
-            )
-        if self.ad_mode not in AD_MODES:
-            raise ConfigError(f"unknown ad mode {self.ad_mode!r}", field="ad_mode")
+        choices = {"inner_sampler": INNER_SAMPLERS, "entropy_mode": ENTROPY_MODES,
+                   "ad_mode": AD_MODES}
+        for name, allowed in choices.items():
+            if (value := getattr(self, name)) not in allowed:
+                raise ConfigError(f"unknown {name.replace('_', ' ')} {value!r}", field=name)
         if self.steps_refine < 0:
             raise ConfigError("must be >= 0", field="steps_refine")
         if self.entropy_mode == "markov" and self.inner_sampler != "sgld":

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import stat
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -26,7 +27,7 @@ from steinmc.cli import (
     main,
     validate_config,
 )
-from steinmc import cli, errors, kernels, refine, samplers, targets
+from steinmc import bnn, cli, errors, kernels, refine, samplers, targets
 from steinmc._g17 import g17_rows
 from steinmc.errors import ConfigError, DivergenceError, FactorizationError
 
@@ -48,6 +49,7 @@ def moe_config(out_dir, samplers=None, step=0.1, iterations=200):
 
 
 GAUSS2 = {"name": "gaussian", "params": {"dim": 2}}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -973,6 +975,25 @@ class TestVisFunnelCommand:
         assert learned["eta"] > 0
         assert len(learned["mean"]) == 2
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_seed_gets_its_own_run(self, tmp_path, monkeypatch, threads):
+        # a result paired with the wrong seed would be so at every thread count
+        monkeypatch.setattr(cli, "FUNNEL_OUTER_ITERATIONS", 3)
+        monkeypatch.setattr(cli, "FUNNEL_SAMPLES", 4)
+        argv = ["vis-funnel", "--out", str(tmp_path), "--seed", "3,5", "--threads", threads]
+        assert main(argv) == EXIT_OK
+        learned = json.loads((tmp_path / "vis_funnel_params.json").read_text())["learned"]
+        target = targets.funnel()
+        for t in (0, 1, 2):
+            rows = (tmp_path / f"vis_funnel_T{t}.csv").read_text().splitlines()[2:]
+            finals = {}
+            for seed in (3, 5):
+                last = [float(row.split(",")[2]) for row in rows if row.startswith(f"{seed},")][-1]
+                assert learned[str(t)][str(seed)]["final_neg_elbo"] == last
+                assert last == cli.funnel_trace(t, seed, target).loss_trace[-1]
+                finals[seed] = last
+            assert finals[3] != finals[5]
+
     def test_rerun_byte_identical(self, tmp_path):
         main(["vis-funnel", "--out", str(tmp_path / "a"), "--seed", "5"])
         main(["vis-funnel", "--out", str(tmp_path / "b"), "--seed", "5"])
@@ -1012,6 +1033,22 @@ class TestBnnCommand:
         assert payload["ess"] > 0
         assert len(payload["rhat"]) == 50 * (3 + 1) + 50 + 1  # one per network weight
         assert all(r is None or r > 0 for r in payload["rhat"])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_report_is_its_seeds_run(self, tmp_path, monkeypatch, data_csv, threads):
+        # a report written under the wrong seed would be so at every thread count
+        monkeypatch.setattr(cli, "BNN_PROTOCOL", {**cli.BNN_PROTOCOL, "iterations": 40,
+                                                  "burn_in": 10})
+        argv = ["bnn", "--data", data_csv, "--target-column", "y", "--sampler", "sgld",
+                "--out", str(tmp_path), "--seed", "0,1", "--threads", threads]
+        assert main(argv) == EXIT_OK
+        dataset = bnn.load_csv(data_csv, "y")
+        reports = {seed: json.loads((tmp_path / f"bnn_linear_sgld_seed{seed}.json").read_text())
+                   for seed in (0, 1)}
+        for seed, report in reports.items():
+            assert report["seed"] == seed
+            assert report["rmse"] == cli.bnn_report(dataset, "sgld", seed)["rmse"]
+        assert reports[0]["rmse"] != reports[1]["rmse"]
 
     def test_missing_file_exits_2(self, tmp_path):
         code = main(
@@ -1063,6 +1100,30 @@ def test_repeated_seed_flag_exits_2_writing_nothing(tmp_path, capsys, data_csv, 
         argv += ["--data", data_csv]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bnn"])
+def test_inputs_are_read_as_utf8_in_any_locale(tmp_path, command):
+    # in the C locale without UTF-8 mode, open() alone would decode ASCII
+    if command == "run":
+        config = {**moe_config(tmp_path / "out"), "target": {"name": "gaußian"}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        argv = ["--config", str(path)]
+        expected = "config error: $.target.name: 'gau\\xdfian' is not one of "
+    else:
+        path = tmp_path / "data.csv"
+        path.write_text("température,y\n", encoding="utf-8")
+        argv = ["--data", str(path), "--target-column", "y", "--out", str(tmp_path / "out")]
+        expected = "config error: data: need at least 20 data rows, got 0"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": ""}
+    proc = subprocess.run([sys.executable, "-m", "steinmc", command, *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    # stderr is ASCII here, so a non-ASCII character prints as its escape
+    assert proc.stderr.decode("ascii").startswith(expected), proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -6,14 +6,17 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steinmc
 from steinmc import samplers, targets
 from steinmc.errors import ConfigError
 from steinmc.kernels import KernelConfig
@@ -247,3 +250,23 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, not_loaded, loa
     foreign = sorted({name.partition(".")[0] for name in probe["loaded"]}
                      - set(sys.stdlib_module_names) - {"numpy", "steinmc", "cython_runtime"})
     assert [name for name in foreign if not name.startswith("_cython_")] == []
+
+
+# every module but __main__, which runs the command line when imported
+MODULES = [info.name for info in pkgutil.iter_modules(steinmc.__path__) if info.name != "__main__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_annotations_resolve(name):
+    # what help(), inspect.signature(eval_str=True) and typing.get_type_hints read
+    module = importlib.import_module(f"steinmc.{name}")
+    public = {key: value for key, value in vars(module).items()
+              if not key.startswith("_") and getattr(value, "__module__", None) == module.__name__}
+    functions = [value for value in public.values() if inspect.isfunction(value)]
+    for cls in filter(inspect.isclass, public.values()):
+        functions += [value for key, value in vars(cls).items()
+                      if inspect.isfunction(value) and not key.startswith("_")]
+    assert functions
+    for fn in functions:
+        typing.get_type_hints(fn)
+        inspect.signature(fn, eval_str=True)

@@ -138,11 +138,14 @@ class TestElbo:
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             optimize(rg, GAUSS2, 1, np.random.default_rng(0), n_samples=0)
 
-    @pytest.mark.parametrize("field", ["inner_sampler", "ad_mode"])
+    @pytest.mark.parametrize("field", ["inner_sampler", "ad_mode", "entropy_mode"])
     def test_unknown_choice_names_its_field(self, field):
+        messages = {"inner_sampler": "unknown inner sampler 'x'",
+                    "entropy_mode": "unknown entropy mode 'x'", "ad_mode": "unknown ad mode 'x'"}
         with pytest.raises(ConfigError) as info:
             RefinedGuide(guide=unit_guide(), **{"inner_sampler": "sgd", field: "x"})
-        assert info.value.field == field
+        assert (info.value.field, info.value.reason) == (field, messages[field])
+        assert str(info.value) == f"{field}: {messages[field]}"
 
     @pytest.mark.parametrize("mode", ["gaussian", "flow"])
     def test_deleted_entropy_modes_rejected(self, mode):
